@@ -110,8 +110,7 @@ int print_status(const std::string& text, bool raw) {
             << (doc.find("instance") ? doc.find("instance")->string_or("?")
                                      : "?")
             << (draining ? "  [draining]" : "") << "\n";
-  std::cout << "queue     " << depth << "/" << cap << " across "
-            << u64("shards") << " shard(s), " << u64("in_flight")
+  std::cout << "queue     " << depth << "/" << cap << ", " << u64("in_flight")
             << " in flight, " << u64("pending") << " pending sweep\n";
   std::cout << "traffic   submitted " << counter_of(doc, "submitted")
             << " | cold " << counter_of(doc, "cold_runs") << " | warm "

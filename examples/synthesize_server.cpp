@@ -1,6 +1,6 @@
 // Synthesis-as-a-service daemon: watch a spool directory for JSONL job
 // requests, dedupe them through the stage-cache key, run cold jobs on a
-// bounded sharded priority queue, and answer repeats from memory.
+// bounded priority queue, and answer repeats from memory.
 //
 //   ./synthesize_server --spool /tmp/scs-spool --workers 2
 //       --cache-dir /tmp/scs-cache --ledger runs.jsonl

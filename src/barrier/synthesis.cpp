@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <memory>
+#include <deque>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -268,47 +268,48 @@ Polynomial random_lambda(std::size_t n, LambdaStrategy strategy, int attempt,
   return Polynomial(n);
 }
 
-// ---- The ladder as an explicit arm grid.
+// ---- The ladder as one explicit arm list.
 //
-// One arm = one (lambda-strategy, degree-rung, attempt) cell of the retry
-// ladder, self-contained: its own Rng stream (forked by flat index from
-// BarrierConfig::seed, so an arm's draws never depend on which other arms
-// ran or what they returned) and its own JobControl scope. The serial
-// ladder walks the arms in order; the portfolio racer runs them
-// speculatively and cancels the losers.
+// One arm = one (rung, degree, lambda-strategy, attempt) cell of the
+// ladder, self-contained: its own Rng stream (forked by its index within
+// its rung from BarrierConfig::seed, so an arm's draws never depend on
+// which other arms ran or what they returned) and its own JobControl
+// scope. One driver walks the arms of each rung in order or races them,
+// and cancels the rest once one wins.
 
 struct Arm {
+  std::size_t rung = 0;
+  int degree = 0;  // d_B
   LambdaStrategy strategy = LambdaStrategy::kConstant;
-  int degree = 0;   // d_B rung
-  int attempt = 0;  // lambda retry within the rung
+  int attempt = 0;         // lambda retry within the degree
+  std::size_t stream = 0;  // index within the rung = its Rng stream
 };
 
 std::string arm_desc(const Arm& arm) {
-  return to_string(arm.strategy) + "/d=" + std::to_string(arm.degree) +
-         "/a=" + std::to_string(arm.attempt);
+  std::string desc = to_string(arm.strategy) + "/d=" +
+                     std::to_string(arm.degree) + "/a=" +
+                     std::to_string(arm.attempt);
+  if (arm.rung > 0) desc = "r" + std::to_string(arm.rung) + "/" + desc;
+  return desc;
 }
 
-/// Flatten the configured ladder. Degree-major (cheap rungs first), then
-/// strategy, then attempt: with a single strategy this is exactly the
-/// classic serial schedule.
-std::vector<Arm> enumerate_arms(const BarrierConfig& config) {
-  // A non-empty strategy list defines the grid whether or not racing is
-  // on: the serial ladder, the racer, and replay must all see the same
-  // arm indexing for winner_arm to be meaningful across modes.
-  std::vector<LambdaStrategy> strategies;
-  if (!config.race.strategies.empty())
-    strategies = config.race.strategies;
-  else
-    strategies = {config.lambda_strategy};
+/// Flatten the ladder. Rung-major, then degree (cheap degrees first),
+/// strategy and attempt: with one rung and one strategy this is exactly
+/// the classic nested degree/attempt loop.
+std::vector<Arm> enumerate_arms(const std::vector<BarrierRung>& rungs,
+                                const BarrierConfig& config) {
   std::vector<Arm> arms;
-  for (int d_b : config.degree_schedule) {
-    SCS_REQUIRE(d_b >= 1, "synthesize_barrier: degrees must be >= 1");
-    for (LambdaStrategy strategy : strategies) {
-      const int attempts = (strategy == LambdaStrategy::kZero)
-                               ? 1
-                               : config.lambda_attempts;
-      for (int attempt = 0; attempt < attempts; ++attempt)
-        arms.push_back({strategy, d_b, attempt});
+  for (std::size_t r = 0; r < rungs.size(); ++r) {
+    std::size_t stream = 0;
+    for (int d_b : config.degree_schedule) {
+      SCS_REQUIRE(d_b >= 1, "synthesize_barrier: degrees must be >= 1");
+      for (LambdaStrategy strategy : rungs[r].strategies) {
+        const int attempts = (strategy == LambdaStrategy::kZero)
+                                 ? 1
+                                 : config.lambda_attempts;
+        for (int attempt = 0; attempt < attempts; ++attempt)
+          arms.push_back({r, d_b, strategy, attempt, stream++});
+      }
     }
   }
   return arms;
@@ -324,8 +325,6 @@ struct ArmOutcome {
   /// Stopped by the arm's JobControl (race loser or job-level stop) rather
   /// than by running out of ideas.
   bool preempted = false;
-  /// The arm got past its control gate and built at least one program.
-  bool launched = false;
 };
 
 /// One complete arm: draw lambda, solve the LMI, run the alternating BMI
@@ -340,7 +339,6 @@ ArmOutcome run_arm(const Ccds& system,
     out.preempted = true;
     return out;
   }
-  out.launched = true;
   BarrierConfig cfg = config;
   cfg.sdp.control = control;  // preempts every inner solve mid-interior-point
 
@@ -406,10 +404,6 @@ ArmOutcome run_arm(const Ccds& system,
   return out;
 }
 
-}  // namespace
-
-namespace {
-
 /// Diagonal rescaling of a semialgebraic set: y-space member iff x = S y is
 /// an x-space member. The analytic distance (if any) is dropped; the
 /// barrier stage only needs membership and sampling.
@@ -428,211 +422,167 @@ SemialgebraicSet scale_set(const SemialgebraicSet& set, const Vec& s) {
 
 }  // namespace
 
-BarrierResult synthesize_barrier_closed(
-    const Ccds& system_in, const std::vector<Polynomial>& closed_field_in,
-    const BarrierConfig& config) {
-  SCS_REQUIRE(closed_field_in.size() == system_in.num_states,
-              "synthesize_barrier_closed: field dimension mismatch");
+std::vector<LambdaStrategy> base_strategies(const BarrierConfig& config) {
+  if (!config.race.strategies.empty()) return config.race.strategies;
+  return {config.lambda_strategy};
+}
+
+BarrierResult synthesize_barrier_ladder(const Ccds& system_in,
+                                        const std::vector<BarrierRung>& rungs,
+                                        const BarrierConfig& config,
+                                        std::size_t* winning_rung) {
   BarrierResult result;
   Stopwatch sw;
-  Rng rng(config.seed);
 
   // ---- Rescale the problem to the unit box: x = S y with S = diag(s).
   // Degree-8+ monomials on a box reaching |x_i| = 5 take values ~ 1e7, so
   // coefficient-level SOS residual tolerances would not control pointwise
   // error; on [-1,1]^n they do. ydot = S^{-1} f(S y).
   const std::size_t n = system_in.num_states;
-  Vec s(n, 1.0);
-  {
-    const Box& box = system_in.domain.sampling_box();
-    for (std::size_t i = 0; i < n; ++i)
-      s[i] = std::max({std::fabs(box.lo[i]), std::fabs(box.hi[i]), 1e-9});
+  const Box& box = system_in.domain.sampling_box();
+  Vec s(n), s_inv(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s[i] = std::max({std::fabs(box.lo[i]), std::fabs(box.hi[i]), 1e-9});
+    s_inv[i] = 1.0 / s[i];
   }
   Ccds system = system_in;  // shallow copy; only the sets are rescaled
   system.init_set = scale_set(system_in.init_set, s);
   system.domain = scale_set(system_in.domain, s);
   system.unsafe_set = scale_set(system_in.unsafe_set, s);
-  std::vector<Polynomial> closed_field;
-  closed_field.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    closed_field.push_back(closed_field_in[i].scale_vars(s) * (1.0 / s[i]));
-  Vec s_inv(n);
-  for (std::size_t i = 0; i < n; ++i) s_inv[i] = 1.0 / s[i];
+  std::vector<std::vector<Polynomial>> closed_fields;
+  for (const BarrierRung& rung : rungs) {
+    SCS_REQUIRE(rung.closed_field.size() == n,
+                "synthesize_barrier_ladder: field dimension mismatch");
+    std::vector<Polynomial>& field = closed_fields.emplace_back();
+    for (std::size_t i = 0; i < n; ++i)
+      field.push_back(rung.closed_field[i].scale_vars(s) * (1.0 / s[i]));
+  }
+  std::vector<Arm> arms = enumerate_arms(rungs, config);
+  // fork_streams is prefix-stable, so one fork serves every rung: arm k of
+  // any rung draws stream k, exactly what arm k of a one-rung ladder would.
+  const std::vector<Rng> streams = Rng(config.seed).fork_streams(arms.size());
 
-  const std::vector<Arm> arms = enumerate_arms(config);
-  std::vector<Rng> streams = rng.fork_streams(arms.size());
-
-  // Adopt the arm's accepted solve into the result, mapping the certificate
-  // back to the original coordinates: B(x) = B_y(S^{-1} x).
-  const auto accept = [&](std::size_t index, const ArmOutcome& out) {
-    result.success = true;
-    result.barrier = out.program.barrier.scale_vars(s_inv);
-    result.lambda = out.program.lambda.scale_vars(s_inv);
-    result.degree = arms[index].degree;
-    result.strategy_used = arms[index].strategy;
-    result.max_identity_residual = out.program.max_identity_residual;
-    result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
-    result.accepted_via = out.accepted_via;
-    result.winner_arm = static_cast<int>(index);
-    result.winner_arm_desc = arm_desc(arms[index]);
-    result.failure_reason.clear();
-  };
-
-  // ---- Deterministic replay: run exactly the recorded winner arm under
-  // its recorded stream. Bitwise-equal to the raced result it reproduces
-  // (arm numerics are schedule-independent by construction).
-  if (config.race.replay_arm >= 0) {
-    const auto index = static_cast<std::size_t>(config.race.replay_arm);
-    result.raced = true;
-    if (index >= arms.size()) {
+  // Deterministic replay is the same search over a one-arm grid: the
+  // recorded arm under its recorded stream, bitwise-equal to the result it
+  // reproduces (arm numerics are schedule-independent by construction).
+  const int replay_arm = config.race.replay_arm;
+  result.raced = config.race.enabled || replay_arm >= 0;
+  if (replay_arm >= 0) {
+    if (static_cast<std::size_t>(replay_arm) >= arms.size()) {
       result.seconds = sw.seconds();
       result.failure_reason = "replay_arm out of range for the arm grid";
       return result;
     }
-    ArmOutcome out = run_arm(system, closed_field, arms[index], config,
-                             config.sdp.control, streams[index]);
-    result.attempts = out.attempts;
-    result.arms_launched = out.launched ? 1 : 0;
-    result.max_identity_residual = out.program.max_identity_residual;
-    result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
-    if (out.program.feasible) {
-      accept(index, out);
-      result.seconds = sw.seconds();
-      log_info("barrier: replayed arm ", result.winner_arm_desc, " in ",
-               result.seconds, "s");
-    } else {
-      result.seconds = sw.seconds();
-      result.failure_reason =
-          out.preempted ? "preempted (job cancelled or deadline)"
-                        : "replayed arm no longer yields a certificate: " +
-                              out.program.failure_reason;
-    }
-    return result;
+    arms = {arms[static_cast<std::size_t>(replay_arm)]};
   }
 
-  // ---- Portfolio race: every arm runs speculatively under its own child
-  // JobControl; the first feasible arm wins and cancels the rest. Which
-  // arm wins is timing-dependent, but each arm's *numerics* are not, so
-  // replaying the recorded winner reproduces the result bitwise.
-  if (config.race.enabled) {
-    result.raced = true;
-    std::vector<std::unique_ptr<JobControl>> controls;
-    controls.reserve(arms.size());
-    for (std::size_t i = 0; i < arms.size(); ++i)
-      controls.push_back(std::make_unique<JobControl>(config.sdp.control));
-    std::vector<ArmOutcome> outcomes(arms.size());
-    std::atomic<int> winner{-1};
-    // parallel_for lets the calling thread claim chunks too, so racing
-    // composes with outer parallelism (synthesize_many fan-out) without
-    // deadlock even when every pool worker is busy.
-    parallel_for(arms.size(), 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (winner.load(std::memory_order_acquire) >= 0) {
-          outcomes[i].preempted = true;
-          continue;
-        }
-        // One span per arm lifetime (correlated to the serve request via
-        // the ambient id): winners and mid-solve-cancelled losers are told
-        // apart by the race.winner / race.preempted instants inside.
-        TraceSpan arm_span(trace_enabled() ? "race.arm:" + arm_desc(arms[i])
-                                           : std::string());
-        outcomes[i] = run_arm(system, closed_field, arms[i], config,
-                              controls[i].get(), streams[i]);
-        if (!outcomes[i].program.feasible) {
-          if (outcomes[i].preempted) trace_instant("race.preempted");
-          continue;
-        }
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, static_cast<int>(i),
-                                           std::memory_order_acq_rel)) {
-          trace_instant("race.winner");
-          for (std::size_t j = 0; j < arms.size(); ++j)
-            if (j != i) controls[j]->cancel();
-        } else {
-          // Photo finish: another arm won first; this certificate is
-          // discarded so the result matches what a replay of the winner
-          // produces.
-          outcomes[i].preempted = true;
-          outcomes[i].program.feasible = false;
-          trace_instant("race.preempted");
-        }
-      }
-    });
-    const int win = winner.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      result.attempts += outcomes[i].attempts;
-      if (outcomes[i].launched) ++result.arms_launched;
-      if (outcomes[i].preempted) ++result.arms_cancelled;
+  std::deque<JobControl> controls;  // one child scope per arm; never moves
+  for (std::size_t i = 0; i < arms.size(); ++i)
+    controls.emplace_back(config.sdp.control);
+  std::vector<ArmOutcome> outcomes(arms.size());
+  std::atomic<int> winner{-1};
+
+  // The one arm-loop body of serial, raced and replayed runs. The first
+  // feasible arm claims `winner` and cancels the rest.
+  const auto run_one = [&](std::size_t i) {
+    if (winner.load(std::memory_order_acquire) >= 0) {
+      outcomes[i].preempted = true;
+      return;
     }
-    result.seconds = sw.seconds();
-    if (metrics_enabled()) {
-      static Counter& launched =
-          MetricsRegistry::instance().counter("race.arms_launched");
-      static Counter& cancelled =
-          MetricsRegistry::instance().counter("race.arms_cancelled");
-      static Histogram& latency =
-          MetricsRegistry::instance().histogram("race.winner_latency_ms");
-      launched.add(result.arms_launched);
-      cancelled.add(result.arms_cancelled);
-      if (win >= 0)
-        latency.observe(static_cast<std::uint64_t>(result.seconds * 1e3));
+    // One span per arm lifetime (correlated to the serve request via the
+    // ambient id): winners and mid-solve-cancelled losers are told apart
+    // by the race.winner / race.preempted instants inside.
+    TraceSpan arm_span(trace_enabled() ? "barrier.arm:" + arm_desc(arms[i])
+                                       : std::string());
+    outcomes[i] = run_arm(system, closed_fields[arms[i].rung], arms[i], config,
+                          &controls[i], streams[arms[i].stream]);
+    if (!outcomes[i].program.feasible) {
+      if (outcomes[i].preempted) trace_instant("race.preempted");
+      return;
     }
-    if (win >= 0) {
-      accept(static_cast<std::size_t>(win),
-             outcomes[static_cast<std::size_t>(win)]);
-      log_info("barrier: race won by arm ", result.winner_arm_desc, " (",
-               result.arms_launched, " launched, ", result.arms_cancelled,
-               " cancelled), ", result.seconds, "s");
-    } else if (stop_requested(config.sdp.control)) {
-      result.failure_reason = "preempted (job cancelled or deadline)";
+    int expected = -1;
+    if (winner.compare_exchange_strong(expected, static_cast<int>(i),
+                                       std::memory_order_acq_rel)) {
+      trace_instant("race.winner");
+      for (std::size_t j = 0; j < arms.size(); ++j)
+        if (j != i) controls[j].cancel();
     } else {
-      // Every arm completed naturally; surface the last arm's diagnostics
-      // (deterministic: independent of scheduling).
-      if (!outcomes.empty()) {
-        result.max_identity_residual =
-            outcomes.back().program.max_identity_residual;
-        result.min_gram_eigenvalue =
-            outcomes.back().program.min_gram_eigenvalue;
-        result.failure_reason = outcomes.back().program.failure_reason;
-      }
-      if (result.failure_reason.empty())
-        result.failure_reason =
-            "no feasible certificate in the degree schedule";
+      // Photo finish: another arm won first; this certificate is discarded
+      // so the result matches what a replay of the winner produces.
+      outcomes[i].preempted = true;
+      outcomes[i].program.feasible = false;
+      trace_instant("race.preempted");
     }
-    return result;
+  };
+
+  // Rungs run in order, so an earlier rung keeps its priority. A job stop
+  // needs no gate here: each remaining arm returns at its control check
+  // without building a program.
+  for (std::size_t begin = 0, end = 0;
+       begin < arms.size() && winner.load(std::memory_order_acquire) < 0;
+       begin = end) {
+    while (end < arms.size() && arms[end].rung == arms[begin].rung) ++end;
+    // Racing gives every arm its own chunk on the pool; otherwise the rung
+    // is one chunk, run in order on the calling thread. parallel_for lets
+    // the caller claim chunks too, so racing composes with outer
+    // parallelism (synthesize_many fan-out) without deadlock even when
+    // every pool worker is busy.
+    parallel_for(end - begin, config.race.enabled ? 1 : end - begin,
+                 [&](std::size_t b, std::size_t e) {
+                   for (std::size_t i = begin + b; i < begin + e; ++i)
+                     run_one(i);
+                 });
   }
 
-  // ---- Serial ladder: walk the arms in order. Identical schedule to the
-  // classic nested degree/attempt loops, but each arm draws from its own
-  // stream so its numerics match what the racer (and replay) would produce
-  // for the same flat index.
-  for (std::size_t i = 0; i < arms.size(); ++i) {
-    // Job-level preemption: the SDP under a stopped control returns
-    // immediately, so without this gate the ladder would still burn one
-    // program *construction* per remaining rung.
-    if (stop_requested(config.sdp.control)) {
-      result.seconds = sw.seconds();
-      result.failure_reason = "preempted (job cancelled or deadline)";
-      return result;
-    }
-    ArmOutcome out = run_arm(system, closed_field, arms[i], config,
-                             config.sdp.control, streams[i]);
+  const int win = winner.load(std::memory_order_acquire);
+  for (const ArmOutcome& out : outcomes) {
     result.attempts += out.attempts;
-    if (out.launched) ++result.arms_launched;
-    result.max_identity_residual = out.program.max_identity_residual;
-    result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
-    result.failure_reason = out.program.failure_reason;
-    if (out.program.feasible) {
-      accept(i, out);
-      result.seconds = sw.seconds();
-      log_info("barrier: found certificate of degree ", result.degree,
-               " after ", result.attempts, " attempt(s), ", result.seconds,
-               "s");
-      return result;
-    }
+    if (out.attempts > 0) ++result.arms_launched;  // built a program
+    if (out.preempted && config.race.enabled) ++result.arms_cancelled;
   }
   result.seconds = sw.seconds();
-  if (result.failure_reason.empty())
+  if (config.race.enabled && metrics_enabled()) {
+    MetricsRegistry& registry = MetricsRegistry::instance();
+    registry.counter("race.arms_launched").add(result.arms_launched);
+    registry.counter("race.arms_cancelled").add(result.arms_cancelled);
+    if (win >= 0)
+      registry.histogram("race.winner_latency_ms")
+          .observe(static_cast<std::uint64_t>(result.seconds * 1e3));
+  }
+
+  if (win >= 0) {
+    // Adopt the winner's accepted solve, mapping the certificate back to
+    // the original coordinates: B(x) = B_y(S^{-1} x).
+    const Arm& arm = arms[static_cast<std::size_t>(win)];
+    const ArmOutcome& out = outcomes[static_cast<std::size_t>(win)];
+    result.success = true;
+    result.barrier = out.program.barrier.scale_vars(s_inv);
+    result.lambda = out.program.lambda.scale_vars(s_inv);
+    result.degree = arm.degree;
+    result.strategy_used = arm.strategy;
+    result.max_identity_residual = out.program.max_identity_residual;
+    result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
+    result.accepted_via = out.accepted_via;
+    result.winner_arm = replay_arm >= 0 ? replay_arm : win;
+    result.winner_arm_desc = arm_desc(arm);
+    if (winning_rung != nullptr) *winning_rung = arm.rung;
+    log_info("barrier: arm ", result.winner_arm_desc,
+             " found a certificate after ", result.attempts, " attempt(s), ",
+             result.seconds, "s");
+  } else if (stop_requested(config.sdp.control)) {
+    result.failure_reason = "preempted (job cancelled or deadline)";
+  } else if (!outcomes.empty()) {
+    // Every arm ran to completion; surface the last arm's diagnostics
+    // (deterministic: independent of scheduling).
+    const ProgramOutcome& last = outcomes.back().program;
+    result.max_identity_residual = last.max_identity_residual;
+    result.min_gram_eigenvalue = last.min_gram_eigenvalue;
+    result.failure_reason = last.failure_reason;
+    if (replay_arm >= 0)
+      result.failure_reason =
+          "replayed arm no longer yields a certificate: " + last.failure_reason;
+  }
+  if (!result.success && result.failure_reason.empty())
     result.failure_reason = "no feasible certificate in the degree schedule";
   return result;
 }
@@ -640,16 +590,9 @@ BarrierResult synthesize_barrier_closed(
 BarrierResult synthesize_barrier(const Ccds& system,
                                  const std::vector<Polynomial>& controller,
                                  const BarrierConfig& config) {
-  return synthesize_barrier_closed(system, system.closed_loop(controller),
-                                   config);
-}
-
-
-void hash_append(Fnv1a& h, const BarrierRaceConfig& c) {
-  hash_append(h, c.enabled ? 1 : 0);
-  hash_append(h, static_cast<std::uint64_t>(c.strategies.size()));
-  for (LambdaStrategy s : c.strategies) hash_append(h, static_cast<int>(s));
-  hash_append(h, c.replay_arm);
+  return synthesize_barrier_ladder(
+      system, {{system.closed_loop(controller), base_strategies(config)}},
+      config);
 }
 
 void hash_append(Fnv1a& h, const BarrierConfig& c) {
@@ -664,7 +607,11 @@ void hash_append(Fnv1a& h, const BarrierConfig& c) {
   hash_append(h, c.identity_tol);
   hash_append(h, c.gram_tol);
   hash_append(h, static_cast<std::uint64_t>(c.max_sdp_constraints));
-  hash_append(h, c.race);
+  hash_append(h, c.race.enabled ? 1 : 0);
+  hash_append(h, static_cast<std::uint64_t>(c.race.strategies.size()));
+  for (LambdaStrategy s : c.race.strategies)
+    hash_append(h, static_cast<int>(s));
+  hash_append(h, c.race.replay_arm);
 }
 
 }  // namespace scs

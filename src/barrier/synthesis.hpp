@@ -35,29 +35,26 @@ enum class LambdaStrategy {
 
 std::string to_string(LambdaStrategy s);
 
-/// Portfolio racing over the (lambda-strategy x degree-rung x attempt) arm
-/// grid. When enabled, synthesize_barrier_closed runs every arm
-/// speculatively on the work-stealing pool instead of walking the ladder
-/// serially; the first arm whose certificate passes the sampled Theorem-1
-/// gate wins and every other arm is cancelled through its child JobControl
-/// scope. Each arm draws from its own Rng stream (forked by flat arm index
-/// from BarrierConfig::seed), so an arm's numerics never depend on the
-/// schedule -- only *which* arm wins is timing-dependent. Record the
-/// reported winner_arm and replay it to reproduce a raced result bitwise.
+/// Portfolio racing over the barrier ladder's arms. When enabled, the arms
+/// of each ladder rung run speculatively on the work-stealing pool instead
+/// of one after another; the first arm whose certificate passes the
+/// sampled Theorem-1 gate wins and every other arm is cancelled through its
+/// child JobControl scope. Each arm draws from its own Rng stream (forked
+/// by its index within its rung from BarrierConfig::seed), so an arm's
+/// numerics never depend on the schedule -- only *which* arm wins is
+/// timing-dependent. Record the reported winner_arm and replay it to
+/// reproduce a raced result bitwise.
 struct BarrierRaceConfig {
   bool enabled = false;
-  /// Strategies racing side by side; empty = just
-  /// BarrierConfig::lambda_strategy. Ignored when racing is off (the
-  /// serial ladder also honors a multi-strategy list, which is what the
-  /// serial-vs-raced benchmark compares against).
+  /// Strategies searched side by side; empty = just
+  /// BarrierConfig::lambda_strategy. Defines the arm list whether or not
+  /// racing is on, so serial, raced and replayed runs share arm indices.
   std::vector<LambdaStrategy> strategies;
-  /// Deterministic replay: >= 0 runs only the arm with this flat index
-  /// (the winner_arm of a previous raced run) and is bitwise-identical to
-  /// the raced result it reproduces. -1 = race normally.
+  /// Deterministic replay: >= 0 runs only the arm with this index in the
+  /// whole ladder (the winner_arm of a previous run) and is
+  /// bitwise-identical to the result it reproduces. -1 = search normally.
   int replay_arm = -1;
 };
-
-void hash_append(Fnv1a& h, const BarrierRaceConfig& c);
 
 struct BarrierConfig {
   std::vector<int> degree_schedule = {2, 4};  // d_B values to attempt
@@ -84,9 +81,9 @@ struct BarrierResult {
   Polynomial barrier;        // B(x)
   Polynomial lambda;         // the lambda(x) used in (2)
   int degree = 0;            // d_B
-  double seconds = 0.0;      // T_p: wall-clock of the verification stage
+  double seconds = 0.0;      // T_p: wall-clock of the whole ladder
   LambdaStrategy strategy_used = LambdaStrategy::kConstant;
-  int attempts = 0;          // SOS programs solved
+  int attempts = 0;          // SOS programs solved, over every rung run
   std::string failure_reason;
   double max_identity_residual = 0.0;
   double min_gram_eigenvalue = 0.0;
@@ -95,29 +92,48 @@ struct BarrierResult {
   /// "" when no certificate was found. The reported diagnostics above
   /// always belong to this accepted solve.
   std::string accepted_via;
-  /// True when this result came from a portfolio race (or its replay).
+  /// True when this result came from a portfolio race (or a replay).
   bool raced = false;
-  /// Flat index of the arm that produced the certificate, valid as
-  /// BarrierRaceConfig::replay_arm; -1 when no arm succeeded. Also filled
-  /// by the serial ladder so serial and replayed runs are comparable.
+  /// Index of the arm that produced the certificate in the whole ladder's
+  /// arm list, valid as BarrierRaceConfig::replay_arm; -1 when no arm
+  /// succeeded.
   int winner_arm = -1;
-  /// Human-readable winner identity, "constant/d=4/a=1".
+  /// Human-readable winner identity, "constant/d=4/a=1"; arms of a later
+  /// ladder rung carry its index, "r2/alternating-BMI/d=2/a=0".
   std::string winner_arm_desc;
-  /// Race telemetry (zero when racing was off): arms that began solving,
-  /// and arms cancelled or skipped once a winner emerged.
+  /// Arms that began solving, and arms stopped before they finished (race
+  /// losers cancelled or skipped once a winner emerged, or a job stop).
   int arms_launched = 0;
   int arms_cancelled = 0;
 };
 
+/// One rung of the barrier ladder: a closed-loop vector field over the
+/// state variables, searched over BarrierConfig::degree_schedule under one
+/// set of lambda strategies.
+struct BarrierRung {
+  std::vector<Polynomial> closed_field;
+  std::vector<LambdaStrategy> strategies;
+};
+
+/// The strategies a single-rung search uses: race.strategies when
+/// non-empty, else {lambda_strategy}.
+std::vector<LambdaStrategy> base_strategies(const BarrierConfig& config);
+
+/// The whole barrier search as one ordered arm list: rung-major, then
+/// degree, strategy and attempt. Rungs run in order, so an earlier rung
+/// keeps its priority; the arms of a rung run in order, or raced when
+/// race.enabled. Replay (race.replay_arm) runs the one pinned arm. When an
+/// arm wins and `winning_rung` is non-null, it receives that arm's rung.
+BarrierResult synthesize_barrier_ladder(const Ccds& system,
+                                        const std::vector<BarrierRung>& rungs,
+                                        const BarrierConfig& config,
+                                        std::size_t* winning_rung = nullptr);
+
 /// Synthesize a barrier certificate for the closed-loop system
-/// f(x, p(x)). `controller` has one polynomial per control input.
+/// f(x, p(x)): a one-rung ladder over base_strategies(config).
+/// `controller` has one polynomial per control input.
 BarrierResult synthesize_barrier(const Ccds& system,
                                  const std::vector<Polynomial>& controller,
                                  const BarrierConfig& config);
-
-/// Same, for an already-closed polynomial vector field over the state vars.
-BarrierResult synthesize_barrier_closed(
-    const Ccds& system, const std::vector<Polynomial>& closed_field,
-    const BarrierConfig& config);
 
 }  // namespace scs

@@ -8,7 +8,6 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/check.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -39,67 +38,55 @@ class ObsRunScope {
   ObsConfig obs_;
 };
 
-/// Registry snapshot for SynthesisResult (empty when metrics are off).
-std::string metrics_snapshot_or_empty() {
-  if (!metrics_enabled()) return {};
-  return MetricsRegistry::instance().json();
-}
+/// A job's config after benchmark-driven normalization, done once per job
+/// and shared by the run path and the config-key computation (the two must
+/// agree, or the ledger identity of a run would drift from the key its
+/// artifacts are cached under).
+struct NormalizedConfig {
+  PipelineConfig cfg;
+  PacSettings pac;
+  int episodes = 0;  // RL episode budget
+};
 
-/// Append the run's ledger record when a ledger is armed (config or
-/// SCS_LEDGER). Observation only, after every numeric field is final; an
-/// I/O failure is logged and never fails the run.
-void append_ledger(const SynthesisResult& result, std::uint64_t config_key,
-                   std::uint64_t seed, const std::string& source,
-                   const ObsConfig& obs) {
-  const std::string path = resolve_ledger_path(obs.ledger_path);
-  if (path.empty()) return;
-  if (!ledger_append(path, ledger_record(result, config_key, seed, source)))
-    log_info("pipeline[", result.benchmark, "]: ledger append to '", path,
-             "' failed");
-}
-
-/// Apply fast-mode shrinkage for unit tests.
-void apply_fast_mode(PipelineConfig& cfg, int& episodes, PacSettings& pac) {
-  episodes = std::min(episodes, 20);
-  cfg.ddpg.warmup_steps = std::min<std::size_t>(cfg.ddpg.warmup_steps, 200);
-  cfg.env.max_steps = std::min<std::size_t>(cfg.env.max_steps, 80);
-  if (cfg.pac_fit.max_samples == 0) cfg.pac_fit.max_samples = 2000;
-  cfg.eval_episodes = std::min(cfg.eval_episodes, 5);
-  cfg.validation.samples_per_set =
-      std::min<std::size_t>(cfg.validation.samples_per_set, 500);
-  cfg.validation.simulation_rollouts =
-      std::min(cfg.validation.simulation_rollouts, 5);
-  cfg.validation.simulation_steps =
-      std::min<std::size_t>(cfg.validation.simulation_steps, 500);
-  pac.max_degree = std::min(pac.max_degree, 3);
-}
-
-/// Benchmark-driven config normalization shared by the run path and the
-/// config-key computation (the two must agree, or the ledger identity of a
-/// run would drift from the key its artifacts are cached under). Returns
-/// the episode budget.
-int normalize_config(const Benchmark& benchmark, PipelineConfig& cfg,
-                     PacSettings& pac_settings) {
-  int episodes =
-      (cfg.rl_episodes >= 0) ? cfg.rl_episodes : benchmark.rl.episodes;
+NormalizedConfig normalize_config(const Benchmark& benchmark,
+                                  const PipelineConfig& config) {
+  NormalizedConfig job{config, benchmark.pac,
+                       (config.rl_episodes >= 0) ? config.rl_episodes
+                                                 : benchmark.rl.episodes};
+  PipelineConfig& cfg = job.cfg;
   cfg.env.dt = benchmark.rl.dt;
   cfg.env.max_steps = benchmark.rl.steps_per_episode;
   cfg.ddpg.actor_hidden = benchmark.hidden_layers;
-  if (cfg.fast_mode) apply_fast_mode(cfg, episodes, pac_settings);
-  return episodes;
+  if (cfg.fast_mode) {
+    // Shrink every budget for unit tests.
+    job.episodes = std::min(job.episodes, 20);
+    cfg.ddpg.warmup_steps = std::min<std::size_t>(cfg.ddpg.warmup_steps, 200);
+    cfg.env.max_steps = std::min<std::size_t>(cfg.env.max_steps, 80);
+    if (cfg.pac_fit.max_samples == 0) cfg.pac_fit.max_samples = 2000;
+    cfg.eval_episodes = std::min(cfg.eval_episodes, 5);
+    cfg.validation.samples_per_set =
+        std::min<std::size_t>(cfg.validation.samples_per_set, 500);
+    cfg.validation.simulation_rollouts =
+        std::min(cfg.validation.simulation_rollouts, 5);
+    cfg.validation.simulation_steps =
+        std::min<std::size_t>(cfg.validation.simulation_steps, 500);
+    job.pac.max_degree = std::min(job.pac.max_degree, 3);
+  }
+  return job;
 }
 
-/// Stage-boundary stop gate: when the job control has a stop pending, mark
-/// `result` as preempted at `stage` and return true. The CANCELLED /
-/// DEADLINE verdict itself is stamped once, at the end of the run.
-bool preempted(const JobControl* control, const char* stage,
-               SynthesisResult& result) {
-  if (!stop_requested(control)) return false;
-  result.success = false;
-  result.failure_stage = stage;
-  result.failure_message = std::string("job preempted at the ") + stage +
-                           " stage (cancelled or deadline expired)";
-  return true;
+/// The run-identity key: the RL stage key for full runs, the
+/// benchmark+seed digest for from-law runs (no RL stage).
+std::uint64_t config_key_of(const Benchmark& benchmark,
+                            const NormalizedConfig& job, bool from_law) {
+  if (from_law) {
+    Fnv1a identity;
+    hash_append(identity, benchmark);
+    hash_append(identity, job.cfg.seed);
+    return identity.digest();
+  }
+  return rl_stage_key(benchmark, job.cfg.seed, job.cfg.ddpg, job.cfg.env,
+                      job.episodes, job.cfg.eval_episodes);
 }
 
 /// Final verdict: VERIFIED on success; the stop reason (CANCELLED /
@@ -121,226 +108,222 @@ void stamp_verdict(SynthesisResult& result, const JobControl* control) {
   result.verdict = "UNVERIFIED";
 }
 
-SynthesisResult run_stages_2_to_4_impl(const Benchmark& benchmark,
-                                       const ControlLaw& law,
-                                       PipelineConfig config,
-                                       SynthesisResult result,
-                                       StageCache* cache,
-                                       std::uint64_t upstream_key,
-                                       const JobControl* control) {
-  Rng rng(config.seed + 1000);
-  const Ccds& sys = benchmark.ccds;
-  PacSettings pac_settings = benchmark.pac;
-  if (config.fast_mode) {
-    int dummy_episodes = 0;
-    apply_fast_mode(config, dummy_episodes, pac_settings);
+/// The one stage runner. Each stage opens its span and stopwatch here,
+/// loads its payload from the cache or computes it and then stores it
+/// unless the job was stopped (a preempted payload is partial, and caching
+/// it would poison warm runs), and adopts the payload into the result.
+/// Returns false when the job was stopped before or during the stage.
+struct StageRunner {
+  StageCache* cache;  // null when caching is off
+  const JobControl* control;
+  SynthesisResult& result;
+
+  /// Stage-boundary stop gate: when the job control has a stop pending,
+  /// mark the result as preempted at `stage` and return true. The
+  /// CANCELLED / DEADLINE verdict itself is stamped once, at the end.
+  bool preempted(const char* stage) const {
+    if (!stop_requested(control)) return false;
+    result.success = false;
+    result.failure_stage = stage;
+    result.failure_message = std::string("job preempted at the ") + stage +
+                             " stage (cancelled or deadline expired)";
+    return true;
   }
-  // Thread job-level preemption into the solver layers. Never hashed:
-  // the stage keys computed below are identical with or without a control.
-  config.pac_fit.control = control;
-  const bool cached = cache != nullptr && cache->enabled();
-  if (preempted(control, "pac", result)) return result;
+
+  template <class Payload, class Compute, class Adopt>
+  bool run(const char* stage, std::uint64_t key, StageCounters& counters,
+           double& seconds, Compute&& compute, Adopt&& adopt) const {
+    if (preempted(stage)) return false;
+    TraceSpan span(std::string("stage.") + stage);
+    Stopwatch sw;
+    std::optional<Payload> payload;
+    if (cache != nullptr) payload = cache->load<Payload>(key, counters);
+    if (payload.has_value()) {
+      log_info("pipeline: ", stage, " stage from cache");
+    } else {
+      payload = compute();
+      if (cache != nullptr && !stop_requested(control))
+        cache->store(key, result.benchmark, *payload, counters);
+    }
+    adopt(std::move(*payload));
+    seconds = sw.seconds();
+    return !preempted(stage);
+  }
+};
+
+/// Stage 3 as one barrier ladder (Section 4's lambda strategies across
+/// Section 5's surrogate degrees). Rungs: the PAC-selected surrogate; the
+/// other surrogates of the Algorithm-1 sweep, highest degree first, for
+/// single-control systems (a lower-degree surrogate both shrinks the SOS
+/// program and often smooths the closed loop); then the alternating (BMI)
+/// schedule on the primary surrogate, which regularly rescues instances
+/// where every fixed-lambda program stalls, unless the base strategies
+/// already include it.
+BarrierStagePayload barrier_ladder(const Ccds& sys,
+                                   const SynthesisResult& result,
+                                   const BarrierConfig& config) {
+  std::vector<BarrierStagePayload> candidates(1);
+  candidates[0].controller = result.controller;
+  candidates[0].pac_model = result.pac.model;
+  if (sys.num_controls == 1) {
+    for (auto it = result.pac.per_degree.rbegin();
+         it != result.pac.per_degree.rend(); ++it) {
+      if (it->degree == result.pac.model.degree) continue;
+      BarrierStagePayload& c = candidates.emplace_back();
+      c.controller = {it->poly * sys.control_bound};
+      c.pac_model = *it;
+    }
+  }
+  const std::vector<LambdaStrategy> base = base_strategies(config);
+  std::vector<BarrierRung> rungs;
+  for (const BarrierStagePayload& c : candidates)
+    rungs.push_back({sys.closed_loop(c.controller), base});
+  if (std::find(base.begin(), base.end(), LambdaStrategy::kAlternating) ==
+      base.end()) {
+    rungs.push_back(
+        {rungs.front().closed_field, {LambdaStrategy::kAlternating}});
+    candidates.push_back(candidates.front());
+  }
+  std::size_t rung = 0;
+  BarrierResult barrier = synthesize_barrier_ladder(sys, rungs, config, &rung);
+  candidates[rung].barrier = std::move(barrier);
+  return std::move(candidates[rung]);
+}
+
+/// Stages 1-4 of one job; `external_law` non-null stands in for the
+/// trained DNN and skips stage 1. Stage keys chain from `config_key`.
+void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
+                const NormalizedConfig& job, std::uint64_t config_key,
+                const StageRunner& runner) {
+  SynthesisResult& result = runner.result;
+  const Ccds& sys = benchmark.ccds;
+  const PipelineConfig& cfg = job.cfg;
+
+  // ---- Stage 1: DDPG training of the auxiliary DNN controller, unless the
+  // artifact store already holds the trained actor for this exact
+  // (benchmark content, config slice, seed, format version) key.
+  ControlLaw law;
+  if (external_law != nullptr) {
+    result.dnn_structure = "(external law)";
+    law = *external_law;
+  } else {
+    Rng rng(cfg.seed);
+    if (!runner.run<RlStagePayload>(
+            "rl", config_key, result.cache.rl, result.rl_seconds,
+            [&] {
+              ControlEnv env(sys, cfg.env);
+              DdpgAgent agent(sys.num_states, sys.num_controls, cfg.ddpg,
+                              rng);
+              agent.train(env, job.episodes, rng);
+              RlStagePayload p;
+              p.eval = agent.evaluate(env, cfg.eval_episodes, rng);
+              p.actor = agent.actor();
+              p.dnn_structure = p.actor.structure_string();
+              log_info("pipeline: RL eval safety rate ", p.eval.safety_rate);
+              return p;
+            },
+            [&](RlStagePayload p) {
+              result.dnn_structure = std::move(p.dnn_structure);
+              result.rl_eval = p.eval;
+              law = control_law_from_actor(p.actor, sys.control_bound);
+            }))
+      return;
+  }
 
   // ---- Stage 2: PAC polynomial approximation (Algorithm 1).
   // The approximation target is the *normalized* DNN output in [-1, 1]^m --
   // exactly what the paper's tanh-output actors emit -- so the tabulated
   // errors e are comparable to Table 1/2 regardless of actuator scale. The
   // physical controller is bound * p(x).
-  TraceSpan pac_span("stage.pac");
-  Stopwatch pac_sw;
   const double bound = sys.control_bound;
-  std::uint64_t pac_key = 0;
-  bool pac_warm = false;
-  if (cached) {
-    pac_key = pac_stage_key(upstream_key, config.seed, pac_settings,
-                            config.pac_fit, bound, sys.num_controls);
-    if (auto hit = cache->load_pac(pac_key, result.cache.pac)) {
-      result.pac = std::move(hit->pac);
-      result.controller = std::move(hit->controller);
-      result.pac_degraded = hit->degraded;
-      pac_warm = true;
-      log_info("pipeline[", benchmark.name, "]: PAC stage from cache");
-    }
-  }
-  if (!pac_warm) {
-    const auto vec_fn = [&law, bound](const Vec& x) {
-      Vec u = law(x);
-      u /= bound;
-      return u;
-    };
-    PacVectorResult pac_vec = pac_approximate_vector(
-        vec_fn, sys.num_controls, sys.domain, pac_settings, rng,
-        config.pac_fit);
-    result.pac = pac_vec.per_channel.front();
-    for (const auto& m : pac_vec.models) {
-      result.controller.push_back(m.poly * bound);
-      result.pac_degraded = result.pac_degraded || !m.pac_valid;
-    }
-    if (!pac_vec.success) {
-      // Algorithm 1 failed to reach tau; proceed with the best model anyway
-      // (verification decides), but record the stage as degraded.
-      log_info(
-          "pipeline: PAC stage did not reach tau; continuing with best fit");
-    }
-    // A preempted PAC result is partial; caching it would poison warm runs.
-    if (cached && !stop_requested(control))
-      cache->store_pac(pac_key, benchmark.name,
-                       {result.pac, result.controller, result.pac_degraded},
-                       result.cache.pac);
-  }
-  result.pac_seconds = pac_sw.seconds();
-  pac_span.close();
-  if (preempted(control, "pac", result)) return result;
+  // Thread job-level preemption into the solver layers. Never hashed: the
+  // stage keys are identical with or without a control.
+  PacFitOptions pac_fit = cfg.pac_fit;
+  pac_fit.control = runner.control;
+  const std::uint64_t pac_key = pac_stage_key(
+      config_key, cfg.seed, job.pac, pac_fit, bound, sys.num_controls);
+  if (!runner.run<PacStagePayload>(
+          "pac", pac_key, result.cache.pac, result.pac_seconds,
+          [&] {
+            Rng rng(cfg.seed + 1000);
+            const auto vec_fn = [&law, bound](const Vec& x) {
+              Vec u = law(x);
+              u /= bound;
+              return u;
+            };
+            const PacVectorResult pac_vec = pac_approximate_vector(
+                vec_fn, sys.num_controls, sys.domain, job.pac, rng, pac_fit);
+            PacStagePayload p{pac_vec.per_channel.front(), {}, false};
+            for (const PacModel& m : pac_vec.models) {
+              p.controller.push_back(m.poly * bound);
+              p.degraded = p.degraded || !m.pac_valid;
+            }
+            // Algorithm 1 failed to reach tau: proceed with the best model
+            // anyway (verification decides).
+            if (!pac_vec.success)
+              log_info("pipeline: PAC stage did not reach tau; continuing "
+                       "with best fit");
+            return p;
+          },
+          [&](PacStagePayload p) {
+            result.pac = std::move(p.pac);
+            result.controller = std::move(p.controller);
+            result.pac_degraded = p.degraded;
+          }))
+    return;
   if (result.pac_degraded) {
     log_info("pipeline[", benchmark.name,
              "]: PAC guarantee withdrawn (least-squares fallback in use); "
              "any verdict rests on verification + validation alone");
   }
 
-  // ---- Stage 3: barrier-certificate generation. The primary candidate is
-  // the PAC-selected surrogate; if the SOS stage rejects it, alternate
-  // degrees from the Algorithm-1 sweep are tried (lower-degree surrogates
-  // both shrink the SOS program and often smooth the closed loop -- the
-  // "broader possibilities for BC selection" of Section 5).
-  TraceSpan barrier_span("stage.barrier");
-  Stopwatch barrier_sw;
-  BarrierConfig barrier_cfg = config.barrier;
+  // ---- Stage 3: barrier-certificate generation over the whole ladder.
+  BarrierConfig barrier_cfg = cfg.barrier;
   if (barrier_cfg.degree_schedule.empty())
     barrier_cfg.degree_schedule = benchmark.barrier_degrees;
-  barrier_cfg.seed = config.seed + 2000;
-  barrier_cfg.sdp.control = control;  // preempts mid-interior-point
-  std::uint64_t barrier_key = 0;
-  bool barrier_warm = false;
-  if (cached) {
-    barrier_key = barrier_stage_key(pac_key, barrier_cfg);
-    if (auto hit = cache->load_barrier(barrier_key, result.cache.barrier)) {
-      // The barrier stage may have swapped in a lower-degree surrogate, so
-      // the cached entry carries the accepted controller and PAC model too.
-      result.barrier = std::move(hit->barrier);
-      result.controller = std::move(hit->controller);
-      result.pac.model = std::move(hit->pac_model);
-      barrier_warm = true;
-      log_info("pipeline[", benchmark.name, "]: barrier stage from cache");
-    }
-  }
-  if (!barrier_warm) {
-    result.barrier = synthesize_barrier(sys, result.controller, barrier_cfg);
-    if (!result.barrier.success && sys.num_controls == 1) {
-      for (auto it = result.pac.per_degree.rbegin();
-           it != result.pac.per_degree.rend() && !result.barrier.success;
-           ++it) {
-        if (it->degree == result.pac.model.degree) continue;  // already tried
-        const std::vector<Polynomial> candidate = {it->poly * bound};
-        BarrierResult retry =
-            synthesize_barrier(sys, candidate, barrier_cfg);
-        if (retry.success) {
-          log_info("pipeline: degree-", it->degree,
-                   " surrogate verified after the primary failed");
-          result.controller = candidate;
-          result.pac.model = *it;
-          result.barrier = std::move(retry);
-        }
-      }
-    }
-    if (!result.barrier.success &&
-        barrier_cfg.lambda_strategy != LambdaStrategy::kAlternating) {
-      // Last rung of the barrier-stage ladder: the paper's alternating (BMI)
-      // schedule searches over lambda as well, which regularly rescues
-      // instances where every fixed-lambda SOS program stalls or is rejected.
-      log_info("pipeline[", benchmark.name,
-               "]: fixed-lambda SOS failed; retrying with the alternating "
-               "schedule before reporting UNVERIFIED");
-      BarrierConfig alt_cfg = barrier_cfg;
-      alt_cfg.lambda_strategy = LambdaStrategy::kAlternating;
-      BarrierResult alt = synthesize_barrier(sys, result.controller, alt_cfg);
-      alt.attempts += result.barrier.attempts;
-      if (alt.success) {
-        log_info("pipeline[", benchmark.name,
-                 "]: alternating schedule recovered a certificate");
-        result.barrier = std::move(alt);
-      }
-    }
-    // A preempted barrier failure is not a real infeasibility; do not cache
-    // it (a re-run without the stop could still find a certificate).
-    if (cached && !stop_requested(control))
-      cache->store_barrier(
-          barrier_key, benchmark.name,
-          {result.barrier, result.controller, result.pac.model},
-          result.cache.barrier);
-  }
-  result.barrier_seconds = barrier_sw.seconds();
-  barrier_span.close();
-  if (preempted(control, "barrier", result)) return result;
+  barrier_cfg.seed = cfg.seed + 2000;
+  barrier_cfg.sdp.control = runner.control;  // preempts mid-interior-point
+  const std::uint64_t barrier_key = barrier_stage_key(pac_key, barrier_cfg);
+  if (!runner.run<BarrierStagePayload>(
+          "barrier", barrier_key, result.cache.barrier,
+          result.barrier_seconds,
+          [&] { return barrier_ladder(sys, result, barrier_cfg); },
+          [&](BarrierStagePayload p) {
+            result.barrier = std::move(p.barrier);
+            result.controller = std::move(p.controller);
+            result.pac.model = std::move(p.pac_model);
+          }))
+    return;
   if (!result.barrier.success) {
     result.failure_stage = "barrier";
-    result.failure_message =
-        "barrier synthesis failed (incl. alternating-schedule retry): " +
-        result.barrier.failure_reason;
-    return result;
+    result.failure_message = "barrier ladder found no certificate: " +
+                             result.barrier.failure_reason;
+    return;
   }
 
   // ---- Stage 4: independent validation.
-  TraceSpan validation_span("stage.validation");
-  Stopwatch validation_sw;
-  std::uint64_t validation_key = 0;
-  bool validation_warm = false;
-  if (cached) {
-    validation_key =
-        validation_stage_key(barrier_key, config.seed, config.validation);
-    if (auto hit =
-            cache->load_validation(validation_key, result.cache.validation)) {
-      result.validation = std::move(hit->report);
-      validation_warm = true;
-      log_info("pipeline[", benchmark.name, "]: validation stage from cache");
-    }
-  }
-  if (!validation_warm) {
-    Rng vrng(config.seed + 3000);
-    result.validation = validate_barrier(sys, result.controller,
-                                         result.barrier.barrier,
-                                         config.validation, vrng);
-    if (cached && !stop_requested(control))
-      cache->store_validation(validation_key, benchmark.name,
-                              {result.validation}, result.cache.validation);
-  }
-  result.validation_seconds = validation_sw.seconds();
-  validation_span.close();
-  if (preempted(control, "validation", result)) return result;
+  const std::uint64_t validation_key =
+      validation_stage_key(barrier_key, cfg.seed, cfg.validation);
+  if (!runner.run<ValidationStagePayload>(
+          "validation", validation_key, result.cache.validation,
+          result.validation_seconds,
+          [&] {
+            Rng rng(cfg.seed + 3000);
+            return ValidationStagePayload{
+                validate_barrier(sys, result.controller,
+                                 result.barrier.barrier, cfg.validation, rng)};
+          },
+          [&](ValidationStagePayload p) {
+            result.validation = std::move(p.report);
+          }))
+    return;
   if (!result.validation.passed) {
     result.failure_stage = "validation";
     result.failure_message = "independent numeric validation rejected the "
                              "certificate";
-    return result;
+    return;
   }
   result.success = true;
-  return result;
-}
-
-/// Never-crash wrapper: any exception escaping a stage (precondition
-/// violations included) is converted into a structured UNVERIFIED result.
-/// A synthesis pipeline that aborts on one bad instance is useless for
-/// batch benchmarking and for the fault-injection suite.
-SynthesisResult run_stages_2_to_4(const Benchmark& benchmark,
-                                  const ControlLaw& law,
-                                  PipelineConfig config,
-                                  SynthesisResult result,
-                                  StageCache* cache = nullptr,
-                                  std::uint64_t upstream_key = 0,
-                                  const JobControl* control = nullptr) {
-  try {
-    // Pass a copy so a throwing stage leaves the caller-visible fields
-    // (benchmark name, RL telemetry) intact for the failure report.
-    result = run_stages_2_to_4_impl(benchmark, law, std::move(config), result,
-                                    cache, upstream_key, control);
-  } catch (const std::exception& e) {
-    log_info("pipeline[", benchmark.name, "]: stage threw (", e.what(),
-             "); reporting UNVERIFIED");
-    result.success = false;
-    if (result.failure_stage.empty()) result.failure_stage = "exception";
-    result.failure_message = e.what();
-  }
-  stamp_verdict(result, control);
-  return result;
 }
 
 }  // namespace
@@ -349,18 +332,8 @@ namespace detail {
 
 std::uint64_t job_config_key(const Benchmark& benchmark,
                              const PipelineConfig& config, bool from_law) {
-  if (from_law) {
-    // No RL stage; the identity key folds the benchmark content + seed.
-    Fnv1a identity;
-    hash_append(identity, benchmark);
-    hash_append(identity, config.seed);
-    return identity.digest();
-  }
-  PipelineConfig cfg = config;
-  PacSettings pac_settings = benchmark.pac;
-  const int episodes = normalize_config(benchmark, cfg, pac_settings);
-  return rl_stage_key(benchmark, cfg.seed, cfg.ddpg, cfg.env, episodes,
-                      cfg.eval_episodes);
+  return config_key_of(benchmark, normalize_config(benchmark, config),
+                       from_law);
 }
 
 SynthesisResult run_synthesis_job(const Benchmark& benchmark,
@@ -381,99 +354,46 @@ SynthesisResult run_synthesis_job(const Benchmark& benchmark,
   result.benchmark = benchmark.name;
   result.threads_used = static_cast<int>(parallel_threads());
 
-  // ---- Stages 2-4 only: an external control law stands in for the DNN.
-  if (external_law != nullptr) {
-    result.dnn_structure = "(external law)";
-    const std::uint64_t identity =
-        job_config_key(benchmark, config, /*from_law=*/true);
-    result = run_stages_2_to_4(benchmark, *external_law, config,
-                               std::move(result), ctx.cache, identity,
-                               ctx.control);
-    result.total_seconds = total_sw.seconds();
-    result.metrics_json = metrics_snapshot_or_empty();
-    append_ledger(result, identity, config.seed, ctx.source, config.obs);
-    return result;
-  }
-
-  const Ccds& sys = benchmark.ccds;
-  PipelineConfig cfg = config;
-  PacSettings pac_settings = benchmark.pac;
-  const int episodes = normalize_config(benchmark, cfg, pac_settings);
-
-  // ---- Stage 1: DDPG training of the auxiliary DNN controller, unless the
-  // artifact store already holds the trained actor for this exact
-  // (benchmark content, config slice, seed, format version) key. The cache
-  // handle is either shared (server: one handle across all jobs) or owned
-  // by this run.
+  const NormalizedConfig job = normalize_config(benchmark, config);
+  const bool from_law = external_law != nullptr;
+  // Computed whether or not the cache is on: the key doubles as the run's
+  // configuration identity (config_key) in the ledger.
+  const std::uint64_t config_key = config_key_of(benchmark, job, from_law);
+  // The cache handle is either shared (server: one handle across all jobs)
+  // or owned by this run. A from-law key does not cover the law, so such a
+  // run caches only through a handle its caller hands it.
   std::optional<StageCache> own_cache;
   StageCache* cache = ctx.cache;
-  if (cache == nullptr) {
-    own_cache.emplace(cfg.store);
-    cache = &*own_cache;
-  }
-  result.cache.enabled = cache->enabled();
-  // Computed whether or not the cache is on: the RL stage key doubles as
-  // the run's configuration identity (config_key) in the ledger.
-  const std::uint64_t rl_key = rl_stage_key(
-      benchmark, cfg.seed, cfg.ddpg, cfg.env, episodes, cfg.eval_episodes);
+  if (cache == nullptr && !from_law) cache = &own_cache.emplace(job.cfg.store);
+  if (cache != nullptr && !cache->enabled()) cache = nullptr;
+  result.cache.enabled = cache != nullptr;
 
-  TraceSpan rl_span("stage.rl");
-  Stopwatch rl_sw;
-  Rng rng(cfg.seed);
+  // Never-crash: any exception escaping a stage (precondition violations
+  // included) becomes a structured UNVERIFIED result. A pipeline that
+  // aborts on one bad instance is useless for batch benchmarking and for
+  // the fault-injection suite.
   try {
-    if (preempted(ctx.control, "rl", result)) {
-      stamp_verdict(result, ctx.control);
-    } else {
-      ControlLaw law;
-      bool rl_warm = false;
-      if (cache->enabled()) {
-        if (auto hit = cache->load_rl(rl_key, result.cache.rl)) {
-          result.dnn_structure = hit->dnn_structure;
-          result.rl_eval = hit->eval;
-          law = control_law_from_actor(hit->actor, sys.control_bound);
-          rl_warm = true;
-          result.rl_seconds = rl_sw.seconds();
-          log_info("pipeline[", benchmark.name,
-                   "]: RL stage from cache (actor ", result.dnn_structure,
-                   ", ", result.rl_seconds, "s)");
-        }
-      }
-      if (!rl_warm) {
-        ControlEnv env(sys, cfg.env);
-        DdpgAgent agent(sys.num_states, sys.num_controls, cfg.ddpg, rng);
-        result.dnn_structure = agent.actor().structure_string();
-        agent.train(env, episodes, rng);
-        result.rl_eval = agent.evaluate(env, cfg.eval_episodes, rng);
-        result.rl_seconds = rl_sw.seconds();
-        log_info("pipeline[", benchmark.name, "]: RL done in ",
-                 result.rl_seconds, "s, eval safety rate ",
-                 result.rl_eval.safety_rate);
-        law = agent.control_law(sys.control_bound);
-        // A cancel that lands mid-training takes effect here: the partially
-        // trained actor is never persisted.
-        if (cache->enabled() && !stop_requested(ctx.control))
-          cache->store_rl(
-              rl_key, benchmark.name,
-              {agent.actor(), result.dnn_structure, result.rl_eval},
-              result.cache.rl);
-      }
-      rl_span.close();
-
-      result = run_stages_2_to_4(benchmark, law, cfg, std::move(result),
-                                 cache->enabled() ? cache : nullptr, rl_key,
-                                 ctx.control);
-    }
+    run_stages(benchmark, external_law, job, config_key,
+               StageRunner{cache, ctx.control, result});
   } catch (const std::exception& e) {
-    log_info("pipeline[", benchmark.name, "]: RL stage threw (", e.what(),
+    log_info("pipeline[", benchmark.name, "]: stage threw (", e.what(),
              "); reporting UNVERIFIED");
     result.success = false;
-    result.failure_stage = "rl";
+    result.failure_stage = "exception";
     result.failure_message = e.what();
-    stamp_verdict(result, ctx.control);
   }
+  stamp_verdict(result, ctx.control);
   result.total_seconds = total_sw.seconds();
-  result.metrics_json = metrics_snapshot_or_empty();
-  append_ledger(result, rl_key, cfg.seed, ctx.source, cfg.obs);
+  if (metrics_enabled())
+    result.metrics_json = MetricsRegistry::instance().json();
+  // The ledger record (config or SCS_LEDGER) is observation only, written
+  // after every numeric field is final; an I/O failure never fails the run.
+  const std::string ledger = resolve_ledger_path(config.obs.ledger_path);
+  if (!ledger.empty() &&
+      !ledger_append(ledger, ledger_record(result, config_key, config.seed,
+                                           ctx.source)))
+    log_info("pipeline[", benchmark.name, "]: ledger append to '", ledger,
+             "' failed");
   return result;
 }
 

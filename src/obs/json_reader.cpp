@@ -42,8 +42,8 @@ JsonValue JsonValue::make_string(std::string s) {
 
 namespace {
 
-/// Same grammar and limits as the json_parse_valid validator
-/// (src/obs/json_writer.cpp), but building the document as it goes.
+/// Recursive-descent parser building the document as it goes;
+/// json_parse_valid validates through it too.
 struct Reader {
   std::string_view text;
   std::size_t pos = 0;

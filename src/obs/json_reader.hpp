@@ -1,18 +1,15 @@
-// Strict JSON value parser -- the read half of the obs JSON stack.
+// Strict JSON value parser -- the read half of the obs JSON stack and the
+// repo's one JSON parser: a small document model (JsonValue) and a strict
+// recursive-descent parser. json_parse_valid (obs/json_writer.hpp) is
+// json_try_parse without an output document. It backs the run-ledger
+// reader (src/obs/ledger), the baseline comparator (src/obs/baseline), and
+// report_cli's ingestion of BENCH_*.json / google-benchmark output.
 //
-// PR 4 gave every emitter a shared JsonWriter plus a validating
-// (DOM-free) json_parse_valid; this module adds the missing consumer
-// side: a small document model (JsonValue) and a strict recursive-descent
-// parser over exactly the grammar json_parse_valid accepts. It backs the
-// run-ledger reader (src/obs/ledger), the baseline comparator
-// (src/obs/baseline), and report_cli's ingestion of BENCH_*.json /
-// google-benchmark output.
-//
-// Strictness matches the validator: no comments, no trailing commas, no
-// bare NaN/Infinity tokens, raw control characters rejected inside
-// strings, one value per document, nesting capped. \uXXXX escapes are
-// decoded to UTF-8 (surrogate pairs included); a lone surrogate is an
-// error rather than silently mangled data.
+// Strictness: no comments, no trailing commas, no bare NaN/Infinity
+// tokens, raw control characters rejected inside strings, one value per
+// document, nesting capped. \uXXXX escapes are decoded to UTF-8
+// (surrogate pairs included); a lone surrogate is an error rather than
+// silently mangled data.
 #pragma once
 
 #include <cstdint>

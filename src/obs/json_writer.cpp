@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/json_reader.hpp"
+
 namespace scs {
 
 namespace {
@@ -168,183 +170,8 @@ JsonWriter& JsonWriter::raw(std::string_view json) {
   return *this;
 }
 
-// ---- Validating parser -----------------------------------------------------
-
-namespace {
-
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool fail(const std::string& why) {
-    if (error.empty())
-      error = why + " at offset " + std::to_string(pos);
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos < text.size()) {
-      const char c = text[pos];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-        ++pos;
-      else
-        break;
-    }
-  }
-
-  bool eof() const { return pos >= text.size(); }
-  char peek() const { return text[pos]; }
-
-  bool literal(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) return fail("bad literal");
-    pos += lit.size();
-    return true;
-  }
-
-  bool string() {
-    if (eof() || peek() != '"') return fail("expected string");
-    ++pos;
-    while (!eof()) {
-      const unsigned char c = text[pos];
-      if (c == '"') {
-        ++pos;
-        return true;
-      }
-      if (c < 0x20) return fail("raw control character in string");
-      if (c == '\\') {
-        ++pos;
-        if (eof()) return fail("truncated escape");
-        const char e = text[pos];
-        if (e == '"' || e == '\\' || e == '/' || e == 'b' || e == 'f' ||
-            e == 'n' || e == 'r' || e == 't') {
-          ++pos;
-        } else if (e == 'u') {
-          ++pos;
-          for (int k = 0; k < 4; ++k, ++pos) {
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(text[pos])))
-              return fail("bad \\u escape");
-          }
-        } else {
-          return fail("bad escape character");
-        }
-      } else {
-        ++pos;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool digits() {
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek())))
-      return fail("expected digit");
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos;
-    return true;
-  }
-
-  bool number() {
-    if (!eof() && peek() == '-') ++pos;
-    if (eof()) return fail("truncated number");
-    if (peek() == '0') {
-      ++pos;
-    } else if (!digits()) {
-      return false;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos;
-      if (!digits()) return false;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  bool value(int depth) {
-    if (depth > 256) return fail("nesting too deep");
-    skip_ws();
-    if (eof()) return fail("expected value");
-    const char c = peek();
-    if (c == '{') return object(depth);
-    if (c == '[') return array(depth);
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c)))
-      return number();
-    return fail("unexpected character");
-  }
-
-  bool object(int depth) {
-    ++pos;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') return fail("expected ':'");
-      ++pos;
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated object");
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(int depth) {
-    ++pos;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos;
-      return true;
-    }
-    for (;;) {
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated array");
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-};
-
-}  // namespace
-
 bool json_parse_valid(std::string_view text, std::string* error) {
-  Parser p{text};
-  if (!p.value(0)) {
-    if (error != nullptr) *error = p.error;
-    return false;
-  }
-  p.skip_ws();
-  if (!p.eof()) {
-    if (error != nullptr)
-      *error = "trailing garbage at offset " + std::to_string(p.pos);
-    return false;
-  }
-  return true;
+  return json_try_parse(text, nullptr, error);
 }
 
 }  // namespace scs

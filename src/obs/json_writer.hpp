@@ -5,8 +5,8 @@
 // name or failure message containing a quote, backslash, or control
 // character produced unparseable output. All emission now funnels through
 // JsonWriter (or json_escape directly), and json_parse_valid gives tests
-// and CI smoke jobs a dependency-free way to assert that an emitted blob
-// actually parses.
+// and CI smoke jobs a one-call way to assert that an emitted blob actually
+// parses.
 #pragma once
 
 #include <cstdint>
@@ -86,9 +86,9 @@ class JsonWriter {
 };
 
 /// Strict validating parse of a complete JSON document (single value plus
-/// optional surrounding whitespace). Returns true when `text` is valid
-/// JSON; on failure `error` (if non-null) gets a short reason with the
-/// byte offset. No DOM is built.
+/// optional surrounding whitespace): json_try_parse (obs/json_reader.hpp)
+/// without an output document. Returns true when `text` is valid JSON; on
+/// failure `error` (if non-null) gets a short reason with the byte offset.
 bool json_parse_valid(std::string_view text, std::string* error = nullptr);
 
 }  // namespace scs

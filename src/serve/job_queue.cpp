@@ -4,82 +4,43 @@
 
 namespace scs {
 
-ShardedJobQueue::ShardedJobQueue(std::size_t capacity, std::size_t shards)
-    : capacity_(std::max<std::size_t>(1, capacity)) {
-  const std::size_t n = (shards == 0) ? 4 : shards;
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
+ShardedJobQueue::ShardedJobQueue(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(1, capacity)) {}
 
 ShardedJobQueue::Push ShardedJobQueue::push(int priority,
                                             std::function<void()> fn) {
-  if (closed_.load(std::memory_order_acquire)) return Push::kClosed;
-  // Reserve a slot first so the capacity bound holds under concurrent
-  // pushes (no overshoot between a size check and an insert).
-  std::size_t cur = count_.load(std::memory_order_relaxed);
-  do {
-    if (cur >= capacity_) return Push::kFull;
-  } while (!count_.compare_exchange_weak(cur, cur + 1,
-                                         std::memory_order_acq_rel));
-  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = *shards_[seq % shards_.size()];
   {
-    std::lock_guard<std::mutex> lk(shard.m);
-    shard.items.push(Item{priority, seq, std::move(fn)});
-  }
-  {
-    std::lock_guard<std::mutex> lk(cv_m_);
-    ++version_;
+    std::lock_guard<std::mutex> lk(m_);
+    if (closed_) return Push::kClosed;
+    if (items_.size() >= capacity_) return Push::kFull;
+    items_.push(Item{priority, seq_++, std::move(fn)});
   }
   cv_.notify_one();
   return Push::kAccepted;
 }
 
 bool ShardedJobQueue::pop(std::function<void()>& out) {
-  for (;;) {
-    std::uint64_t seen;
-    {
-      std::lock_guard<std::mutex> lk(cv_m_);
-      seen = version_;
-    }
-    {
-      // Ordered acquisition over all shards: deadlock-free, and exact
-      // global (priority, seq) ordering. Pushes touch one shard only, so
-      // this scan is the consumers' cost, not the producers'.
-      std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(shards_.size());
-      for (auto& s : shards_) locks.emplace_back(s->m);
-      Shard* best = nullptr;
-      for (auto& s : shards_) {
-        if (s->items.empty()) continue;
-        if (best == nullptr || ItemOrder{}(best->items.top(), s->items.top()))
-          best = s.get();
-      }
-      if (best != nullptr) {
-        // priority_queue::top() is const&; the item leaves the queue right
-        // after, so moving its callable out is safe.
-        out = std::move(const_cast<Item&>(best->items.top()).fn);
-        best->items.pop();
-        count_.fetch_sub(1, std::memory_order_acq_rel);
-        return true;
-      }
-      if (closed_.load(std::memory_order_acquire)) return false;
-    }
-    std::unique_lock<std::mutex> lk(cv_m_);
-    cv_.wait(lk, [&] {
-      return version_ != seen || closed_.load(std::memory_order_acquire);
-    });
-  }
+  std::unique_lock<std::mutex> lk(m_);
+  cv_.wait(lk, [&] { return !items_.empty() || closed_; });
+  if (items_.empty()) return false;  // closed and drained
+  // priority_queue::top() is const&; the item leaves the queue right after,
+  // so moving its callable out is safe.
+  out = std::move(const_cast<Item&>(items_.top()).fn);
+  items_.pop();
+  return true;
 }
 
 void ShardedJobQueue::close() {
-  closed_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lk(cv_m_);
-    ++version_;
+    std::lock_guard<std::mutex> lk(m_);
+    closed_ = true;
   }
   cv_.notify_all();
+}
+
+std::size_t ShardedJobQueue::size() const {
+  std::lock_guard<std::mutex> lk(m_);
+  return items_.size();
 }
 
 }  // namespace scs

@@ -1,11 +1,9 @@
-// Bounded sharded priority job queue for the serving daemon.
+// Bounded priority job queue for the serving daemon.
 //
-// Producers (submission threads) hash-spread pushes over independent
-// shards, each guarded by its own mutex, so concurrent submits rarely
-// contend; consumers (worker threads) take the globally best item
-// (priority desc, then FIFO by sequence number) by briefly holding every
-// shard lock -- queue operations are nanoseconds against jobs that run for
-// seconds, so exact global ordering is worth the scan.
+// One mutex guards one priority queue: consumers (worker threads) take the
+// best item (priority desc, then FIFO by sequence number). Queue operations
+// are nanoseconds against jobs that run for seconds, so a single lock costs
+// nothing measurable.
 //
 // Backpressure is a hard capacity bound: push() never blocks, it reports
 // kFull and the caller answers the client with retry-after. close() stops
@@ -13,11 +11,9 @@
 // graceful-shutdown half of the protocol.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <vector>
@@ -32,25 +28,22 @@ class ShardedJobQueue {
     kClosed,  // drain in progress; permanent
   };
 
-  /// `shards` == 0 picks a small default. Capacity is a strict global
-  /// bound across all shards.
-  explicit ShardedJobQueue(std::size_t capacity, std::size_t shards = 0);
+  /// Capacity is a strict bound on queued items.
+  explicit ShardedJobQueue(std::size_t capacity);
 
   Push push(int priority, std::function<void()> fn);
 
-  /// Block until an item is available (returning true with the globally
-  /// best item) or the queue is closed *and* drained (returning false --
-  /// the consumer's signal to exit).
+  /// Block until an item is available (returning true with the best item)
+  /// or the queue is closed *and* drained (returning false -- the
+  /// consumer's signal to exit).
   bool pop(std::function<void()>& out);
 
   /// Stop accepting pushes. Already-accepted items remain poppable; once
   /// they are drained, pop() returns false.
   void close();
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
 
-  std::size_t size() const { return count_.load(std::memory_order_relaxed); }
+  std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_.size(); }
 
  private:
   struct Item {
@@ -66,22 +59,13 @@ class ShardedJobQueue {
       return a.seq > b.seq;
     }
   };
-  struct Shard {
-    std::mutex m;
-    std::priority_queue<Item, std::vector<Item>, ItemOrder> items;
-  };
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t capacity_;
-  std::atomic<std::size_t> count_{0};
-  std::atomic<std::uint64_t> seq_{0};
-  std::atomic<bool> closed_{false};
-  // Sleep/wake handshake: version_ bumps (under cv_m_) on every push and on
-  // close, so a pop that saw an empty queue can wait without a lost-wakeup
-  // race against a concurrent push.
-  mutable std::mutex cv_m_;
+  const std::size_t capacity_;
+  mutable std::mutex m_;
   std::condition_variable cv_;
-  std::uint64_t version_ = 0;
+  std::priority_queue<Item, std::vector<Item>, ItemOrder> items_;
+  std::uint64_t seq_ = 0;
+  bool closed_ = false;
 };
 
 }  // namespace scs

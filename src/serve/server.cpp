@@ -43,14 +43,14 @@ const char* to_string(JobState state) {
 SynthesisServer::SynthesisServer(const ServerConfig& config)
     : config_(config),
       cache_(config.store),
-      queue_(config.queue_capacity, config.queue_shards) {
+      queue_(config.queue_capacity) {
   const int n = std::max(1, config_.workers);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     workers_.emplace_back([this] { worker_loop(); });
   log_info("serve: server up (", n, " worker(s), queue capacity ",
-           queue_.capacity(), ", ", queue_.shard_count(), " shard(s), cache ",
-           cache_.enabled() ? "on" : "off", ")");
+           queue_.capacity(), ", cache ", cache_.enabled() ? "on" : "off",
+           ")");
 }
 
 SynthesisServer::~SynthesisServer() { drain(); }

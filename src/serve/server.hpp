@@ -47,7 +47,6 @@ struct ServerConfig {
   /// between-job concurrency.
   int workers = 2;
   std::size_t queue_capacity = 64;
-  std::size_t queue_shards = 0;  // 0 = auto
   /// Stage cache shared by every job (one handle, opened once).
   StoreConfig store;
   /// Ledger for per-job records ("" falls back to env SCS_LEDGER).
@@ -123,7 +122,6 @@ class SynthesisServer {
   /// Jobs currently inside run_entry (cold solves in progress).
   std::uint64_t in_flight() const { return in_flight_.load(); }
   std::size_t queue_depth() const { return queue_.size(); }
-  std::size_t queue_shards() const { return queue_.shard_count(); }
   const ServerConfig& config() const { return config_; }
 
  private:

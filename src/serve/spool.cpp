@@ -259,9 +259,6 @@ void SpoolRunner::write_status() const {
   w.key("queue_depth").value(static_cast<std::uint64_t>(server_.queue_depth()));
   w.key("queue_capacity")
       .value(static_cast<std::uint64_t>(server_.config().queue_capacity));
-  // Shard occupancy: depth spread over the sharded queue (exact per-shard
-  // sizes are not exposed; depth/shards is the mean occupancy).
-  w.key("shards").value(static_cast<std::uint64_t>(server_.queue_shards()));
   w.key("in_flight").value(server_.in_flight());
   w.key("retry_after_seconds").value(server_.config().retry_after_seconds);
   w.key("counters").begin_object();

@@ -19,8 +19,8 @@
 // capacity bounds memory, and no request is ever dropped.
 //
 // status.json (schema 2) is the daemon's live exposition: queue depth and
-// capacity, shard count, in-flight count, the full hit/cold/rejected/
-// cancelled/overflow counter set, and wait/solve/warm-hit latency
+// capacity, in-flight count, the full hit/cold/rejected/cancelled/overflow
+// counter set, and wait/solve/warm-hit latency
 // histograms with p50/p90/p99 (null until observed -- never a fake 0).
 // serve_cli's `status` command renders it human-readably; metrics.txt is
 // the same registry for scrapers.

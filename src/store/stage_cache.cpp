@@ -12,17 +12,12 @@ namespace scs {
 
 namespace {
 
-const char* kRlKind = "rl";
-const char* kPacKind = "pac";
-const char* kBarrierKind = "barrier";
-const char* kValidationKind = "validation";
-
 /// Mirror per-stage StageCounters events into the process-wide registry
 /// (aggregated across stages and runs; the per-run split stays in
 /// SynthesisResult.cache).
-void count_store_event(const char* which, std::uint64_t n = 1) {
+void count_store_event(const char* which) {
   if (!metrics_enabled()) return;
-  MetricsRegistry::instance().counter(std::string("store.") + which).add(n);
+  MetricsRegistry::instance().counter(std::string("store.") + which).add();
 }
 
 /// Drop an instant marker on the trace timeline for each cache outcome, so
@@ -43,6 +38,65 @@ Fnv1a stage_hasher(const char* stage_tag) {
   return h;
 }
 
+// ---- Payload codecs, one encode/decode pair per stage.
+
+void encode(BinaryWriter& w, const RlStagePayload& p) {
+  write_mlp(w, p.actor);
+  w.str(p.dnn_structure);
+  write_eval_result(w, p.eval);
+}
+
+void decode(BinaryReader& r, RlStagePayload& p) {
+  p.actor = read_mlp(r);
+  p.dnn_structure = r.str();
+  p.eval = read_eval_result(r);
+}
+
+void encode_polys(BinaryWriter& w, const std::vector<Polynomial>& polys) {
+  w.u64(polys.size());
+  for (const Polynomial& p : polys) write_polynomial(w, p);
+}
+
+std::vector<Polynomial> decode_polys(BinaryReader& r) {
+  std::vector<Polynomial> polys;
+  const std::uint64_t count = r.u64();
+  for (std::uint64_t k = 0; k < count; ++k)
+    polys.push_back(read_polynomial(r));
+  return polys;
+}
+
+void encode(BinaryWriter& w, const PacStagePayload& p) {
+  write_pac_result(w, p.pac);
+  encode_polys(w, p.controller);
+  w.boolean(p.degraded);
+}
+
+void decode(BinaryReader& r, PacStagePayload& p) {
+  p.pac = read_pac_result(r);
+  p.controller = decode_polys(r);
+  p.degraded = r.boolean();
+}
+
+void encode(BinaryWriter& w, const BarrierStagePayload& p) {
+  write_barrier_result(w, p.barrier);
+  encode_polys(w, p.controller);
+  write_pac_model(w, p.pac_model);
+}
+
+void decode(BinaryReader& r, BarrierStagePayload& p) {
+  p.barrier = read_barrier_result(r);
+  p.controller = decode_polys(r);
+  p.pac_model = read_pac_model(r);
+}
+
+void encode(BinaryWriter& w, const ValidationStagePayload& p) {
+  write_validation_report(w, p.report);
+}
+
+void decode(BinaryReader& r, ValidationStagePayload& p) {
+  p.report = read_validation_report(r);
+}
+
 }  // namespace
 
 std::string resolve_cache_dir(const StoreConfig& config) {
@@ -60,7 +114,7 @@ std::string resolve_cache_dir(const StoreConfig& config) {
 std::uint64_t rl_stage_key(const Benchmark& benchmark, std::uint64_t seed,
                            const DdpgConfig& ddpg, const EnvConfig& env,
                            int episodes, int eval_episodes) {
-  Fnv1a h = stage_hasher(kRlKind);
+  Fnv1a h = stage_hasher(RlStagePayload::kKind);
   // Only what the RL stage consumes: the system content plus the resolved
   // ddpg/env/budget arguments below. Benchmark fields that feed later
   // stages (pac settings, barrier degrees) are keyed by those stages, so
@@ -79,7 +133,7 @@ std::uint64_t pac_stage_key(std::uint64_t upstream_key, std::uint64_t seed,
                             const PacSettings& settings,
                             const PacFitOptions& options,
                             double control_bound, std::size_t num_controls) {
-  Fnv1a h = stage_hasher(kPacKind);
+  Fnv1a h = stage_hasher(PacStagePayload::kKind);
   hash_append(h, upstream_key);
   hash_append(h, seed);
   hash_append(h, settings);
@@ -91,7 +145,7 @@ std::uint64_t pac_stage_key(std::uint64_t upstream_key, std::uint64_t seed,
 
 std::uint64_t barrier_stage_key(std::uint64_t upstream_key,
                                 const BarrierConfig& config) {
-  Fnv1a h = stage_hasher(kBarrierKind);
+  Fnv1a h = stage_hasher(BarrierStagePayload::kKind);
   hash_append(h, upstream_key);
   hash_append(h, config);  // includes the stage seed (BarrierConfig::seed)
   return h.digest();
@@ -100,7 +154,7 @@ std::uint64_t barrier_stage_key(std::uint64_t upstream_key,
 std::uint64_t validation_stage_key(std::uint64_t upstream_key,
                                    std::uint64_t seed,
                                    const ValidationConfig& config) {
-  Fnv1a h = stage_hasher(kValidationKind);
+  Fnv1a h = stage_hasher(ValidationStagePayload::kKind);
   hash_append(h, upstream_key);
   hash_append(h, seed);
   hash_append(h, config);
@@ -115,199 +169,74 @@ StageCache::StageCache(const StoreConfig& config) {
   }
 }
 
-const std::string& StageCache::dir() const {
-  static const std::string empty;
-  return store_ != nullptr ? store_->root() : empty;
-}
-
-std::optional<std::vector<unsigned char>> StageCache::load_payload(
-    const char* kind, std::uint64_t key, StageCounters& c) {
+template <class Payload>
+std::optional<Payload> StageCache::load(std::uint64_t key, StageCounters& c) {
   if (store_ == nullptr) return std::nullopt;
   Stopwatch sw;
+  std::optional<Payload> payload;
+  const char* event = "store.miss";
   try {
-    std::optional<std::vector<unsigned char>> payload = store_->get(kind, key);
-    c.load_seconds += sw.seconds();
-    if (payload.has_value()) {
-      ++c.hits;
-      count_store_event("hits");
-      trace_store_event("store.hit");
-    } else {
-      ++c.misses;
-      count_store_event("misses");
-      trace_store_event("store.miss");
+    if (const auto bytes = store_->get(Payload::kKind, key)) {
+      BinaryReader r(*bytes);
+      decode(r, payload.emplace());
+      event = "store.hit";
     }
-    return payload;
   } catch (const StoreError& e) {
-    // Present but unreadable: count as corrupt *and* miss, recompute.
-    c.load_seconds += sw.seconds();
+    // Present but unreadable or undecodable: count as corrupt *and* miss,
+    // recompute.
+    payload.reset();
+    event = "store.corrupt";
     ++c.corrupt;
-    ++c.misses;
     count_store_event("corrupt");
-    count_store_event("misses");
-    trace_store_event("store.corrupt");
-    log_info("store: ", kind, " blob ", hash_to_hex(key),
+    log_info("store: ", Payload::kKind, " blob ", hash_to_hex(key),
              " failed verification (", e.what(), "); recomputing");
-    return std::nullopt;
   }
+  c.load_seconds += sw.seconds();
+  if (payload.has_value()) {
+    ++c.hits;
+    count_store_event("hits");
+  } else {
+    ++c.misses;
+    count_store_event("misses");
+  }
+  trace_store_event(event);
+  return payload;
 }
 
-void StageCache::store_payload(const char* kind, std::uint64_t key,
-                               const std::string& benchmark,
-                               const std::vector<unsigned char>& payload,
-                               StageCounters& c) {
+template <class Payload>
+void StageCache::store(std::uint64_t key, const std::string& benchmark,
+                       const Payload& payload, StageCounters& c) {
   if (store_ == nullptr) return;
   Stopwatch sw;
+  BinaryWriter w;
+  encode(w, payload);
   try {
-    store_->put(kind, key, benchmark, payload);
-    c.store_seconds += sw.seconds();
+    store_->put(Payload::kKind, key, benchmark, w.bytes());
     ++c.stores;
     count_store_event("stores");
   } catch (const StoreError& e) {
-    c.store_seconds += sw.seconds();
-    log_info("store: failed to persist ", kind, " blob ", hash_to_hex(key),
-             " (", e.what(), "); continuing uncached");
+    log_info("store: failed to persist ", Payload::kKind, " blob ",
+             hash_to_hex(key), " (", e.what(), "); continuing uncached");
   }
+  c.store_seconds += sw.seconds();
 }
 
-std::optional<RlStagePayload> StageCache::load_rl(std::uint64_t key,
-                                                  StageCounters& c) {
-  auto bytes = load_payload(kRlKind, key, c);
-  if (!bytes.has_value()) return std::nullopt;
-  try {
-    BinaryReader r(*bytes);
-    RlStagePayload payload;
-    payload.actor = read_mlp(r);
-    payload.dnn_structure = r.str();
-    payload.eval = read_eval_result(r);
-    return payload;
-  } catch (const StoreError& e) {
-    ++c.corrupt;
-    --c.hits;
-    ++c.misses;
-    count_store_event("corrupt");
-    count_store_event("misses");
-    trace_store_event("store.corrupt");
-    log_info("store: rl payload ", hash_to_hex(key), " undecodable (",
-             e.what(), "); recomputing");
-    return std::nullopt;
-  }
-}
-
-void StageCache::store_rl(std::uint64_t key, const std::string& benchmark,
-                          const RlStagePayload& payload, StageCounters& c) {
-  if (store_ == nullptr) return;
-  BinaryWriter w;
-  write_mlp(w, payload.actor);
-  w.str(payload.dnn_structure);
-  write_eval_result(w, payload.eval);
-  store_payload(kRlKind, key, benchmark, w.bytes(), c);
-}
-
-std::optional<PacStagePayload> StageCache::load_pac(std::uint64_t key,
-                                                    StageCounters& c) {
-  auto bytes = load_payload(kPacKind, key, c);
-  if (!bytes.has_value()) return std::nullopt;
-  try {
-    BinaryReader r(*bytes);
-    PacStagePayload payload;
-    payload.pac = read_pac_result(r);
-    const std::uint64_t channels = r.u64();
-    for (std::uint64_t k = 0; k < channels; ++k)
-      payload.controller.push_back(read_polynomial(r));
-    payload.degraded = r.boolean();
-    return payload;
-  } catch (const StoreError& e) {
-    ++c.corrupt;
-    --c.hits;
-    ++c.misses;
-    count_store_event("corrupt");
-    count_store_event("misses");
-    trace_store_event("store.corrupt");
-    log_info("store: pac payload ", hash_to_hex(key), " undecodable (",
-             e.what(), "); recomputing");
-    return std::nullopt;
-  }
-}
-
-void StageCache::store_pac(std::uint64_t key, const std::string& benchmark,
-                           const PacStagePayload& payload, StageCounters& c) {
-  if (store_ == nullptr) return;
-  BinaryWriter w;
-  write_pac_result(w, payload.pac);
-  w.u64(payload.controller.size());
-  for (const Polynomial& p : payload.controller) write_polynomial(w, p);
-  w.boolean(payload.degraded);
-  store_payload(kPacKind, key, benchmark, w.bytes(), c);
-}
-
-std::optional<BarrierStagePayload> StageCache::load_barrier(
-    std::uint64_t key, StageCounters& c) {
-  auto bytes = load_payload(kBarrierKind, key, c);
-  if (!bytes.has_value()) return std::nullopt;
-  try {
-    BinaryReader r(*bytes);
-    BarrierStagePayload payload;
-    payload.barrier = read_barrier_result(r);
-    const std::uint64_t channels = r.u64();
-    for (std::uint64_t k = 0; k < channels; ++k)
-      payload.controller.push_back(read_polynomial(r));
-    payload.pac_model = read_pac_model(r);
-    return payload;
-  } catch (const StoreError& e) {
-    ++c.corrupt;
-    --c.hits;
-    ++c.misses;
-    count_store_event("corrupt");
-    count_store_event("misses");
-    trace_store_event("store.corrupt");
-    log_info("store: barrier payload ", hash_to_hex(key), " undecodable (",
-             e.what(), "); recomputing");
-    return std::nullopt;
-  }
-}
-
-void StageCache::store_barrier(std::uint64_t key, const std::string& benchmark,
-                               const BarrierStagePayload& payload,
-                               StageCounters& c) {
-  if (store_ == nullptr) return;
-  BinaryWriter w;
-  write_barrier_result(w, payload.barrier);
-  w.u64(payload.controller.size());
-  for (const Polynomial& p : payload.controller) write_polynomial(w, p);
-  write_pac_model(w, payload.pac_model);
-  store_payload(kBarrierKind, key, benchmark, w.bytes(), c);
-}
-
-std::optional<ValidationStagePayload> StageCache::load_validation(
-    std::uint64_t key, StageCounters& c) {
-  auto bytes = load_payload(kValidationKind, key, c);
-  if (!bytes.has_value()) return std::nullopt;
-  try {
-    BinaryReader r(*bytes);
-    ValidationStagePayload payload;
-    payload.report = read_validation_report(r);
-    return payload;
-  } catch (const StoreError& e) {
-    ++c.corrupt;
-    --c.hits;
-    ++c.misses;
-    count_store_event("corrupt");
-    count_store_event("misses");
-    trace_store_event("store.corrupt");
-    log_info("store: validation payload ", hash_to_hex(key), " undecodable (",
-             e.what(), "); recomputing");
-    return std::nullopt;
-  }
-}
-
-void StageCache::store_validation(std::uint64_t key,
-                                  const std::string& benchmark,
-                                  const ValidationStagePayload& payload,
-                                  StageCounters& c) {
-  if (store_ == nullptr) return;
-  BinaryWriter w;
-  write_validation_report(w, payload.report);
-  store_payload(kValidationKind, key, benchmark, w.bytes(), c);
-}
+// The four stage payloads are the only instantiations.
+template std::optional<RlStagePayload> StageCache::load(std::uint64_t,
+                                                        StageCounters&);
+template std::optional<PacStagePayload> StageCache::load(std::uint64_t,
+                                                         StageCounters&);
+template std::optional<BarrierStagePayload> StageCache::load(std::uint64_t,
+                                                             StageCounters&);
+template std::optional<ValidationStagePayload> StageCache::load(
+    std::uint64_t, StageCounters&);
+template void StageCache::store(std::uint64_t, const std::string&,
+                                const RlStagePayload&, StageCounters&);
+template void StageCache::store(std::uint64_t, const std::string&,
+                                const PacStagePayload&, StageCounters&);
+template void StageCache::store(std::uint64_t, const std::string&,
+                                const BarrierStagePayload&, StageCounters&);
+template void StageCache::store(std::uint64_t, const std::string&,
+                                const ValidationStagePayload&, StageCounters&);
 
 }  // namespace scs

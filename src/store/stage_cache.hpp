@@ -68,28 +68,33 @@ struct CacheStats {
 
 // ---- Per-stage payloads (everything a warm run needs to reproduce the
 // stage's contribution to SynthesisResult bit-for-bit, wall-clock aside).
+// kKind names the stage: its blob kind in the store and its key tag.
 
 struct RlStagePayload {
+  static constexpr const char* kKind = "rl";
   Mlp actor;
   std::string dnn_structure;
   EvalResult eval;
 };
 
 struct PacStagePayload {
+  static constexpr const char* kKind = "pac";
   PacResult pac;
   std::vector<Polynomial> controller;  // physical-scale p(x) per channel
   bool degraded = false;
 };
 
 struct BarrierStagePayload {
+  static constexpr const char* kKind = "barrier";
   BarrierResult barrier;
-  /// The barrier stage may swap in a lower-degree surrogate controller, so
+  /// The barrier ladder may accept a lower-degree surrogate controller, so
   /// the accepted controller and PAC model are part of this stage's output.
   std::vector<Polynomial> controller;
   PacModel pac_model;
 };
 
 struct ValidationStagePayload {
+  static constexpr const char* kKind = "validation";
   ValidationReport report;
 };
 
@@ -116,38 +121,20 @@ class StageCache {
   explicit StageCache(const StoreConfig& config);
 
   bool enabled() const { return store_ != nullptr; }
-  const std::string& dir() const;
 
-  // Loads return nullopt on miss *or* corruption (counted separately); they
-  // never throw. Stores are best-effort: an I/O failure is logged and the
-  // run continues uncached.
-  std::optional<RlStagePayload> load_rl(std::uint64_t key, StageCounters& c);
-  void store_rl(std::uint64_t key, const std::string& benchmark,
-                const RlStagePayload& payload, StageCounters& c);
+  /// Load one of the four stage payloads. Returns nullopt on a miss *or*
+  /// on a blob that fails verification or decoding (counted as corrupt
+  /// and as a miss); never throws.
+  template <class Payload>
+  std::optional<Payload> load(std::uint64_t key, StageCounters& c);
 
-  std::optional<PacStagePayload> load_pac(std::uint64_t key, StageCounters& c);
-  void store_pac(std::uint64_t key, const std::string& benchmark,
-                 const PacStagePayload& payload, StageCounters& c);
-
-  std::optional<BarrierStagePayload> load_barrier(std::uint64_t key,
-                                                  StageCounters& c);
-  void store_barrier(std::uint64_t key, const std::string& benchmark,
-                     const BarrierStagePayload& payload, StageCounters& c);
-
-  std::optional<ValidationStagePayload> load_validation(std::uint64_t key,
-                                                        StageCounters& c);
-  void store_validation(std::uint64_t key, const std::string& benchmark,
-                        const ValidationStagePayload& payload,
-                        StageCounters& c);
+  /// Best-effort store: an I/O failure is logged and the run continues
+  /// uncached.
+  template <class Payload>
+  void store(std::uint64_t key, const std::string& benchmark,
+             const Payload& payload, StageCounters& c);
 
  private:
-  std::optional<std::vector<unsigned char>> load_payload(
-      const char* kind, std::uint64_t key, StageCounters& c);
-  void store_payload(const char* kind, std::uint64_t key,
-                     const std::string& benchmark,
-                     const std::vector<unsigned char>& payload,
-                     StageCounters& c);
-
   std::shared_ptr<ArtifactStore> store_;  // null when disabled
   /// Marks the cache directory as in-use so `store_cli gc` from another
   /// process defers instead of evicting blobs under a live run (shared_ptr:

@@ -13,8 +13,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "poly/parse.hpp"
 #include "util/thread_pool.hpp"
 
@@ -254,6 +256,53 @@ TEST(GoldenPipeline, UnstableSystemIsDeterministicallyUnverified) {
   EXPECT_FALSE(r1.success);
   EXPECT_FALSE(r1.failure_message.empty());
   compare_to_golden(r1, "unstable_unverified.json", bench.ccds.num_states);
+}
+
+/// Run the unstable system with metrics on; returns the result and the
+/// number of SDP solves the run made.
+std::pair<SynthesisResult, std::uint64_t> run_unstable_counting_solves(
+    const PipelineConfig& cfg) {
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  const Counter& solves = MetricsRegistry::instance().counter("sdp.solves");
+  const std::uint64_t before = solves.value();
+  SynthesisResult result =
+      synthesize_from_law(unstable_benchmark(), destabilizing_law(), cfg);
+  const std::uint64_t after = solves.value();
+  set_metrics_enabled(was_enabled);
+  return {std::move(result), after - before};
+}
+
+TEST(GoldenPipeline, FailedBarrierStageCountsEveryRung) {
+  // Every rung of the barrier ladder fails on the unstable system; the
+  // stage's attempts must cover all of them, not just the primary rung.
+  PipelineConfig cfg;
+  cfg.fast_mode = true;
+  cfg.seed = 5;
+  const auto [r, solves] = run_unstable_counting_solves(cfg);
+  ASSERT_EQ(r.failure_stage, "barrier");
+  EXPECT_EQ(static_cast<std::uint64_t>(r.barrier.attempts), solves);
+  EXPECT_GT(r.barrier.seconds, 0.0);
+}
+
+TEST(GoldenPipeline, ExplicitStrategyListStillRunsTheAlternatingRung) {
+  // race.strategies = {constant} is the default ladder spelled out: the
+  // alternating rung must run once with the alternating strategy, not
+  // repeat the constant-lambda grid.
+  PipelineConfig cfg;
+  cfg.fast_mode = true;
+  cfg.seed = 5;
+  const auto [plain, plain_solves] = run_unstable_counting_solves(cfg);
+  cfg.barrier.race.strategies = {LambdaStrategy::kConstant};
+  const auto [listed, listed_solves] = run_unstable_counting_solves(cfg);
+  EXPECT_EQ(listed_solves, plain_solves);
+  EXPECT_EQ(listed.barrier.attempts, plain.barrier.attempts);
+  EXPECT_EQ(listed.barrier.failure_reason, plain.barrier.failure_reason);
+  EXPECT_EQ(listed.barrier.max_identity_residual,
+            plain.barrier.max_identity_residual);
+  // Two degrees x four constant-lambda attempts, twice over, would be 16
+  // solves; the alternating rung's BMI rounds add more.
+  EXPECT_GT(listed_solves, 16u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "barrier/synthesis.hpp"
+#include "core/pipeline.hpp"
 #include "poly/polynomial.hpp"
 #include "systems/benchmarks.hpp"
 #include "systems/ccds.hpp"
@@ -186,6 +187,52 @@ TEST(BarrierRace, RaceConfigEntersConfigHash) {
   hash_append(h_replay, replay);
   EXPECT_NE(h_off.digest(), h_on.digest());
   EXPECT_NE(h_on.digest(), h_replay.digest());
+}
+
+TEST(BarrierRace, PipelineReplaysWinnerOfLaterRung) {
+  // 1-D integrator under a cubic law: PAC picks the degree-3 surrogate,
+  // whose SOS programs exceed the size guard, as do the degree-2 ones. The
+  // degree-1 surrogate (ladder rung 2) wins, and its winner_arm indexes
+  // the whole ladder, so replaying it re-runs exactly that one arm.
+  Benchmark bench;
+  bench.id = BenchmarkId::kC1;
+  bench.name = "race-cubic";
+  bench.ccds.name = "race-cubic";
+  bench.ccds.num_states = 1;
+  bench.ccds.num_controls = 1;
+  bench.ccds.open_field = {Polynomial::variable(2, 1)};
+  const Box box = Box::centered(1, 3.0);
+  bench.ccds.init_set = SemialgebraicSet::ball(Vec{0.0}, 0.5);
+  bench.ccds.domain = SemialgebraicSet::from_box(box);
+  bench.ccds.unsafe_set = SemialgebraicSet::outside_ball(Vec{0.0}, 2.0, box);
+  bench.ccds.control_bound = 3.0;
+  bench.pac.max_degree = 3;
+  const ControlLaw law = [](const Vec& x) {
+    return Vec{-x[0] - 0.1 * x[0] * x[0] * x[0]};
+  };
+  PipelineConfig cfg;
+  cfg.fast_mode = true;
+  cfg.seed = 5;
+  cfg.barrier.max_sdp_constraints = 10;
+  const SynthesisResult found = synthesize_from_law(bench, law, cfg);
+  ASSERT_TRUE(found.barrier.success) << found.barrier.failure_reason;
+  EXPECT_EQ(found.barrier.winner_arm_desc.rfind("r2/", 0), 0u)
+      << found.barrier.winner_arm_desc;
+  EXPECT_EQ(found.pac.model.degree, 1);
+
+  cfg.barrier.race.replay_arm = found.barrier.winner_arm;
+  const SynthesisResult replayed = synthesize_from_law(bench, law, cfg);
+  ASSERT_TRUE(replayed.barrier.success) << replayed.barrier.failure_reason;
+  EXPECT_EQ(replayed.barrier.arms_launched, 1);
+  EXPECT_EQ(replayed.barrier.winner_arm, found.barrier.winner_arm);
+  EXPECT_EQ(replayed.barrier.winner_arm_desc, found.barrier.winner_arm_desc);
+  EXPECT_TRUE(replayed.barrier.barrier == found.barrier.barrier);
+  EXPECT_TRUE(replayed.barrier.lambda == found.barrier.lambda);
+  ASSERT_EQ(replayed.controller.size(), 1u);
+  EXPECT_TRUE(replayed.controller.front() == found.controller.front());
+  EXPECT_TRUE(replayed.pac.model.poly == found.pac.model.poly);
+  EXPECT_EQ(replayed.pac.model.degree, found.pac.model.degree);
+  EXPECT_EQ(replayed.pac.model.error, found.pac.model.error);
 }
 
 }  // namespace

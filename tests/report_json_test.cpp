@@ -120,6 +120,9 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_FALSE(json_parse_valid("01"));
   // Raw control characters are not allowed inside strings.
   EXPECT_FALSE(json_parse_valid("\"a\nb\""));
+  // A lone surrogate escape is not a character (json_escape never emits
+  // one).
+  EXPECT_FALSE(json_parse_valid("\"\\ud800\""));
 }
 
 TEST(JsonParse, AcceptsTypicalDocuments) {

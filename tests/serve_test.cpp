@@ -114,7 +114,7 @@ TEST(JobRequestWire, KnowsAllBenchmarks) {
 // ---- ShardedJobQueue.
 
 TEST(ShardedJobQueue, PopsByPriorityThenFifo) {
-  ShardedJobQueue q(16, 4);
+  ShardedJobQueue q(16);
   std::vector<int> order;
   for (int i = 0; i < 6; ++i) {
     const int priority = (i % 2 == 0) ? 0 : 5;
@@ -132,7 +132,7 @@ TEST(ShardedJobQueue, PopsByPriorityThenFifo) {
 }
 
 TEST(ShardedJobQueue, EnforcesCapacityAndReportsFull) {
-  ShardedJobQueue q(2, 2);
+  ShardedJobQueue q(2);
   EXPECT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kAccepted);
   EXPECT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kAccepted);
   EXPECT_EQ(q.push(0, [] {}), ShardedJobQueue::Push::kFull);
@@ -156,7 +156,7 @@ TEST(ShardedJobQueue, CloseDrainsThenStops) {
 TEST(ShardedJobQueue, ConcurrentPushPopLosesNothing) {
   // 4 producers x 250 items against 4 consumers; every item runs exactly
   // once and the capacity bound holds throughout.
-  ShardedJobQueue q(64, 4);
+  ShardedJobQueue q(64);
   constexpr int kProducers = 4, kPerProducer = 250;
   std::atomic<int> executed{0}, rejected{0};
   std::vector<std::thread> threads;

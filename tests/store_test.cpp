@@ -354,12 +354,12 @@ TEST(StageCacheTest, MissThenStoreThenHit) {
   ASSERT_TRUE(cache.enabled());
 
   StageCounters c;
-  EXPECT_FALSE(cache.load_rl(99, c).has_value());
+  EXPECT_FALSE(cache.load<RlStagePayload>(99, c).has_value());
   EXPECT_EQ(c.misses, 1);
   const RlStagePayload p = sample_rl_payload();
-  cache.store_rl(99, "C1", p, c);
+  cache.store(99, "C1", p, c);
   EXPECT_EQ(c.stores, 1);
-  const auto hit = cache.load_rl(99, c);
+  const auto hit = cache.load<RlStagePayload>(99, c);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(c.hits, 1);
   EXPECT_TRUE(bits_equal(hit->actor.parameters(), p.actor.parameters()));
@@ -373,7 +373,7 @@ TEST(StageCacheTest, ArmedCorruptionFaultDegradesToMiss) {
   cfg.cache_dir = dir.str();
   StageCache cache(cfg);
   StageCounters c;
-  cache.store_rl(7, "C1", sample_rl_payload(), c);
+  cache.store(7, "C1", sample_rl_payload(), c);
 
   // Arm only the store_corrupt site at rate 1: the next load flips a blob
   // byte in memory, the checksum catches it, and the load degrades to a
@@ -384,7 +384,7 @@ TEST(StageCacheTest, ArmedCorruptionFaultDegradesToMiss) {
   for (int s = 0; s < static_cast<int>(FaultSite::kCount); ++s)
     inj.arm_site(static_cast<FaultSite>(s), false);
   inj.arm_site(FaultSite::kStoreCorrupt, true);
-  const auto miss = cache.load_rl(7, c);
+  const auto miss = cache.load<RlStagePayload>(7, c);
   const std::uint64_t fires = inj.fires(FaultSite::kStoreCorrupt);
   inj.disarm();
   EXPECT_FALSE(miss.has_value());
@@ -394,7 +394,7 @@ TEST(StageCacheTest, ArmedCorruptionFaultDegradesToMiss) {
   EXPECT_EQ(fires, 1u);
 
   // Disarmed, the on-disk blob is intact and loads cleanly.
-  const auto hit = cache.load_rl(7, c);
+  const auto hit = cache.load<RlStagePayload>(7, c);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(c.hits, 1);
 }
