@@ -110,7 +110,6 @@ std::uint64_t total_counter_hits() {
       "sdp.stalls",        "sdp.restarts",
       "simplex.pivots",    "simplex.bland_restarts",
       "robust.cholesky_regularize_retries",
-      "robust.lu_regularize_retries",
       "robust.refinements", "pac.samples_drawn",
       "pac.samples_dropped", "pac.degraded_fits",
       "store.hits",        "store.misses",

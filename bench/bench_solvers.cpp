@@ -17,8 +17,6 @@
 #include "opt/sdp.hpp"
 #include "poly/basis.hpp"
 #include "poly/lie.hpp"
-#include "sos/certificate.hpp"
-#include "sos/sos_program.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -158,24 +156,6 @@ BENCHMARK(BM_SdpGramBlock)
     ->Range(4, 64)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
-
-void BM_SosDecompose(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(4);
-  // A random SOS polynomial of degree 4.
-  const auto basis = monomials_up_to(n, 2);
-  Polynomial p(n);
-  for (int k = 0; k < 3; ++k) {
-    Vec c(basis.size());
-    for (auto& v : c) v = rng.uniform(-1.0, 1.0);
-    const Polynomial q = Polynomial::from_coefficients(basis, c);
-    p += q * q;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sos_decompose(p));
-  }
-}
-BENCHMARK(BM_SosDecompose)->DenseRange(2, 5)->Unit(benchmark::kMillisecond);
 
 void BM_PolynomialMultiply(benchmark::State& state) {
   const int degree = static_cast<int>(state.range(0));
@@ -320,76 +300,6 @@ void BM_KernelSpeedup_Matmul(benchmark::State& state) {
   state.counters["speedup"] = scalar_best / avx2_best;
 }
 BENCHMARK(BM_KernelSpeedup_Matmul)->Unit(benchmark::kMicrosecond);
-
-// ---- Gram-basis pruning (SosProgram::set_gram_pruning). SOS membership of
-// an even quartic posed over the *full* degree-2 monomial basis: the
-// constant and linear monomials can never appear in a decomposition, and
-// the Newton-polytope pruner removes them (15 -> 10 for n = 4) before the
-// SDP is assembled. The `gram_dim` counter records the compiled block size
-// so the perf gate can pin the reduction.
-void BM_SosGramPrune(benchmark::State& state, bool prune) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Polynomial sum_sq(n);
-  for (std::size_t i = 0; i < n; ++i)
-    sum_sq += Polynomial::variable(n, i).pow(2);
-  Polynomial p = sum_sq * sum_sq;
-  for (std::size_t i = 0; i < n; ++i) p += Polynomial::variable(n, i).pow(4);
-  SosProgram prog(n);
-  const auto s = prog.add_sos_poly(monomials_up_to(n, 2));
-  const Polynomial one = Polynomial::constant(n, 1.0);
-  prog.add_identity(-p, {{one, s, {}}});
-  prog.set_gram_pruning(prune);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prog.solve());
-  }
-  state.counters["gram_dim"] =
-      static_cast<double>(prog.compile().block_dims[0]);
-}
-BENCHMARK_CAPTURE(BM_SosGramPrune, full, false)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SosGramPrune, pruned, true)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-// ---- SDP warm starts. Re-solving a 1%-perturbed instance of a converged
-// Gram-block problem, cold versus seeded from the original solution
-// (make_warm_start). The warm capture also records how many interior-point
-// iterations the seed saves against the cold solve of the *same* perturbed
-// problem (`iters_saved`), which the perf gate pins > 0.
-void BM_SdpWarmStart(benchmark::State& state, bool warm) {
-  const std::size_t n = 32;
-  Rng rng(24);
-  const SdpProblem base = random_gram_sdp(n, rng);
-  const SdpSolution base_sol = solve_sdp(base);
-  if (base_sol.status != SdpStatus::kConverged) {
-    state.SkipWithError("base Gram-block solve did not converge");
-    return;
-  }
-  const SdpWarmStart seed = make_warm_start(base_sol);
-  SdpProblem p = base;
-  Rng perturb(25);
-  for (SdpConstraint& c : p.constraints) {
-    const double f = 1.0 + 0.01 * perturb.normal();
-    for (SdpEntry& e : c.entries) e.value *= f;
-    c.rhs *= f;  // scales with the entry: still feasible near X = I
-  }
-  const int cold_iters = solve_sdp(p).iterations;
-  double iters = 0.0;
-  for (auto _ : state) {
-    const SdpSolution sol = solve_sdp(p, {}, warm ? &seed : nullptr);
-    benchmark::DoNotOptimize(&sol);
-    iters += sol.iterations;
-  }
-  const double mean_iters =
-      iters / static_cast<double>(std::max<std::int64_t>(
-                  1, static_cast<std::int64_t>(state.iterations())));
-  state.counters["iterations"] = mean_iters;
-  if (warm) state.counters["iters_saved"] = cold_iters - mean_iters;
-}
-BENCHMARK_CAPTURE(BM_SdpWarmStart, cold, false)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SdpWarmStart, warm, true)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace scs

@@ -152,9 +152,8 @@ run_perf() {
   # bench_obs writes BENCH_obs.json into its cwd and self-checks traced
   # determinism; bench_solvers emits google-benchmark JSON for a small,
   # stable subset (full sweeps stay in the manual bench workflow). The
-  # kernel/pruning/warm-start rows carry counters the baseline pins: SIMD
-  # matmul speedup >= 1.5, Gram block 15 -> 10 under pruning, and at least
-  # one interior-point iteration saved by a warm start.
+  # kernel row carries the counter the baseline pins: SIMD matmul
+  # speedup >= 1.5.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
   # bench_serve times a cold submit vs the in-memory warm-hit fast path and
   # self-checks the exactly-one-cold dedupe guarantee; the baseline pins
@@ -167,7 +166,7 @@ run_perf() {
   # the numbers land in the dashboard next to the other suites.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_race")
   ./build/bench/bench_solvers \
-      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_KernelSpeedup_Matmul$|BM_SosGramPrune/(full|pruned)/4$|BM_SdpWarmStart/(cold|warm)$' \
+      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_KernelSpeedup_Matmul$' \
       --benchmark_format=json \
       --benchmark_out="${tmp}/BENCH_solvers.json" \
       --benchmark_out_format=json > /dev/null

@@ -85,21 +85,8 @@ Mat Cholesky::lower_inverse() const {
   return inv;
 }
 
-double Cholesky::log_det() const {
-  SCS_REQUIRE(ok_, "Cholesky::log_det: factorization failed");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) acc += std::log(l_(i, i));
-  return 2.0 * acc;
-}
-
 bool is_positive_definite(const Mat& a, double tol) {
   return Cholesky(a, tol).ok();
-}
-
-std::optional<Vec> solve_spd(const Mat& a, const Vec& b) {
-  Cholesky chol(a);
-  if (!chol.ok()) return std::nullopt;
-  return chol.solve(b);
 }
 
 }  // namespace scs

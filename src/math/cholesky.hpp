@@ -5,8 +5,6 @@
 // through it.
 #pragma once
 
-#include <optional>
-
 #include "math/mat.hpp"
 #include "math/vec.hpp"
 
@@ -33,9 +31,6 @@ class Cholesky {
   /// Inverse of the lower factor, L^{-1} (used for SDP scaling matrices).
   Mat lower_inverse() const;
 
-  /// log(det A) = 2 * sum(log diag(L)).
-  double log_det() const;
-
  private:
   Mat l_;
   bool ok_ = false;
@@ -43,8 +38,5 @@ class Cholesky {
 
 /// True when the symmetric matrix is positive definite within tolerance.
 bool is_positive_definite(const Mat& a, double tol = 0.0);
-
-/// Solve the SPD system A x = b; std::nullopt when not positive definite.
-std::optional<Vec> solve_spd(const Mat& a, const Vec& b);
 
 }  // namespace scs

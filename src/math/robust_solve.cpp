@@ -5,11 +5,19 @@
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace scs {
 
 namespace {
+
+/// Diagonal-regularization ladder: up to kMaxRegularizeAttempts retries
+/// after a failed factorization, starting at kInitialShiftScale * max|diag|
+/// (floored at an absolute tiny) and growing by kShiftGrowth per retry.
+constexpr int kMaxRegularizeAttempts = 8;
+constexpr double kShiftGrowth = 100.0;
+constexpr double kInitialShiftScale = 1e-14;
+/// Refinement triggers when ||b - A x||_inf > kRefineTol * (1 + ||b||_inf).
+constexpr double kRefineTol = 1e-12;
 
 bool all_finite(const Vec& v) {
   for (double x : v.data())
@@ -32,18 +40,17 @@ double residual_inf(const Mat& a, const Vec& b, const Vec& x) {
 }
 
 /// One round of iterative refinement against the *original* matrix, using
-/// `solve` (built on the possibly-regularized factor) for the correction.
+/// `factor` (possibly of the regularized matrix) for the correction.
 /// Updates x and returns the final residual; sets `refined` when the
 /// correction was kept.
-double refine_once(const Mat& a, const Vec& b, Vec& x,
-                   const std::function<Vec(const Vec&)>& solve,
-                   double refine_tol, bool& refined) {
+double refine_once(const Mat& a, const Vec& b, Vec& x, const Cholesky& factor,
+                   bool& refined) {
   refined = false;
   double res = residual_inf(a, b, x);
-  if (res <= refine_tol * (1.0 + b.max_abs())) return res;
+  if (res <= kRefineTol * (1.0 + b.max_abs())) return res;
   Vec r = b;
   r -= matvec(a, x);
-  const Vec dx = solve(r);
+  const Vec dx = factor.solve(r);
   if (!all_finite(dx)) return res;
   Vec x2 = x;
   x2 += dx;
@@ -58,63 +65,7 @@ double refine_once(const Mat& a, const Vec& b, Vec& x,
 
 }  // namespace
 
-double norm1(const Mat& a) {
-  double best = 0.0;
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) s += std::fabs(a(i, j));
-    best = std::max(best, s);
-  }
-  return best;
-}
-
-double estimate_inverse_norm1(
-    std::size_t n, const std::function<Vec(const Vec&)>& solve,
-    const std::function<Vec(const Vec&)>& solve_t) {
-  if (n == 0) return 0.0;
-  // Hager's algorithm: power iteration on the polytope ||x||_1 <= 1.
-  Vec x(n, 1.0 / static_cast<double>(n));
-  double est = 0.0;
-  std::size_t prev_j = n;
-  for (int iter = 0; iter < 5; ++iter) {
-    const Vec y = solve(x);
-    if (!all_finite(y)) return 0.0;
-    double y1 = 0.0;
-    for (double v : y.data()) y1 += std::fabs(v);
-    est = std::max(est, y1);
-    Vec xi(n);
-    for (std::size_t i = 0; i < n; ++i) xi[i] = (y[i] >= 0.0) ? 1.0 : -1.0;
-    const Vec z = solve_t(xi);
-    if (!all_finite(z)) return est;
-    std::size_t j = 0;
-    for (std::size_t i = 1; i < n; ++i)
-      if (std::fabs(z[i]) > std::fabs(z[j])) j = i;
-    if (std::fabs(z[j]) <= dot(z, x) || j == prev_j) break;
-    prev_j = j;
-    x = Vec(n, 0.0);
-    x[j] = 1.0;
-  }
-  return est;
-}
-
-double condition_estimate_spd(const Mat& a, const Cholesky& factor) {
-  if (!factor.ok()) return 0.0;
-  const auto solve = [&factor](const Vec& v) { return factor.solve(v); };
-  // A is symmetric: A^{-T} = A^{-1}.
-  return norm1(a) * estimate_inverse_norm1(a.rows(), solve, solve);
-}
-
-double condition_estimate_lu(const Mat& a, const Lu& factor) {
-  if (factor.singular()) return 0.0;
-  const auto solve = [&factor](const Vec& v) { return factor.solve(v); };
-  const auto solve_t = [&factor](const Vec& v) {
-    return factor.solve_transposed(v);
-  };
-  return norm1(a) * estimate_inverse_norm1(a.rows(), solve, solve_t);
-}
-
-RobustCholesky robust_cholesky(const Mat& a,
-                               const RobustSolveOptions& options) {
+RobustCholesky robust_cholesky(const Mat& a) {
   RobustCholesky out;
   out.factor = Cholesky(a);
   out.factor_attempts = 1;
@@ -123,9 +74,8 @@ RobustCholesky robust_cholesky(const Mat& a,
     return out;
   }
   double shift =
-      std::max(options.initial_shift_scale * std::max(1.0, max_abs_diag(a)),
-               1e-300);
-  for (int k = 0; k < options.max_regularize_attempts; ++k) {
+      std::max(kInitialShiftScale * std::max(1.0, max_abs_diag(a)), 1e-300);
+  for (int k = 0; k < kMaxRegularizeAttempts; ++k) {
     Mat shifted = a;
     for (std::size_t i = 0; i < a.rows(); ++i) shifted(i, i) += shift;
     out.factor = Cholesky(shifted);
@@ -140,18 +90,17 @@ RobustCholesky robust_cholesky(const Mat& a,
       out.regularization = shift;
       return out;
     }
-    shift *= options.shift_growth;
+    shift *= kShiftGrowth;
   }
   out.status = SolveStatus::kFailed;
   return out;
 }
 
-LinearSolveReport robust_solve_spd(const Mat& a, const Vec& b,
-                                   const RobustSolveOptions& options) {
+LinearSolveReport robust_solve_spd(const Mat& a, const Vec& b) {
   SCS_REQUIRE(a.rows() == a.cols() && b.size() == a.rows(),
               "robust_solve_spd: shape mismatch");
   LinearSolveReport report;
-  const RobustCholesky rc = robust_cholesky(a, options);
+  const RobustCholesky rc = robust_cholesky(a);
   report.factor_attempts = rc.factor_attempts;
   report.regularization = rc.regularization;
   if (!rc.ok()) return report;
@@ -161,9 +110,7 @@ LinearSolveReport robust_solve_spd(const Mat& a, const Vec& b,
     report.status = SolveStatus::kFailed;
     return report;
   }
-  const auto solve = [&rc](const Vec& v) { return rc.factor.solve(v); };
-  report.residual_norm =
-      refine_once(a, b, report.x, solve, options.refine_tol, report.refined);
+  report.residual_norm = refine_once(a, b, report.x, rc.factor, report.refined);
   if (report.refined && metrics_enabled()) {
     static Counter& refinements =
         MetricsRegistry::instance().counter("robust.refinements");
@@ -173,58 +120,6 @@ LinearSolveReport robust_solve_spd(const Mat& a, const Vec& b,
                       ? SolveStatus::kRegularized
                       : (report.refined ? SolveStatus::kRefined
                                         : SolveStatus::kOk);
-  if (options.estimate_condition)
-    report.condition_estimate = condition_estimate_spd(a, rc.factor);
-  return report;
-}
-
-LinearSolveReport robust_solve_linear(const Mat& a, const Vec& b,
-                                      const RobustSolveOptions& options) {
-  SCS_REQUIRE(a.rows() == a.cols() && b.size() == a.rows(),
-              "robust_solve_linear: shape mismatch");
-  LinearSolveReport report;
-  Lu lu(a);
-  report.factor_attempts = 1;
-  double shift = 0.0;
-  if (lu.singular()) {
-    shift =
-        std::max(options.initial_shift_scale * std::max(1.0, max_abs_diag(a)),
-                 1e-300);
-    for (int k = 0; k < options.max_regularize_attempts; ++k) {
-      Mat shifted = a;
-      for (std::size_t i = 0; i < a.rows(); ++i) shifted(i, i) += shift;
-      lu = Lu(shifted);
-      ++report.factor_attempts;
-      if (metrics_enabled()) {
-        static Counter& retries = MetricsRegistry::instance().counter(
-            "robust.lu_regularize_retries");
-        retries.add(1);
-      }
-      if (!lu.singular()) break;
-      shift *= options.shift_growth;
-    }
-    if (lu.singular()) return report;  // kFailed
-    report.regularization = shift;
-  }
-
-  report.x = lu.solve(b);
-  if (!all_finite(report.x)) {
-    report.status = SolveStatus::kFailed;
-    return report;
-  }
-  const auto solve = [&lu](const Vec& v) { return lu.solve(v); };
-  report.residual_norm =
-      refine_once(a, b, report.x, solve, options.refine_tol, report.refined);
-  if (report.refined && metrics_enabled()) {
-    static Counter& refinements =
-        MetricsRegistry::instance().counter("robust.refinements");
-    refinements.add(1);
-  }
-  report.status = (shift > 0.0) ? SolveStatus::kRegularized
-                                : (report.refined ? SolveStatus::kRefined
-                                                  : SolveStatus::kOk);
-  if (options.estimate_condition)
-    report.condition_estimate = condition_estimate_lu(a, lu);
   return report;
 }
 

@@ -1,6 +1,5 @@
-// Robust linear solves: condition estimation, diagonal-regularization retry,
-// and one round of iterative refinement on top of the raw Cholesky / LU
-// factorizations.
+// Robust SPD solves: diagonal-regularization retry and one round of
+// iterative refinement on top of the raw Cholesky factorization.
 //
 // The raw factorizations stay lean (a bool `ok` flag); every call site that
 // previously treated "not ok" as fatal goes through this layer instead and
@@ -9,28 +8,12 @@
 // throwing.
 #pragma once
 
-#include <functional>
-
 #include "math/cholesky.hpp"
-#include "math/lu.hpp"
 #include "math/mat.hpp"
 #include "math/solve_status.hpp"
 #include "math/vec.hpp"
 
 namespace scs {
-
-struct RobustSolveOptions {
-  /// Maximum diagonal-regularization retries after a failed factorization.
-  /// Each retry multiplies the shift by `shift_growth`.
-  int max_regularize_attempts = 8;
-  double shift_growth = 100.0;
-  /// Initial shift as a multiple of max|diag| (floored at an absolute tiny).
-  double initial_shift_scale = 1e-14;
-  /// Refinement triggers when ||b - A x||_inf > tol * (1 + ||b||_inf).
-  double refine_tol = 1e-12;
-  /// Estimate cond_1(A) via Hager's method (costs a few extra solves).
-  bool estimate_condition = false;
-};
 
 /// Outcome of a robust solve. `x` is finite whenever status != kFailed.
 struct LinearSolveReport {
@@ -44,9 +27,6 @@ struct LinearSolveReport {
   double residual_norm = 0.0;
   /// Whether the refinement correction was applied.
   bool refined = false;
-  /// Hager 1-norm condition estimate of the factored matrix (0 = not
-  /// requested or unavailable).
-  double condition_estimate = 0.0;
 
   bool ok() const { return status != SolveStatus::kFailed; }
 };
@@ -64,31 +44,9 @@ struct RobustCholesky {
 
 /// Factor the SPD matrix `a`, escalating a diagonal shift until the
 /// factorization succeeds or the retry budget is exhausted.
-RobustCholesky robust_cholesky(const Mat& a,
-                               const RobustSolveOptions& options = {});
+RobustCholesky robust_cholesky(const Mat& a);
 
 /// Solve the SPD system A x = b with retry + one round of refinement.
-LinearSolveReport robust_solve_spd(const Mat& a, const Vec& b,
-                                   const RobustSolveOptions& options = {});
-
-/// Solve the general square system A x = b (LU with partial pivoting) with
-/// retry + one round of refinement.
-LinearSolveReport robust_solve_linear(const Mat& a, const Vec& b,
-                                      const RobustSolveOptions& options = {});
-
-/// 1-norm of a matrix (max column sum).
-double norm1(const Mat& a);
-
-/// Hager/Higham estimate of ||A^{-1}||_1 given solves with A and A^T.
-/// `solve` must compute A^{-1} v, `solve_t` must compute A^{-T} v.
-double estimate_inverse_norm1(
-    std::size_t n, const std::function<Vec(const Vec&)>& solve,
-    const std::function<Vec(const Vec&)>& solve_t);
-
-/// cond_1(A) estimate for an SPD matrix via its Cholesky factor.
-double condition_estimate_spd(const Mat& a, const Cholesky& factor);
-
-/// cond_1(A) estimate for a general square matrix via its LU factor.
-double condition_estimate_lu(const Mat& a, const Lu& factor);
+LinearSolveReport robust_solve_spd(const Mat& a, const Vec& b);
 
 }  // namespace scs

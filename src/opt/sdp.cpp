@@ -132,34 +132,10 @@ double auto_scale(const SdpProblem& problem) {
   return 10.0 * std::max(1.0, std::sqrt(data));
 }
 
-/// Blend a warm iterate toward `scale * I` just far enough that the result
-/// is safely positive definite: try increasing identity weights and keep
-/// the first Cholesky-positive candidate. Returns false when even a heavy
-/// blend fails (caller falls back to the cold identity start).
-bool blend_to_pd(const Mat& seed, double scale, Mat& out) {
-  static constexpr double kEta[] = {0.05, 0.2, 0.5, 0.9};
-  for (double eta : kEta) {
-    Mat trial = seed;
-    trial *= (1.0 - eta);
-    for (std::size_t i = 0; i < trial.rows(); ++i)
-      trial(i, i) += eta * scale;
-    trial.symmetrize();
-    // A strictly interior iterate, not a boundary one: demand a margin via
-    // the Cholesky tolerance so the first IPM step has room to move.
-    if (Cholesky(trial, 1e-10 * scale).ok()) {
-      out = std::move(trial);
-      return true;
-    }
-  }
-  return false;
-}
-
 /// One interior-point run at a fixed starting scale. `budget_sw` counts
 /// wall-clock across the whole solve_sdp call (retries included).
-/// `warm_start` may be null; an unusable seed silently degrades to cold.
 SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
-                           const Stopwatch& budget_sw,
-                           const SdpWarmStart* warm_start) {
+                           const Stopwatch& budget_sw) {
   const std::size_t num_blocks = problem.block_dims.size();
   const std::size_t m = problem.constraints.size();
   const std::size_t s = problem.num_free;
@@ -245,48 +221,6 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
   }
   Vec f(s, 0.0);
   Vec y(m, 0.0);
-
-  // ---- Warm start: seed (X, y, f) from a previous solve of a structurally
-  // identical problem and recompute S = C - At(y) so the dual residual
-  // starts near zero. Both cone iterates are blended toward scale * I until
-  // strictly positive definite; any mismatch or failed blend degrades to
-  // the cold identity start above.
-  if (warm_start != nullptr) {
-    bool compatible = warm_start->x.size() == num_blocks &&
-                      warm_start->y.size() == m &&
-                      warm_start->free_vars.size() == s;
-    for (std::size_t l = 0; compatible && l < num_blocks; ++l)
-      compatible = warm_start->x[l].rows() == problem.block_dims[l] &&
-                   warm_start->x[l].cols() == problem.block_dims[l];
-    std::vector<Mat> wx(num_blocks), ws(num_blocks);
-    if (compatible) {
-      for (std::size_t l = 0; compatible && l < num_blocks; ++l) {
-        // S seed from the dual side of the candidate y.
-        Mat s_seed = Mat::identity(problem.block_dims[l]) * cw[l];
-        Vec neg_y = warm_start->y;
-        neg_y *= -1.0;
-        accumulate_at(index[l], neg_y, s_seed);
-        compatible = blend_to_pd(warm_start->x[l], scale, wx[l]) &&
-                     blend_to_pd(s_seed, scale, ws[l]);
-      }
-    }
-    if (compatible) {
-      x = std::move(wx);
-      sm = std::move(ws);
-      y = warm_start->y;
-      f = warm_start->free_vars;
-      sol.warm_started = true;
-      if (metrics_enabled()) {
-        static Counter& warm =
-            MetricsRegistry::instance().counter("sdp.warm.starts");
-        warm.add(1);
-      }
-    } else if (metrics_enabled()) {
-      static Counter& rejected =
-          MetricsRegistry::instance().counter("sdp.warm.rejected");
-      rejected.add(1);
-    }
-  }
 
   const auto op_a = [&](const std::vector<Mat>& xs, const Vec& fs) {
     Vec out(m, 0.0);
@@ -667,23 +601,14 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
 
 }  // namespace
 
-SdpWarmStart make_warm_start(const SdpSolution& solution) {
-  SdpWarmStart warm;
-  warm.x = solution.x;
-  warm.y = solution.y;
-  warm.free_vars = solution.free_vars;
-  return warm;
-}
-
-SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options,
-                      const SdpWarmStart* warm_start) {
+SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options) {
   TraceSpan span("sdp.solve");
   if (metrics_enabled()) {
     static Counter& solves = MetricsRegistry::instance().counter("sdp.solves");
     solves.add(1);
   }
   Stopwatch budget_sw;
-  SdpSolution best = solve_sdp_once(problem, options, budget_sw, warm_start);
+  SdpSolution best = solve_sdp_once(problem, options, budget_sw);
   if (best.status == SdpStatus::kConverged ||
       best.status == SdpStatus::kInfeasible ||
       best.status == SdpStatus::kTimeLimit ||
@@ -720,10 +645,7 @@ SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options,
           MetricsRegistry::instance().counter("sdp.restarts");
       restarts.add(1);
     }
-    // Retries restart cold: a warm seed that led to a stall or numerical
-    // failure is not worth re-trying from.
-    SdpSolution next = solve_sdp_once(problem, retry_options, budget_sw,
-                                      nullptr);
+    SdpSolution next = solve_sdp_once(problem, retry_options, budget_sw);
     next.restarts = retry;
     if (next.status == SdpStatus::kConverged ||
         next.status == SdpStatus::kInfeasible)

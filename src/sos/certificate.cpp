@@ -1,45 +1,8 @@
 #include "sos/certificate.hpp"
 
-#include "math/eigen_sym.hpp"
-#include "poly/basis.hpp"
-#include "sos/sos_program.hpp"
 #include "util/check.hpp"
 
 namespace scs {
-
-std::optional<SosDecomposition> sos_decompose(const Polynomial& p,
-                                              double tol) {
-  SCS_REQUIRE(p.num_vars() > 0, "sos_decompose: zero-variable polynomial");
-  if (p.is_zero()) {
-    SosDecomposition out;
-    out.basis = {Monomial(p.num_vars())};
-    out.gram = Mat(1, 1, 0.0);
-    return out;
-  }
-  const int deg = p.degree();
-  if (deg % 2 != 0) return std::nullopt;  // odd degree cannot be SOS
-
-  SosProgram prog(p.num_vars());
-  const auto z = monomials_up_to(p.num_vars(), deg / 2);
-  const auto s = prog.add_sos_poly(z);
-  // Identity: -p + z' G z == 0.
-  prog.add_identity(-p, {{Polynomial::constant(p.num_vars(), 1.0), s, {}}});
-
-  SdpOptions opts;
-  opts.tol_feasibility = 1e-9;
-  opts.tol_gap = 1e-9;
-  const auto result = prog.solve(opts, tol, tol);
-  if (!result.feasible) return std::nullopt;
-
-  SosDecomposition out;
-  out.basis = z;
-  out.gram = result.sdp.x[0];
-  out.min_eigenvalue = result.min_gram_eigenvalue;
-  out.residual = result.identity_residuals.empty()
-                     ? 0.0
-                     : result.identity_residuals.front();
-  return out;
-}
 
 bool check_putinar_identity(const Polynomial& f, const Polynomial& sigma0,
                             const std::vector<Polynomial>& g,

@@ -1,27 +1,11 @@
-// Standalone SOS certificate utilities: decomposing a polynomial as a sum
-// of squares and checking Putinar-style identities (11).
+// Standalone check of Putinar-style identities (11).
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "math/mat.hpp"
 #include "poly/polynomial.hpp"
 
 namespace scs {
-
-struct SosDecomposition {
-  std::vector<Monomial> basis;  // z
-  Mat gram;                     // G with p = z' G z, G >= 0
-  double min_eigenvalue = 0.0;
-  double residual = 0.0;  // max |coeff| of p - z' G z
-};
-
-/// Try to write p as z' G z with G PSD over the full monomial basis of
-/// degree ceil(deg(p)/2). Returns std::nullopt when p is not (numerically)
-/// a sum of squares.
-std::optional<SosDecomposition> sos_decompose(const Polynomial& p,
-                                              double tol = 1e-6);
 
 /// Check the Putinar identity f == sigma0 + sum_i sigma_i * g_i to within a
 /// max-coefficient tolerance. (Does not check that the sigmas are SOS.)

@@ -71,18 +71,13 @@ void SosProgram::add_point_constraint(PolyVar var, const Vec& point,
 }
 
 SdpProblem SosProgram::compile() const {
-  return compile_with(effective_bases());
-}
-
-SdpProblem SosProgram::compile_with(
-    const std::vector<std::vector<Monomial>>& bases) const {
   SCS_REQUIRE(!identities_.empty(), "compile: no identities added");
   SdpProblem sdp;
   sdp.num_free = num_free_scalars_;
   sdp.block_dims.resize(num_blocks_);
   for (std::size_t k = 0; k < vars_.size(); ++k)
     if (vars_[k].kind == VarKind::kSos)
-      sdp.block_dims[vars_[k].offset] = bases[k].size();
+      sdp.block_dims[vars_[k].offset] = vars_[k].basis.size();
   // Feasibility objective: minimize total Gram trace (keeps certificates
   // small and gives the IPM a well-posed optimum).
   sdp.block_obj_weight.assign(num_blocks_, 1.0);
@@ -100,7 +95,7 @@ SdpProblem SosProgram::compile_with(
 
     for (const auto& term : ident.terms) {
       const VarInfo& info = vars_[term.var.id];
-      const std::vector<Monomial>& var_basis = bases[term.var.id];
+      const std::vector<Monomial>& var_basis = info.basis;
       if (info.kind == VarKind::kFree) {
         for (std::size_t j = 0; j < var_basis.size(); ++j) {
           // Effective basis element: m_j or d(m_j)/dx_i.
@@ -167,7 +162,7 @@ SdpProblem SosProgram::compile_with(
   // Point-evaluation constraints.
   for (const auto& pc : point_constraints_) {
     const VarInfo& info = vars_[pc.var_id];
-    const std::vector<Monomial>& var_basis = bases[pc.var_id];
+    const std::vector<Monomial>& var_basis = info.basis;
     SdpConstraint con;
     con.rhs = pc.value;
     if (info.kind == VarKind::kFree) {
@@ -191,86 +186,6 @@ SdpProblem SosProgram::compile_with(
   return sdp;
 }
 
-std::vector<std::vector<Monomial>> SosProgram::effective_bases(
-    int* rounds) const {
-  if (rounds != nullptr) *rounds = 0;
-  std::vector<std::vector<Monomial>> bases;
-  bases.reserve(vars_.size());
-  for (const auto& v : vars_) bases.push_back(v.basis);
-  if (!prune_gram_ || identities_.empty()) return bases;
-
-  // Map each SDP block back to the PolyVar that owns it.
-  std::vector<std::size_t> var_of_block(num_blocks_);
-  for (std::size_t k = 0; k < vars_.size(); ++k)
-    if (vars_[k].kind == VarKind::kSos) var_of_block[vars_[k].offset] = k;
-
-  // Iterated diagonal-consistency reduction (the monomial-support /
-  // Newton-polytope argument on the compiled SDP): a constraint of the form
-  //
-  //     sum_i c_i G_{b_i}(a_i, a_i) = 0,   all c_i the same sign,
-  //
-  // with no free-variable terms and no off-diagonal entries forces every
-  // participating diagonal to zero, and PSD-ness then zeroes the whole
-  // row/column -- so basis monomial a_i can be removed from block b_i
-  // without changing the feasible set. Removal shrinks the equation set,
-  // which can expose further all-diagonal constraints; iterate to fixpoint.
-  for (;;) {
-    const SdpProblem sdp = compile_with(bases);
-    // dead[block] -> indices (in the *current* pruned basis) forced to 0.
-    std::vector<std::vector<bool>> dead(num_blocks_);
-    for (std::size_t b = 0; b < num_blocks_; ++b)
-      dead[b].assign(sdp.block_dims[b], false);
-    bool removed_any = false;
-    for (const auto& con : sdp.constraints) {
-      if (con.rhs != 0.0 || !con.free_terms.empty() || con.entries.empty())
-        continue;
-      bool diagonal_same_sign = true;
-      const double sign = con.entries.front().value;
-      for (const auto& e : con.entries)
-        if (e.row != e.col || e.value * sign <= 0.0) {
-          diagonal_same_sign = false;
-          break;
-        }
-      if (!diagonal_same_sign) continue;
-      for (const auto& e : con.entries) {
-        // Keep at least one monomial per block: an all-zero 1x1 Gram is
-        // cheaper than teaching the SDP solver about empty blocks.
-        std::size_t alive = 0;
-        for (const bool d : dead[e.block]) alive += d ? 0u : 1u;
-        if (alive <= 1) continue;
-        if (!dead[e.block][e.row]) {
-          dead[e.block][e.row] = true;
-          removed_any = true;
-        }
-      }
-    }
-    if (!removed_any) break;
-    if (rounds != nullptr) ++*rounds;
-    for (std::size_t b = 0; b < num_blocks_; ++b) {
-      std::vector<Monomial>& basis = bases[var_of_block[b]];
-      std::vector<Monomial> kept;
-      kept.reserve(basis.size());
-      for (std::size_t a = 0; a < basis.size(); ++a)
-        if (!dead[b][a]) kept.push_back(basis[a]);
-      basis = std::move(kept);
-    }
-  }
-  return bases;
-}
-
-SosProgram::GramPruneStats SosProgram::gram_prune_stats() const {
-  GramPruneStats stats;
-  SosProgram copy = *this;
-  copy.prune_gram_ = true;
-  const auto pruned = copy.effective_bases(&stats.rounds);
-  for (std::size_t k = 0; k < vars_.size(); ++k) {
-    if (vars_[k].kind != VarKind::kSos) continue;
-    stats.original_dims.push_back(vars_[k].basis.size());
-    stats.pruned_dims.push_back(pruned[k].size());
-  }
-  return stats;
-}
-
 Polynomial sos_poly_from_gram(const std::vector<Monomial>& gram_basis,
                               const Mat& gram) {
   SCS_REQUIRE(gram.rows() == gram_basis.size() &&
@@ -292,22 +207,16 @@ SosProgram::Result SosProgram::solve(const SdpOptions& sdp_options,
                                      double identity_tol,
                                      double gram_tol) const {
   Result result;
-  const std::vector<std::vector<Monomial>> bases = effective_bases();
   if (metrics_enabled()) {
-    std::size_t removed = 0, kept = 0;
-    for (std::size_t k = 0; k < vars_.size(); ++k) {
-      if (vars_[k].kind != VarKind::kSos) continue;
-      removed += vars_[k].basis.size() - bases[k].size();
-      kept += bases[k].size();
-    }
-    static Counter& pruned =
-        MetricsRegistry::instance().counter("sos.prune.removed");
+    // perfbench reads this counter as `sos.gram_dim`; keep the name.
+    std::size_t gram_dim = 0;
+    for (const auto& v : vars_)
+      if (v.kind == VarKind::kSos) gram_dim += v.basis.size();
     static Counter& dim =
         MetricsRegistry::instance().counter("sos.prune.gram_dim");
-    pruned.add(removed);
-    dim.add(kept);
+    dim.add(gram_dim);
   }
-  const SdpProblem sdp = compile_with(bases);
+  const SdpProblem sdp = compile();
   if (sdp.block_dims.empty()) {
     // No SOS variables: the identities are a plain linear system in the free
     // coefficients. Solve it by least squares; the residual check below is
@@ -361,7 +270,7 @@ SosProgram::Result SosProgram::solve(const SdpOptions& sdp_options,
       result.values[k] = Polynomial::from_coefficients(info.basis, coeffs);
     } else {
       const Mat& gram = result.sdp.x[info.offset];
-      result.values[k] = sos_poly_from_gram(bases[k], gram);
+      result.values[k] = sos_poly_from_gram(info.basis, gram);
       const double ev = min_eigenvalue(gram);
       result.min_gram_eigenvalue =
           first_gram ? ev : std::min(result.min_gram_eigenvalue, ev);

@@ -79,37 +79,8 @@ class SosProgram {
   Result solve(const SdpOptions& sdp_options = {}, double identity_tol = 1e-5,
                double gram_tol = 1e-7) const;
 
-  /// The compiled SDP (exposed for testing and diagnostics). Applies Gram
-  /// pruning (below) when enabled.
+  /// The compiled SDP (exposed for testing and diagnostics).
   SdpProblem compile() const;
-
-  /// Newton-polytope style Gram-basis pruning (opt-in, default off). Before
-  /// compiling, basis monomials whose Gram diagonal is forced to zero by a
-  /// same-sign diagonal-only equation are removed, iterated to a fixpoint;
-  /// PSD-ness makes the removal exact (any feasible Gram has the whole
-  /// row/column zero), so feasibility and extracted certificates are
-  /// unchanged while SDP block dimensions shrink. Off by default because
-  /// the smaller problem perturbs the interior-point trajectory, which can
-  /// flip hard instances between "converged" and "stalled"; enable it where
-  /// throughput matters more than run-for-run reproducibility.
-  void set_gram_pruning(bool enabled) { prune_gram_ = enabled; }
-  bool gram_pruning() const { return prune_gram_; }
-
-  struct GramPruneStats {
-    /// Gram dimension per SOS variable, in add_sos_poly order.
-    std::vector<std::size_t> original_dims;
-    std::vector<std::size_t> pruned_dims;
-    int rounds = 0;  // fixpoint iterations that removed something
-    std::size_t removed() const {
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < original_dims.size(); ++i)
-        n += original_dims[i] - pruned_dims[i];
-      return n;
-    }
-  };
-  /// Run the pruner (regardless of the enable flag) and report the
-  /// per-block dimension reduction.
-  GramPruneStats gram_prune_stats() const;
 
  private:
   enum class VarKind { kFree, kSos };
@@ -128,25 +99,12 @@ class SosProgram {
     double value;
   };
 
-  /// Compile against explicit per-variable bases (pruned or original);
-  /// `bases` is indexed by PolyVar id and must match vars_ in kind/shape.
-  SdpProblem compile_with(
-      const std::vector<std::vector<Monomial>>& bases) const;
-
-  /// Per-variable bases after pruning (original bases when pruning is
-  /// disabled); free-variable bases are always passed through untouched.
-  /// `rounds`, when non-null, receives the number of fixpoint iterations
-  /// that removed at least one monomial.
-  std::vector<std::vector<Monomial>> effective_bases(
-      int* rounds = nullptr) const;
-
   std::size_t num_vars_;
   std::vector<VarInfo> vars_;
   std::vector<Identity> identities_;
   std::vector<PointConstraint> point_constraints_;
   std::size_t num_free_scalars_ = 0;
   std::size_t num_blocks_ = 0;
-  bool prune_gram_ = false;
 };
 
 /// Reconstruct z' G z as an explicit polynomial.

@@ -176,31 +176,6 @@ Vec read_vec(BinaryReader& r) {
   return v;
 }
 
-void write_sample_set(BinaryWriter& w, const std::vector<Vec>& samples) {
-  const std::uint64_t dim = samples.empty() ? 0 : samples.front().size();
-  for (const Vec& s : samples)
-    if (s.size() != dim)
-      throw StoreError("store: ragged sample set cannot be serialized");
-  w.u64(samples.size());
-  w.u64(dim);
-  for (const Vec& s : samples)
-    for (std::size_t i = 0; i < s.size(); ++i) w.f64(s[i]);
-}
-
-std::vector<Vec> read_sample_set(BinaryReader& r) {
-  const std::uint64_t count = r.u64();
-  const std::uint64_t dim = r.u64();
-  if (dim != 0) check_count(count, r.remaining() / (8 * dim), "sample");
-  std::vector<Vec> samples;
-  samples.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t k = 0; k < count; ++k) {
-    Vec s(static_cast<std::size_t>(dim));
-    for (std::size_t i = 0; i < dim; ++i) s[i] = r.f64();
-    samples.push_back(std::move(s));
-  }
-  return samples;
-}
-
 void write_mlp(BinaryWriter& w, const Mlp& net) {
   w.u64(net.layer_count());
   for (std::size_t k = 0; k < net.layer_count(); ++k) {

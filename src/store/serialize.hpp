@@ -1,6 +1,6 @@
 // Versioned, checksummed binary serialization for expensive pipeline
-// intermediates: trained DDPG actors/critics (Mlp), scenario sample sets,
-// PAC models, and barrier certificates.
+// intermediates: trained DDPG actors/critics (Mlp), PAC models, and barrier
+// certificates.
 //
 // Blob layout (all integers little-endian, doubles as IEEE-754 bit
 // patterns -- round-trips are bit-exact):
@@ -94,11 +94,6 @@ class BinaryReader {
 
 void write_vec(BinaryWriter& w, const Vec& v);
 Vec read_vec(BinaryReader& r);
-
-/// Scenario sample sets (a batch of domain points, e.g. the Algorithm-1
-/// draws) -- all vectors must share one dimension.
-void write_sample_set(BinaryWriter& w, const std::vector<Vec>& samples);
-std::vector<Vec> read_sample_set(BinaryReader& r);
 
 void write_mlp(BinaryWriter& w, const Mlp& net);
 Mlp read_mlp(BinaryReader& r);

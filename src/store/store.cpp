@@ -74,9 +74,15 @@ void ArtifactStore::put(const std::string& kind, std::uint64_t key,
   const std::vector<unsigned char> blob =
       encode_blob(kind, key, benchmark, payload);
   const fs::path final_path = blob_path(kind, key);
-  // Unique temp name per key: concurrent writers of the *same* key write
-  // identical content, so whichever rename lands last is still correct.
-  const fs::path tmp_path = final_path.string() + ".tmp";
+  // Unique temp name per writer (pid + process-wide counter): writers of
+  // the same key -- two processes on one cache dir, or a batch listing a
+  // benchmark twice -- never truncate each other's temp file, and since
+  // they write identical content, whichever rename lands last is correct.
+  // The name keeps the .tmp extension so gc still sweeps orphans.
+  static std::atomic<std::uint64_t> seq{0};
+  const fs::path tmp_path = final_path.string() + "." +
+                            std::to_string(::getpid()) + "-" +
+                            std::to_string(seq.fetch_add(1)) + ".tmp";
   {
     std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
     if (!os.good())

@@ -13,8 +13,6 @@ const char* to_string(FaultSite site) {
   switch (site) {
     case FaultSite::kCholeskyPivot:
       return "cholesky";
-    case FaultSite::kLuPivot:
-      return "lu";
     case FaultSite::kSdpStall:
       return "sdp";
     case FaultSite::kNanBoundary:
@@ -109,10 +107,7 @@ bool FaultInjector::should_fire(FaultSite site) {
 
 double FaultInjector::perturb_pivot(FaultSite site, double value) {
   if (!should_fire(site)) return value;
-  // Negative defeats the Cholesky positivity test; for LU the magnitude is
-  // below any sensible pivot tolerance, forcing the singular path.
-  if (site == FaultSite::kCholeskyPivot) return -(std::fabs(value) + 1.0);
-  return 0.0;
+  return -(std::fabs(value) + 1.0);
 }
 
 double FaultInjector::corrupt(FaultSite site, double value) {

@@ -11,7 +11,7 @@
 //   - env var SCS_FAULT_SEED=<uint64> arms the injector at process start;
 //     SCS_FAULT_RATE (default 0.05), SCS_FAULT_MAX_FIRES (default 8 per
 //     site), and SCS_FAULT_SITES (comma list of
-//     "cholesky,lu,sdp,nan,store_corrupt"; default all) tune it;
+//     "cholesky,sdp,nan,store_corrupt"; default all) tune it;
 //   - tests arm it programmatically with arm() / disarm().
 //
 // Cost when disarmed: one relaxed atomic load per interrogation site, no
@@ -33,7 +33,6 @@ namespace scs {
 
 enum class FaultSite : int {
   kCholeskyPivot = 0,  // drive a diagonal pivot negative before the sqrt
-  kLuPivot,            // zero the selected pivot (forces the singular path)
   kSdpStall,           // suppress an interior-point step (forces stall)
   kNanBoundary,        // replace a value crossing a layer boundary with NaN
   kStoreCorrupt,       // flip a byte in a loaded artifact-store blob
@@ -67,9 +66,8 @@ class FaultInjector {
   /// deterministic stream (mutex-guarded; only reached when armed).
   bool should_fire(FaultSite site);
 
-  /// Pivot sabotage: when firing, returns a value that defeats the
-  /// factorization's pivot test (negative for Cholesky, zero for LU);
-  /// otherwise returns `value` unchanged.
+  /// Pivot sabotage: when firing, returns a negative value that defeats the
+  /// Cholesky pivot test; otherwise returns `value` unchanged.
   double perturb_pivot(FaultSite site, double value);
 
   /// Boundary corruption: when firing, returns quiet NaN instead of `value`.

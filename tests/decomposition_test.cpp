@@ -1,9 +1,8 @@
-// Unit and property tests for LU / Cholesky / QR / symmetric eigen.
+// Unit and property tests for Cholesky / QR / symmetric eigen.
 #include <gtest/gtest.h>
 
 #include "math/cholesky.hpp"
 #include "math/eigen_sym.hpp"
-#include "math/lu.hpp"
 #include "math/qr.hpp"
 #include "util/rng.hpp"
 
@@ -23,46 +22,6 @@ Mat random_spd(std::size_t n, Rng& rng) {
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += 0.5;
   return spd;
 }
-
-TEST(Lu, SolvesKnownSystem) {
-  Mat a(2, 2);
-  a.set_row(0, Vec{2.0, 1.0});
-  a.set_row(1, Vec{1.0, 3.0});
-  const Vec x = Lu(a).solve(Vec{5.0, 10.0});
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(Lu, DetectsSingular) {
-  Mat a(2, 2);
-  a.set_row(0, Vec{1.0, 2.0});
-  a.set_row(1, Vec{2.0, 4.0});
-  EXPECT_TRUE(Lu(a).singular());
-  EXPECT_FALSE(solve_linear(a, Vec{1.0, 1.0}).has_value());
-}
-
-TEST(Lu, Determinant) {
-  Mat a(2, 2);
-  a.set_row(0, Vec{3.0, 1.0});
-  a.set_row(1, Vec{2.0, 2.0});
-  EXPECT_NEAR(Lu(a).determinant(), 4.0, 1e-12);
-}
-
-class LuProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(LuProperty, RandomSolveResidual) {
-  Rng rng(GetParam());
-  const std::size_t n = 2 + rng.index(18);
-  const Mat a = random_matrix(n, n, rng);
-  const Vec b(rng.normal_vector(n));
-  Lu lu(a);
-  if (lu.singular()) GTEST_SKIP();
-  const Vec x = lu.solve(b);
-  const Vec r = matvec(a, x) - b;
-  EXPECT_LT(r.max_abs(), 1e-8 * (1.0 + b.max_abs()));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, LuProperty, ::testing::Range(1, 21));
 
 TEST(Cholesky, FactorsAndSolves) {
   Rng rng(7);

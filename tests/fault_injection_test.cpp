@@ -49,7 +49,6 @@ TEST_F(FaultInjection, DisarmedInjectorIsInert) {
 TEST_F(FaultInjection, CholeskyRetrySucceedsUnderPivotSabotage) {
   FaultInjector& fi = FaultInjector::instance();
   fi.arm(/*seed=*/42, /*rate=*/1.0, /*max_fires=*/2);
-  fi.arm_site(FaultSite::kLuPivot, false);
   fi.arm_site(FaultSite::kSdpStall, false);
   fi.arm_site(FaultSite::kNanBoundary, false);
 
@@ -75,7 +74,6 @@ TEST_F(FaultInjection, CholeskyRetrySucceedsUnderPivotSabotage) {
 TEST_F(FaultInjection, NearSingularSpdStillRecovers) {
   FaultInjector& fi = FaultInjector::instance();
   fi.arm(/*seed=*/7, /*rate=*/1.0, /*max_fires=*/1);
-  fi.arm_site(FaultSite::kLuPivot, false);
   fi.arm_site(FaultSite::kSdpStall, false);
   fi.arm_site(FaultSite::kNanBoundary, false);
 
@@ -91,33 +89,10 @@ TEST_F(FaultInjection, NearSingularSpdStillRecovers) {
   EXPECT_TRUE(std::isfinite(report.x.max_abs()));
 }
 
-TEST_F(FaultInjection, LuRetrySucceedsUnderPivotZeroing) {
-  FaultInjector& fi = FaultInjector::instance();
-  fi.arm(/*seed=*/11, /*rate=*/1.0, /*max_fires=*/2);
-  fi.arm_site(FaultSite::kCholeskyPivot, false);
-  fi.arm_site(FaultSite::kSdpStall, false);
-  fi.arm_site(FaultSite::kNanBoundary, false);
-
-  Mat a(4, 4);
-  a(0, 0) = 3.0; a(0, 1) = 1.0; a(0, 2) = 0.0; a(0, 3) = 2.0;
-  a(1, 0) = 1.0; a(1, 1) = 4.0; a(1, 2) = 1.0; a(1, 3) = 0.0;
-  a(2, 0) = 0.0; a(2, 1) = 1.0; a(2, 2) = 5.0; a(2, 3) = 1.0;
-  a(3, 0) = 2.0; a(3, 1) = 0.0; a(3, 2) = 1.0; a(3, 3) = 6.0;
-  Vec b{1.0, -2.0, 3.0, 0.5};
-  const LinearSolveReport report = robust_solve_linear(a, b);
-  ASSERT_TRUE(report.ok()) << to_string(report.status);
-  EXPECT_GT(fi.fires(FaultSite::kLuPivot), 0u);
-  // Residual against the original matrix stays tight after recovery.
-  Vec r = b;
-  r -= matvec(a, report.x);
-  EXPECT_LT(r.max_abs(), 1e-7);
-}
-
 TEST_F(FaultInjection, SdpReportsStalledNotGarbage) {
   FaultInjector& fi = FaultInjector::instance();
   fi.arm(/*seed=*/5, /*rate=*/1.0, /*max_fires=*/100000);
   fi.arm_site(FaultSite::kCholeskyPivot, false);
-  fi.arm_site(FaultSite::kLuPivot, false);
   fi.arm_site(FaultSite::kNanBoundary, false);
 
   // min tr(X) s.t. X_00 + X_11 = 2 -- trivially solvable, but every
@@ -151,7 +126,6 @@ TEST_F(FaultInjection, SdpRecoversWhenStallIsTransient) {
   // Budget below the stall window: the fault delays, then the solve runs.
   fi.arm(/*seed=*/5, /*rate=*/1.0, /*max_fires=*/5);
   fi.arm_site(FaultSite::kCholeskyPivot, false);
-  fi.arm_site(FaultSite::kLuPivot, false);
   fi.arm_site(FaultSite::kNanBoundary, false);
 
   SdpProblem p;
@@ -184,7 +158,6 @@ TEST_F(FaultInjection, PacDropsInjectedNansAndStillFits) {
   FaultInjector& fi = FaultInjector::instance();
   fi.arm(/*seed=*/17, /*rate=*/1.0, /*max_fires=*/6);
   fi.arm_site(FaultSite::kCholeskyPivot, false);
-  fi.arm_site(FaultSite::kLuPivot, false);
   fi.arm_site(FaultSite::kSdpStall, false);
 
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
@@ -213,7 +186,6 @@ TEST_F(FaultInjection, PipelineReportsUnverifiedInsteadOfAborting) {
   // UNVERIFIED verdict -- and must NOT claim VERIFIED.
   fi.arm(/*seed=*/23, /*rate=*/1.0, /*max_fires=*/std::uint64_t{1} << 40);
   fi.arm_site(FaultSite::kCholeskyPivot, false);
-  fi.arm_site(FaultSite::kLuPivot, false);
   fi.arm_site(FaultSite::kNanBoundary, false);
 
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);

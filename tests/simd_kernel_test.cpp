@@ -1,5 +1,4 @@
-// Solver-core speed layer: SIMD kernel equivalence, Newton-polytope Gram
-// pruning, and SDP warm starts.
+// SIMD kernel equivalence.
 //
 // The SIMD contract (src/math/simd.hpp) is that the AVX2 and scalar paths
 // are bitwise identical: elementwise kernels never use FMA, and `dot` uses
@@ -15,14 +14,6 @@
 
 #include "math/mat.hpp"
 #include "math/simd.hpp"
-#include "obs/metrics.hpp"
-#include "opt/sdp.hpp"
-#include "poly/basis.hpp"
-#include "poly/polynomial.hpp"
-#include "sos/putinar.hpp"
-#include "sos/sos_program.hpp"
-#include "store/warm_cache.hpp"
-#include "systems/benchmarks.hpp"
 #include "util/rng.hpp"
 
 namespace scs {
@@ -147,245 +138,6 @@ TEST_F(SimdEquivalence, DenseMatmulBitwiseIdentical) {
   };
   EXPECT_TRUE(bits_equal(flatten(simd::Kernel::kScalar),
                          flatten(simd::Kernel::kAvx2)));
-}
-
-// ---- Newton-polytope Gram pruning -----------------------------------------
-
-TEST(GramPruning, FixpointRemovesConstantThenLinearMonomials) {
-  // p = (x1^2+x2^2+x3^2)^2 + sum x_i^4 over the full degree-2 basis: round
-  // one kills the constant monomial (its diagonal equation is p's zero
-  // constant coefficient); with it gone, each x_i^2 equation becomes
-  // diagonal-only and round two kills the linear monomials. 10 -> 6.
-  const std::size_t n = 3;
-  Polynomial sum_sq(n);
-  for (std::size_t i = 0; i < n; ++i)
-    sum_sq += Polynomial::variable(n, i).pow(2);
-  Polynomial p = sum_sq * sum_sq;
-  for (std::size_t i = 0; i < n; ++i)
-    p += Polynomial::variable(n, i).pow(4);
-
-  SosProgram prog(n);
-  const auto s = prog.add_sos_poly(monomials_up_to(n, 2));
-  prog.add_identity(-p, {{Polynomial::constant(n, 1.0), s, {}}});
-
-  const auto stats = prog.gram_prune_stats();
-  ASSERT_EQ(stats.original_dims.size(), 1u);
-  EXPECT_EQ(stats.original_dims[0], 10u);
-  EXPECT_EQ(stats.pruned_dims[0], 6u);
-  EXPECT_EQ(stats.removed(), 4u);
-  EXPECT_GE(stats.rounds, 2);
-
-  prog.set_gram_pruning(true);
-  EXPECT_EQ(prog.compile().block_dims[0], 6u);
-  prog.set_gram_pruning(false);
-  EXPECT_EQ(prog.compile().block_dims[0], 10u);
-}
-
-TEST(GramPruning, SameVerdictAndCertificateAcrossBenchmarkDimensions) {
-  // One SOS membership problem per Table-2 benchmark, posed in that
-  // benchmark's state dimension: f = sum (j+1) x_j^2 over the full
-  // degree-1 Gram basis. The constant monomial is always dead weight, so
-  // the pruner must shrink every block by one -- and the pruned and
-  // unpruned solves must agree on feasibility and on the extracted
-  // polynomial (the Gram matrix is uniquely determined here).
-  int reduced = 0;
-  for (const BenchmarkId id : all_benchmark_ids()) {
-    const Benchmark bench = make_benchmark(id);
-    const std::size_t n = bench.ccds.num_states;
-    Polynomial f(n);
-    for (std::size_t j = 0; j < n; ++j)
-      f += Polynomial::constant(n, static_cast<double>(j + 1)) *
-           Polynomial::variable(n, j).pow(2);
-
-    SosProgram prog(n);
-    const auto s = prog.add_sos_poly(monomials_up_to(n, 1));
-    prog.add_identity(-f, {{Polynomial::constant(n, 1.0), s, {}}});
-
-    const auto stats = prog.gram_prune_stats();
-    ASSERT_EQ(stats.original_dims[0], n + 1) << bench.name;
-    if (stats.pruned_dims[0] < stats.original_dims[0]) ++reduced;
-
-    prog.set_gram_pruning(false);
-    const auto full = prog.solve();
-    prog.set_gram_pruning(true);
-    const auto pruned = prog.solve();
-    ASSERT_TRUE(full.feasible) << bench.name;
-    ASSERT_TRUE(pruned.feasible) << bench.name;
-    EXPECT_LT(max_coefficient_diff(full.value(s), pruned.value(s)), 1e-5)
-        << bench.name;
-  }
-  // Acceptance: a strictly smaller Gram block on at least 3 of C1..C10
-  // (here: on all of them).
-  EXPECT_GE(reduced, 3);
-}
-
-TEST(GramPruning, PutinarOptionFlowsThroughAndCertifiesBothWays) {
-  // f = g + 0.2 on the unit ball {g >= 0}, g = 1 - |x|^2: certifiable with
-  // and without pruning, with matching multipliers.
-  const std::size_t n = 2;
-  Polynomial g = Polynomial::constant(n, 1.0);
-  for (std::size_t i = 0; i < n; ++i)
-    g -= Polynomial::variable(n, i).pow(2);
-  const Polynomial f = g + Polynomial::constant(n, 0.2);
-
-  PutinarOptions off;
-  const auto cert_off = certify_nonnegativity(f, {g}, off);
-  PutinarOptions on;
-  on.prune_gram = true;
-  const auto cert_on = certify_nonnegativity(f, {g}, on);
-  ASSERT_TRUE(cert_off.has_value());
-  ASSERT_TRUE(cert_on.has_value());
-  EXPECT_LT(max_coefficient_diff(cert_off->sigma0, cert_on->sigma0), 1e-4);
-}
-
-TEST(GramPruning, NeverEmptiesABlock) {
-  // Even the trivial program s == 0 must keep a 1x1 block: the pruner's
-  // job is to shrink, not to delete the variable.
-  SosProgram prog(1);
-  prog.add_sos_poly(monomials_up_to(1, 0));
-  const auto stats = prog.gram_prune_stats();
-  EXPECT_GE(stats.pruned_dims[0], 1u);
-}
-
-// ---- SDP warm starts ------------------------------------------------------
-
-/// The Gram-block family from bench_solvers: feasible around X0 = I.
-SdpProblem gram_block_problem(std::size_t n, unsigned seed) {
-  Rng rng(seed);
-  SdpProblem p;
-  p.block_dims = {n};
-  p.block_obj_weight = {1.0};
-  for (std::size_t i = 0; i < 2 * n; ++i) {
-    SdpConstraint c;
-    const std::size_t r = rng.index(n);
-    const std::size_t cc = r + rng.index(n - r);
-    const double v = rng.uniform(-1.0, 1.0);
-    c.entries.push_back({0, r, cc, v});
-    c.rhs = (r == cc) ? v : 0.0;
-    p.constraints.push_back(c);
-  }
-  return p;
-}
-
-SdpProblem perturb_values(SdpProblem p, double rel, unsigned seed) {
-  Rng rng(seed);
-  for (SdpConstraint& c : p.constraints) {
-    const double f = 1.0 + rel * rng.normal();
-    for (SdpEntry& e : c.entries) e.value *= f;
-    c.rhs *= f;
-  }
-  return p;
-}
-
-TEST(SdpWarmStart, SeedFromNearbySolveSavesIterationsAndMatchesCold) {
-  const SdpProblem base = gram_block_problem(24, 31);
-  const SdpSolution base_sol = solve_sdp(base);
-  ASSERT_EQ(base_sol.status, SdpStatus::kConverged);
-
-  const SdpProblem near = perturb_values(base, 0.01, 32);
-  const SdpSolution cold = solve_sdp(near);
-  ASSERT_EQ(cold.status, SdpStatus::kConverged);
-  EXPECT_FALSE(cold.warm_started);
-
-  const SdpWarmStart seed = make_warm_start(base_sol);
-  const SdpSolution warm = solve_sdp(near, {}, &seed);
-  ASSERT_EQ(warm.status, SdpStatus::kConverged);
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_LE(warm.iterations, cold.iterations);
-  // A seed is a hint, never a correctness input: same optimum either way.
-  EXPECT_NEAR(warm.primal_objective, cold.primal_objective, 1e-5);
-}
-
-TEST(SdpWarmStart, IncompatibleSeedFallsBackToColdStart) {
-  const SdpProblem p = gram_block_problem(12, 33);
-  const SdpSolution other = solve_sdp(gram_block_problem(8, 34));
-  ASSERT_EQ(other.status, SdpStatus::kConverged);
-  const SdpWarmStart seed = make_warm_start(other);  // wrong shape
-  const SdpSolution sol = solve_sdp(p, {}, &seed);
-  EXPECT_EQ(sol.status, SdpStatus::kConverged);
-  EXPECT_FALSE(sol.warm_started);
-}
-
-TEST(WarmCache, StructureKeyIgnoresValuesButNotShape) {
-  const SdpProblem a = gram_block_problem(10, 35);
-  // Same sparsity, different numbers: same key.
-  const SdpProblem b = perturb_values(a, 0.5, 36);
-  EXPECT_EQ(sdp_structure_key(a), sdp_structure_key(b));
-  // Different block size: different key.
-  EXPECT_NE(sdp_structure_key(a), sdp_structure_key(gram_block_problem(9, 35)));
-}
-
-TEST(WarmCache, HitWithinRadiusMissBeyondIt) {
-  WarmStartCache cache;
-  const SdpProblem base = gram_block_problem(16, 37);
-  EXPECT_FALSE(cache.lookup(base).has_value());  // empty cache: miss
-
-  const SdpSolution sol = solve_sdp(base);
-  ASSERT_EQ(sol.status, SdpStatus::kConverged);
-  cache.insert(base, sol);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // Nearby values: hit.
-  EXPECT_TRUE(cache.lookup(perturb_values(base, 0.01, 38)).has_value());
-  // Same structure but values far outside the acceptance radius: miss.
-  EXPECT_FALSE(cache.lookup(perturb_values(base, 10.0, 39)).has_value());
-
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().inserts, 1u);
-}
-
-TEST(WarmCache, IgnoresNonConvergedSolutions) {
-  WarmStartCache cache;
-  const SdpProblem p = gram_block_problem(8, 40);
-  SdpSolution stalled;  // default status: not converged
-  cache.insert(p, stalled);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().inserts, 0u);
-}
-
-TEST(WarmCache, CachedSolveWarmsSecondCallAndCountsMetrics) {
-  set_metrics_enabled(true);
-  MetricsRegistry::instance().reset_for_tests();
-
-  WarmStartCache cache;
-  const SdpProblem base = gram_block_problem(24, 41);
-  const SdpSolution first = solve_sdp_cached(base, {}, cache);
-  ASSERT_EQ(first.status, SdpStatus::kConverged);
-  EXPECT_FALSE(first.warm_started);  // nothing cached yet
-
-  const SdpProblem near = perturb_values(base, 0.01, 42);
-  const SdpSolution second = solve_sdp_cached(near, {}, cache);
-  ASSERT_EQ(second.status, SdpStatus::kConverged);
-  EXPECT_TRUE(second.warm_started);
-  EXPECT_LE(second.iterations, first.iterations);
-
-  auto count = [](const char* name) {
-    return MetricsRegistry::instance().counter(name).value();
-  };
-  EXPECT_EQ(count("sdp.warm.miss"), 1u);
-  EXPECT_EQ(count("sdp.warm.hit"), 1u);
-  EXPECT_GE(count("sdp.warm.insert"), 1u);
-  EXPECT_GE(count("sdp.warm.starts"), 1u);
-  set_metrics_enabled(false);
-}
-
-TEST(GramPruning, PruneMetricsCountRemovedMonomials) {
-  set_metrics_enabled(true);
-  MetricsRegistry::instance().reset_for_tests();
-
-  SosProgram prog(2);
-  const auto s = prog.add_sos_poly(monomials_up_to(2, 1));
-  Polynomial f(2);
-  for (std::size_t j = 0; j < 2; ++j)
-    f += Polynomial::variable(2, j).pow(2);
-  prog.add_identity(-f, {{Polynomial::constant(2, 1.0), s, {}}});
-  prog.set_gram_pruning(true);
-  ASSERT_TRUE(prog.solve().feasible);
-
-  EXPECT_GE(
-      MetricsRegistry::instance().counter("sos.prune.removed").value(), 1u);
-  set_metrics_enabled(false);
 }
 
 }  // namespace

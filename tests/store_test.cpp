@@ -2,12 +2,14 @@
 // trips, blob framing/corruption, stage-cache keys, and pipeline resume.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/wait.h>
@@ -131,19 +133,6 @@ TEST(StoreSerialize, PolynomialAndPacModelRoundTripProperty) {
   }
 }
 
-TEST(StoreSerialize, SampleSetRoundTripAndDimCheck) {
-  Rng rng(303);
-  std::vector<Vec> samples;
-  for (int i = 0; i < 50; ++i) samples.emplace_back(rng.uniform_vector(3, -1, 1));
-  BinaryWriter w;
-  write_sample_set(w, samples);
-  BinaryReader r(w.bytes());
-  const std::vector<Vec> back = read_sample_set(r);
-  ASSERT_EQ(back.size(), samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i)
-    EXPECT_TRUE(bits_equal(samples[i], back[i]));
-}
-
 // ---- Blob framing: any single flipped byte is detected.
 
 TEST(StoreBlob, EncodeDecodeRoundTrip) {
@@ -229,6 +218,46 @@ TEST(ArtifactStoreTest, GcEvictsToByteBudget) {
   std::uint64_t left = 0;
   for (const auto& b : store.list()) left += b.file_bytes;
   EXPECT_LE(left, 2u * 4200u);
+}
+
+// ---- Concurrent writers of one key: two processes on one cache dir, or a
+// batch that lists a benchmark twice.
+
+TEST(ArtifactStoreTest, ConcurrentPutsOfOneKeyNeitherFailNorTear) {
+  TempDir dir("scs_store_test_race");
+  ArtifactStore store(dir.str());
+  std::vector<unsigned char> payload(16 * 1024);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<unsigned char>(i * 31);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 300;
+  std::atomic<int> failed_puts{0};
+  std::atomic<int> bad_gets{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t)
+    writers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        try {
+          store.put("rl", 42, "C1", payload);
+        } catch (const StoreError&) {
+          ++failed_puts;
+        }
+        // Absent or exactly the payload; a torn blob throws StoreError.
+        try {
+          const auto got = store.get("rl", 42);
+          if (got.has_value() && *got != payload) ++bad_gets;
+        } catch (const StoreError&) {
+          ++bad_gets;
+        }
+      }
+    });
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(failed_puts.load(), 0);
+  EXPECT_EQ(bad_gets.load(), 0);
+  // No temp file outlives its writer.
+  for (const auto& entry : fs::directory_iterator(dir.path))
+    EXPECT_NE(entry.path().extension().string(), ".tmp")
+        << entry.path().string();
 }
 
 // ---- gc vs live readers: the reader-lock interlock (store_cli gc must
