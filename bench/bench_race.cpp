@@ -6,9 +6,9 @@
 //
 // The workload is chosen so the serial schedule has real work to burn: on
 // a moderately damped oscillator at degree 4, the alternating-BMI arm for
-// attempt 0 draws an unlucky lambda and grinds through every lambda-/B-
-// step round before failing (~25x the cost of a clean solve), while the
-// draws of attempts 1-3 certify on the first solve. The serial ladder
+// attempt 0 draws an unlucky lambda and grinds through three lambda-/B-
+// step rounds (7 solves) before its certificate passes the gate, while
+// the draws of attempts 1-3 certify on the first solve. The serial ladder
 // always pays for the grinder in full; the racer runs all four arms at
 // once and cancels it mid-solve through its child JobControl scope the
 // moment a sibling wins -- which is why racing wins even on one core.
@@ -31,8 +31,8 @@ namespace {
 
 /// Damped oscillator with the unsafe shell at |x| >= 1.5. Under the
 /// alternating-BMI strategy at degree 4 (seed 1), the attempt-0 lambda
-/// draw never certifies -- it burns all bmi_rounds lambda-/B-step solves
-/// before giving up -- while attempts 1-3 certify on their first solve.
+/// draw certifies only after three lambda-/B-step rounds (7 solves), while
+/// attempts 1-3 certify on their first solve.
 Ccds bmi_heavy_system() {
   Ccds sys;
   sys.name = "racebench";

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "barrier/independent_check.hpp"
-#include "barrier/validation.hpp"
 #include "core/artifacts.hpp"
 #include "core/job.hpp"
 #include "core/pipeline.hpp"
@@ -58,9 +57,9 @@ int run_load(const char* path) {
     const Benchmark bench = make_benchmark(id);
     if (bench.name != a.benchmark) continue;
     Rng rng(1);
-    ValidationConfig cfg;
-    const ValidationReport report = validate_barrier(
-        bench.ccds, a.controller, a.barrier, cfg, rng);
+    const ValidationReport report =
+        validate_barrier(bench.ccds, a.controller, a.barrier, a.lambda,
+                         BarrierConfig{}.rho, ValidationConfig{}, rng);
     std::cout << "re-validation: " << (report.passed ? "PASSED" : "FAILED")
               << " -- " << report.detail << "\n";
     return report.passed ? 0 : 1;

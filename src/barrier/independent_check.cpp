@@ -2,19 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <exception>
 #include <limits>
 #include <sstream>
 
+#include "barrier/mc_safety.hpp"
+#include "barrier/synthesis.hpp"
 #include "poly/lie.hpp"
 #include "sos/interval.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scs {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Tolerances of the two sampled callers in this file (the gate's lives in
+/// barrier/synthesis.cpp) and the audit's private seed.
+constexpr double kValidationTolerance = 2e-3;
+constexpr double kAuditTolerance = 5e-3;
+constexpr std::uint64_t kAuditSeed = 0x5afec4ec;
+
+/// Draws per parallel chunk; each chunk owns one forked substream.
+constexpr std::size_t kDrawChunk = 256;
 
 /// Cells per axis so that per_dim^n <= budget (0 when even 2 per axis
 /// overflows the budget -- pure-MC fallback for high dimensions).
@@ -28,31 +41,6 @@ std::size_t grid_per_dim(std::size_t dim, std::size_t budget) {
     if (per_dim >= 64) break;  // 1-D/2-D: 64 cells per axis is plenty
   }
   return per_dim;
-}
-
-/// All points of `set` used for one condition: grid points of the sampling
-/// box that lie in the set, plus MC draws from the set itself. MC failure
-/// (a set too thin for rejection sampling) degrades to grid-only.
-struct PointSet {
-  std::vector<Vec> points;
-  bool mc_failed = false;
-};
-
-PointSet collect_points(const SemialgebraicSet& set,
-                        const IndependentCheckConfig& config, Rng& rng) {
-  PointSet out;
-  const std::size_t per_dim = grid_per_dim(set.dim(), config.grid_budget);
-  if (per_dim >= 2) {
-    for (const Vec& x : set.sampling_box().grid(per_dim))
-      if (set.contains(x)) out.points.push_back(x);
-  }
-  try {
-    for (std::size_t i = 0; i < config.mc_samples; ++i)
-      out.points.push_back(set.sample(rng));
-  } catch (const std::exception&) {
-    out.mc_failed = true;
-  }
-  return out;
 }
 
 /// Certified extremum of `p` over set `S` intersected with its sampling
@@ -99,178 +87,202 @@ double interval_extremum(const Polynomial& p, const SemialgebraicSet& set,
   return bound;
 }
 
-/// Sampled extremum of `value` over `points`, with the witness location.
-ConditionCheck sampled_extremum(const std::string& name,
-                                const std::vector<Vec>& points, bool want_min,
-                                const std::function<double(const Vec&)>& value) {
-  ConditionCheck check;
-  check.name = name;
-  check.points = points.size();
-  check.worst = want_min ? kInf : -kInf;
+/// Extremum of `p` over `points` with its witness, plus max |p|.
+struct Sweep {
+  double worst = 0.0;
+  Vec witness;
+  double max_abs = 0.0;
+};
+
+Sweep sweep(const Polynomial& p, const std::vector<Vec>& points,
+            bool want_min) {
+  Sweep s;
+  s.worst = want_min ? kInf : -kInf;
   for (const Vec& x : points) {
-    const double v = value(x);
-    if (want_min ? (v < check.worst) : (v > check.worst)) {
-      check.worst = v;
-      check.witness = x;
+    const double v = p.evaluate(x);
+    s.max_abs = std::max(s.max_abs, std::fabs(v));
+    if (want_min ? (v < s.worst) : (v > s.worst)) {
+      s.worst = v;
+      s.witness = x;
     }
   }
-  return check;
+  return s;
+}
+
+ConditionCheck condition(const char* name, const Polynomial& p,
+                         const std::vector<Vec>& points,
+                         const SemialgebraicSet& set, bool want_min,
+                         double threshold, double scale,
+                         std::size_t interval_budget) {
+  const Sweep s = sweep(p, points, want_min);
+  ConditionCheck c;
+  c.name = name;
+  c.worst = s.worst;
+  c.witness = s.witness;
+  c.threshold = threshold;
+  c.scale = scale;
+  c.points = points.size();
+  c.interval_bound = interval_extremum(p, set, interval_budget, want_min);
+  const auto clears = [&](double v) {
+    return want_min ? v >= threshold : v < threshold;
+  };
+  c.certified = std::isfinite(c.interval_bound) && clears(c.interval_bound);
+  c.passed = c.points > 0 && (clears(c.worst) || c.certified);
+  return c;
+}
+
+/// "init ok worst=... thr=... (N pts, certified); unsafe ..."
+std::string summarize(const std::vector<ConditionCheck>& conditions) {
+  std::ostringstream os;
+  for (const ConditionCheck& c : conditions) {
+    if (&c != &conditions.front()) os << "; ";
+    os << c.name << (c.passed ? " ok" : " VIOLATED") << " worst=" << c.worst
+       << " thr=" << c.threshold << " (" << c.points << " pts";
+    if (c.certified) os << ", certified";
+    os << ")";
+  }
+  return os.str();
 }
 
 }  // namespace
 
-const ConditionCheck* IndependentCheckReport::find(
-    const std::string& name) const {
+std::vector<Vec> draw_points(const SemialgebraicSet& set, std::size_t count,
+                             Rng& rng) {
+  std::vector<Rng> streams =
+      rng.fork_streams((count + kDrawChunk - 1) / kDrawChunk);
+  std::vector<Vec> points(count);
+  parallel_for(count, kDrawChunk, [&](std::size_t begin, std::size_t end) {
+    Rng& chunk_rng = streams[begin / kDrawChunk];
+    for (std::size_t i = begin; i < end; ++i)
+      points[i] = set.sample(chunk_rng);
+  });
+  return points;
+}
+
+std::vector<ConditionCheck> check_conditions(
+    const Ccds& system, const std::vector<Polynomial>& closed_field,
+    const Polynomial& barrier, const Polynomial& lambda, double rho,
+    const ConditionPoints& points, double tolerance,
+    std::size_t interval_budget) {
+  SCS_REQUIRE(barrier.num_vars() == system.num_states,
+              "check_conditions: barrier variable count mismatch");
+  SCS_REQUIRE(lambda.num_vars() == system.num_states,
+              "check_conditions: lambda variable count mismatch");
+  const Polynomial decrease =
+      lie_derivative(barrier, closed_field) - lambda * barrier;
+  const double b_scale = sweep(barrier, points.domain, true).max_abs;
+  const double d_scale = sweep(decrease, points.domain, true).max_abs;
+  const double b_margin = tolerance * std::max(1.0, b_scale);
+  const double d_margin = tolerance * std::max(1.0, d_scale);
+  return {
+      condition("init", barrier, points.init, system.init_set,
+                /*want_min=*/true, -b_margin, b_scale, interval_budget),
+      condition("unsafe", barrier, points.unsafe, system.unsafe_set,
+                /*want_min=*/false, b_margin, b_scale, interval_budget),
+      condition("lambda_identity", decrease, points.domain, system.domain,
+                /*want_min=*/true, rho - d_margin, d_scale, interval_budget),
+  };
+}
+
+const ConditionCheck* first_failure(
+    const std::vector<ConditionCheck>& conditions) {
+  for (const ConditionCheck& c : conditions)
+    if (!c.passed) return &c;
+  return nullptr;
+}
+
+std::string describe(const ConditionCheck& check) {
+  std::ostringstream os;
+  os << check.name << " worst=" << check.worst << " thr=" << check.threshold
+     << " at (";
+  for (std::size_t i = 0; i < check.witness.size(); ++i)
+    os << (i ? ", " : "") << check.witness[i];
+  os << ")";
+  return os.str();
+}
+
+const ConditionCheck* ConditionReport::find(const std::string& name) const {
   for (const ConditionCheck& c : conditions)
     if (c.name == name) return &c;
   return nullptr;
+}
+
+void hash_append(Fnv1a& h, const ValidationConfig& c) {
+  hash_append(h, static_cast<std::uint64_t>(c.samples_per_set));
+  hash_append(h, static_cast<std::uint64_t>(c.simulation_rollouts));
+  hash_append(h, static_cast<std::uint64_t>(c.simulation_steps));
+}
+
+ValidationReport validate_barrier(const Ccds& system,
+                                  const std::vector<Polynomial>& controller,
+                                  const Polynomial& barrier,
+                                  const Polynomial& lambda, double rho,
+                                  const ValidationConfig& config, Rng& rng) {
+  ConditionPoints points;
+  points.init = draw_points(system.init_set, config.samples_per_set, rng);
+  points.unsafe = draw_points(system.unsafe_set, config.samples_per_set, rng);
+  points.domain = draw_points(system.domain, 4 * config.samples_per_set, rng);
+  ValidationReport report;
+  report.conditions =
+      check_conditions(system, system.closed_loop(controller), barrier,
+                       lambda, rho, points, kValidationTolerance);
+
+  McSafetyConfig sim;
+  sim.rollouts = config.simulation_rollouts;
+  sim.max_steps = config.simulation_steps;
+  const McSafetyResult safety = estimate_safety(system, controller, sim, rng);
+  report.rollouts = safety.rollouts;
+  report.unsafe_rollouts = safety.violations;
+  report.passed =
+      first_failure(report.conditions) == nullptr && safety.violations == 0;
+
+  std::ostringstream os;
+  os << summarize(report.conditions) << "; rollouts "
+     << report.rollouts - report.unsafe_rollouts << "/" << report.rollouts
+     << " safe";
+  report.detail = os.str();
+  return report;
 }
 
 IndependentCheckReport independent_check(
     const Ccds& system, const std::vector<Polynomial>& controller,
     const Polynomial& barrier, const Polynomial& lambda, double rho,
     const IndependentCheckConfig& config) {
-  SCS_REQUIRE(barrier.num_vars() == system.num_states,
-              "independent_check: barrier variable count mismatch");
+  // Grid points of each set's sampling box that lie in the set, plus MC
+  // draws. MC failure (a set too thin for rejection sampling) degrades to
+  // grid-only; draw_points forks before drawing, so the later sets' draws
+  // do not depend on whether an earlier one failed.
+  Rng rng(kAuditSeed);
+  bool mc_failed = false;
+  const auto collect = [&](const SemialgebraicSet& set) {
+    std::vector<Vec> out;
+    const std::size_t per_dim = grid_per_dim(set.dim(), config.grid_budget);
+    if (per_dim >= 2) {
+      for (const Vec& x : set.sampling_box().grid(per_dim))
+        if (set.contains(x)) out.push_back(x);
+    }
+    try {
+      for (Vec& x : draw_points(set, config.mc_samples, rng))
+        out.push_back(std::move(x));
+    } catch (const std::exception&) {
+      mc_failed = true;
+    }
+    return out;
+  };
+  ConditionPoints points;
+  points.init = collect(system.init_set);
+  points.unsafe = collect(system.unsafe_set);
+  points.domain = collect(system.domain);
+
   IndependentCheckReport report;
-  const auto closed = system.closed_loop(controller);
-  const Polynomial lie = lie_derivative(barrier, closed);
-  const bool with_lambda =
-      config.check_lambda_identity && lambda.num_vars() == system.num_states;
-  // decrease = L_f B - lambda B, the polynomial (ii') bounds below by rho.
-  const Polynomial decrease =
-      with_lambda ? lie - lambda * barrier : Polynomial(system.num_states);
-
-  // Own substreams per set: bitwise-deterministic (the checker is serial)
-  // and unrelated to any Rng the pipeline used.
-  Rng root(config.seed);
-  std::vector<Rng> streams = root.fork_streams(3);
-  const PointSet theta = collect_points(system.init_set, config, streams[0]);
-  const PointSet unsafe = collect_points(system.unsafe_set, config, streams[1]);
-  const PointSet domain = collect_points(system.domain, config, streams[2]);
-
-  const auto eval_b = [&](const Vec& x) { return barrier.evaluate(x); };
-
-  std::vector<double> b_on_domain(domain.points.size());
-  for (std::size_t i = 0; i < domain.points.size(); ++i)
-    b_on_domain[i] = barrier.evaluate(domain.points[i]);
-  for (double v : b_on_domain)
-    report.scale = std::max(report.scale, std::fabs(v));
-  const double margin = config.tolerance * std::max(1.0, report.scale);
-
-  // (i) B >= 0 on Theta.
-  {
-    ConditionCheck c = sampled_extremum("init", theta.points,
-                                        /*want_min=*/true, eval_b);
-    c.threshold = -margin;
-    c.interval_bound = interval_extremum(barrier, system.init_set,
-                                         config.grid_budget, /*want_min=*/true);
-    c.certified = std::isfinite(c.interval_bound) &&
-                  c.interval_bound >= c.threshold;
-    c.passed = c.points > 0 && (c.worst >= c.threshold || c.certified);
-    report.conditions.push_back(std::move(c));
-  }
-
-  // (ii) B < 0 on X_u.
-  {
-    ConditionCheck c = sampled_extremum("unsafe", unsafe.points,
-                                        /*want_min=*/false, eval_b);
-    c.threshold = margin;
-    c.interval_bound = interval_extremum(barrier, system.unsafe_set,
-                                         config.grid_budget,
-                                         /*want_min=*/false);
-    c.certified = std::isfinite(c.interval_bound) &&
-                  c.interval_bound < c.threshold;
-    c.passed = c.points > 0 && (c.worst < c.threshold || c.certified);
-    report.conditions.push_back(std::move(c));
-  }
-
-  // (iii) L_f B > 0 on the zero level set of B within Psi. The level set
-  // may be thin; widen the band like the stage-4 validator does. An empty
-  // band after widening passes vacuously -- the lambda identity below is
-  // the non-vacuous guard.
-  //
-  // The band has finite width, and inside it the theorem only guarantees
-  // L_f B >= lambda(x) B(x) + rho -- with lambda > 0 and B slightly
-  // negative, L_f B may legitimately dip below zero. So with lambda in
-  // hand we check the exact pointwise bound (decrease >= rho) on the band;
-  // only the no-lambda fallback uses the heuristic L_f B >= -margin, whose
-  // unaccounted sup|lambda|*band slack can falsely reject near-boundary
-  // points of genuine certificates.
-  {
-    const Polynomial& band_poly = with_lambda ? decrease : lie;
-    double band_scale = 0.0;
-    for (const Vec& x : domain.points)
-      band_scale = std::max(band_scale, std::fabs(band_poly.evaluate(x)));
-    const double band_margin = config.tolerance * std::max(1.0, band_scale);
-    double band = config.boundary_band * std::max(report.scale, 1e-9);
-    ConditionCheck c;
-    c.name = "lie_band";
-    c.interval_bound = std::numeric_limits<double>::quiet_NaN();
-    for (int widen = 0; widen < 6 && c.points == 0; ++widen) {
-      c.worst = kInf;
-      for (std::size_t i = 0; i < domain.points.size(); ++i) {
-        if (std::fabs(b_on_domain[i]) > band) continue;
-        const double v = band_poly.evaluate(domain.points[i]);
-        if (v < c.worst) {
-          c.worst = v;
-          c.witness = domain.points[i];
-        }
-        ++c.points;
-      }
-      if (c.points == 0) band *= 2.0;
-    }
-    c.threshold = with_lambda ? rho - band_margin : -band_margin;
-    c.passed = c.points == 0 || c.worst >= c.threshold;
-    report.conditions.push_back(std::move(c));
-  }
-
-  // (ii') L_f B - lambda B >= rho on Psi -- the identity the Putinar
-  // program actually certified (its Psi multipliers are non-negative on
-  // Psi, so the certified polynomial bounds the left side from below).
-  if (with_lambda) {
-    double dec_scale = 0.0;
-    std::vector<double> dec(domain.points.size());
-    for (std::size_t i = 0; i < domain.points.size(); ++i) {
-      dec[i] = decrease.evaluate(domain.points[i]);
-      dec_scale = std::max(dec_scale, std::fabs(dec[i]));
-    }
-    const double dec_margin = config.tolerance * std::max(1.0, dec_scale);
-    ConditionCheck c;
-    c.name = "lambda_identity";
-    c.worst = kInf;
-    c.points = domain.points.size();
-    for (std::size_t i = 0; i < domain.points.size(); ++i) {
-      if (dec[i] < c.worst) {
-        c.worst = dec[i];
-        c.witness = domain.points[i];
-      }
-    }
-    c.threshold = rho - dec_margin;
-    c.interval_bound = interval_extremum(decrease, system.domain,
-                                         config.grid_budget,
-                                         /*want_min=*/true);
-    c.certified = std::isfinite(c.interval_bound) &&
-                  c.interval_bound >= c.threshold;
-    c.passed = c.points > 0 && (c.worst >= c.threshold || c.certified);
-    report.conditions.push_back(std::move(c));
-  }
-
-  report.accepted = true;
-  for (const ConditionCheck& c : report.conditions)
-    report.accepted = report.accepted && c.passed;
-
-  std::ostringstream os;
-  os << (report.accepted ? "ACCEPTED" : "REJECTED");
-  for (const ConditionCheck& c : report.conditions) {
-    os << "; " << c.name << (c.passed ? " ok" : " VIOLATED") << " worst="
-       << c.worst << " thr=" << c.threshold << " (" << c.points << " pts";
-    if (c.certified) os << ", certified";
-    os << ")";
-  }
-  if (theta.mc_failed || unsafe.mc_failed || domain.mc_failed)
-    os << "; MC degraded to grid-only on some set";
-  report.detail = os.str();
+  report.conditions = check_conditions(
+      system, system.closed_loop(controller), barrier, lambda, rho, points,
+      kAuditTolerance, config.grid_budget);
+  report.scale = report.conditions.front().scale;
+  report.accepted = first_failure(report.conditions) == nullptr;
+  report.detail = std::string(report.accepted ? "ACCEPTED; " : "REJECTED; ") +
+                  summarize(report.conditions);
+  if (mc_failed) report.detail += "; MC degraded to grid-only on some set";
   return report;
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 
+#include "barrier/independent_check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "poly/basis.hpp"
@@ -33,6 +34,9 @@ std::string to_string(LambdaStrategy s) {
 }
 
 namespace {
+
+/// Relative margin of the per-arm Theorem-1 gate (barrier/independent_check).
+constexpr double kGateTolerance = 2e-3;
 
 int even_ceil(int d) { return (d % 2 == 0) ? d : d + 1; }
 
@@ -202,49 +206,6 @@ ProgramOutcome solve_program(const Ccds& system,
   return out;
 }
 
-/// Fast sampled gate on the *extracted* certificate: Theorem 1's conditions
-/// checked pointwise. The SOS identity plus PSD Gram already imply them up
-/// to numerical slack; this catches solutions where that slack is not small.
-bool quick_certificate_check(const Ccds& system,
-                             const std::vector<Polynomial>& closed_field,
-                             const Polynomial& barrier,
-                             const BarrierConfig& config, Rng& rng) {
-  const Polynomial lie = lie_derivative(barrier, closed_field);
-  double scale = 1e-9;
-  std::vector<Vec> domain_pts;
-  for (int i = 0; i < 2000; ++i) {
-    Vec x = system.domain.sample(rng);
-    scale = std::max(scale, std::fabs(barrier.evaluate(x)));
-    domain_pts.push_back(std::move(x));
-  }
-  const double tol = 1e-4 * scale;
-  for (int i = 0; i < 500; ++i) {
-    if (barrier.evaluate(system.init_set.sample(rng)) < -tol) return false;
-  }
-  for (int i = 0; i < 500; ++i) {
-    if (barrier.evaluate(system.unsafe_set.sample(rng)) >
-        -0.25 * config.rho_prime)
-      return false;
-  }
-  double band = 0.02 * scale;
-  for (int widen = 0; widen < 5; ++widen) {
-    std::size_t found = 0;
-    bool ok = true;
-    for (const auto& x : domain_pts) {
-      if (std::fabs(barrier.evaluate(x)) <= band) {
-        ++found;
-        if (lie.evaluate(x) <= 0.0) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (found > 0) return ok;
-    band *= 2.0;  // thin level set: widen until we see it
-  }
-  return true;  // level set does not intersect Psi: condition (iii) vacuous
-}
-
 Polynomial random_lambda(std::size_t n, LambdaStrategy strategy, int attempt,
                          Rng& rng) {
   switch (strategy) {
@@ -391,11 +352,24 @@ ArmOutcome run_arm(const Ccds& system,
     }
   }
 
-  if (outcome.feasible &&
-      !quick_certificate_check(system, closed_field, outcome.barrier, config,
-                               rng)) {
-    outcome.feasible = false;
-    outcome.failure_reason = "certificate failed the sampled Theorem-1 gate";
+  // The sampled Theorem-1 gate on the extracted certificate, drawn from the
+  // arm's own stream (so a replayed arm gates identically). The SOS identity
+  // plus PSD Gram already imply the conditions up to numerical slack; this
+  // catches solutions where that slack is not small. Coordinates here are
+  // the unit-box ones the ladder solves in.
+  if (outcome.feasible) {
+    ConditionPoints points;
+    points.init = draw_points(system.init_set, 500, rng);
+    points.unsafe = draw_points(system.unsafe_set, 500, rng);
+    points.domain = draw_points(system.domain, 2000, rng);
+    const std::vector<ConditionCheck> conditions = check_conditions(
+        system, closed_field, outcome.barrier, outcome.lambda, config.rho,
+        points, kGateTolerance);
+    if (const ConditionCheck* failed = first_failure(conditions)) {
+      outcome.feasible = false;
+      outcome.failure_reason =
+          "certificate failed the sampled Theorem-1 gate: " + describe(*failed);
+    }
   }
   out.preempted = stop_requested(control);
   if (out.preempted) outcome.feasible = false;

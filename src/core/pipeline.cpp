@@ -67,7 +67,7 @@ NormalizedConfig normalize_config(const Benchmark& benchmark,
     cfg.validation.samples_per_set =
         std::min<std::size_t>(cfg.validation.samples_per_set, 500);
     cfg.validation.simulation_rollouts =
-        std::min(cfg.validation.simulation_rollouts, 5);
+        std::min<std::size_t>(cfg.validation.simulation_rollouts, 5);
     cfg.validation.simulation_steps =
         std::min<std::size_t>(cfg.validation.simulation_steps, 500);
     job.pac.max_degree = std::min(job.pac.max_degree, 3);
@@ -309,9 +309,9 @@ void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
           result.validation_seconds,
           [&] {
             Rng rng(cfg.seed + 3000);
-            return ValidationStagePayload{
-                validate_barrier(sys, result.controller,
-                                 result.barrier.barrier, cfg.validation, rng)};
+            return ValidationStagePayload{validate_barrier(
+                sys, result.controller, result.barrier.barrier,
+                result.barrier.lambda, barrier_cfg.rho, cfg.validation, rng)};
           },
           [&](ValidationStagePayload p) {
             result.validation = std::move(p.report);
@@ -319,8 +319,14 @@ void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
     return;
   if (!result.validation.passed) {
     result.failure_stage = "validation";
-    result.failure_message = "independent numeric validation rejected the "
-                             "certificate";
+    const ConditionCheck* failed = first_failure(result.validation.conditions);
+    result.failure_message =
+        "independent numeric validation rejected the certificate: " +
+        (failed != nullptr
+             ? describe(*failed)
+             : std::to_string(result.validation.unsafe_rollouts) + " of " +
+                   std::to_string(result.validation.rollouts) +
+                   " rollouts from Theta reached X_u");
     return;
   }
   result.success = true;

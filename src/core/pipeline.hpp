@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <string>
 
+#include "barrier/independent_check.hpp"
 #include "barrier/synthesis.hpp"
-#include "barrier/validation.hpp"
 #include "pac/pac_fit.hpp"
 #include "rl/ddpg.hpp"
 #include "store/stage_cache.hpp"

@@ -365,24 +365,42 @@ BarrierResult read_barrier_result(BinaryReader& r) {
 
 void write_validation_report(BinaryWriter& w, const ValidationReport& v) {
   w.boolean(v.passed);
-  w.f64(v.min_b_on_theta);
-  w.f64(v.max_b_on_unsafe);
-  w.f64(v.min_lie_on_boundary);
-  w.u64(v.boundary_samples);
-  w.i64(v.safe_rollouts);
-  w.i64(v.total_rollouts);
+  w.u64(v.conditions.size());
+  for (const ConditionCheck& c : v.conditions) {
+    w.str(c.name);
+    w.boolean(c.passed);
+    w.boolean(c.certified);
+    w.f64(c.worst);
+    w.f64(c.threshold);
+    w.f64(c.scale);
+    w.f64(c.interval_bound);
+    w.u64(c.points);
+    write_vec(w, c.witness);
+  }
+  w.u64(v.rollouts);
+  w.u64(v.unsafe_rollouts);
   w.str(v.detail);
 }
 
 ValidationReport read_validation_report(BinaryReader& r) {
   ValidationReport v;
   v.passed = r.boolean();
-  v.min_b_on_theta = r.f64();
-  v.max_b_on_unsafe = r.f64();
-  v.min_lie_on_boundary = r.f64();
-  v.boundary_samples = r.u64();
-  v.safe_rollouts = static_cast<int>(r.i64());
-  v.total_rollouts = static_cast<int>(r.i64());
+  const std::uint64_t rows = r.u64();
+  check_count(rows, 16, "validation condition");
+  v.conditions.resize(static_cast<std::size_t>(rows));
+  for (ConditionCheck& c : v.conditions) {
+    c.name = r.str();
+    c.passed = r.boolean();
+    c.certified = r.boolean();
+    c.worst = r.f64();
+    c.threshold = r.f64();
+    c.scale = r.f64();
+    c.interval_bound = r.f64();
+    c.points = r.u64();
+    c.witness = read_vec(r);
+  }
+  v.rollouts = r.u64();
+  v.unsafe_rollouts = r.u64();
   v.detail = r.str();
   return v;
 }

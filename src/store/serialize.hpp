@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "barrier/independent_check.hpp"
 #include "barrier/synthesis.hpp"
-#include "barrier/validation.hpp"
 #include "nn/mlp.hpp"
 #include "pac/pac_fit.hpp"
 #include "poly/polynomial.hpp"
@@ -36,6 +36,9 @@ namespace scs {
 
 /// Bump whenever any serialized layout below changes; the version is part
 /// of every cache key, so old blobs become unreachable instead of misread.
+/// A layout change confined to stages that a stage revision re-keys
+/// (store/stage_cache.cpp) needs no bump: their old blobs are unreachable
+/// already, and every other stage keeps its entries.
 inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Malformed / truncated / version-mismatched / corrupt blob.

@@ -28,6 +28,14 @@ void trace_store_event(const char* name) {
   trace_instant(name);
 }
 
+/// Bumped whenever the barrier stage's answer changes for unchanged inputs,
+/// so stores written before keep their payloads but no longer serve them.
+/// The validation key chains from the barrier key, so it moves too; the RL
+/// and PAC keys do not. Revision 1: the per-arm gate and stage 4 decide
+/// Theorem 1 by the lambda-identity rule of barrier/independent_check, and
+/// the validation payload stores its per-condition rows.
+constexpr std::uint64_t kBarrierStageRevision = 1;
+
 /// Seed every stage key with the serialization format version and a stage
 /// tag, so a format bump orphans old blobs instead of misreading them and
 /// two stages can never collide on a key.
@@ -146,6 +154,7 @@ std::uint64_t pac_stage_key(std::uint64_t upstream_key, std::uint64_t seed,
 std::uint64_t barrier_stage_key(std::uint64_t upstream_key,
                                 const BarrierConfig& config) {
   Fnv1a h = stage_hasher(BarrierStagePayload::kKind);
+  hash_append(h, kBarrierStageRevision);
   hash_append(h, upstream_key);
   hash_append(h, config);  // includes the stage seed (BarrierConfig::seed)
   return h.digest();

@@ -2,8 +2,8 @@
 // hand-written stabilizing controllers.
 #include <gtest/gtest.h>
 
+#include "barrier/independent_check.hpp"
 #include "barrier/synthesis.hpp"
-#include "barrier/validation.hpp"
 #include "poly/basis.hpp"
 #include "systems/benchmarks.hpp"
 #include "util/rng.hpp"
@@ -68,8 +68,9 @@ TEST(Barrier, PendulumWithGravityCompensation) {
   ValidationConfig vcfg;
   vcfg.samples_per_set = 1000;
   vcfg.simulation_rollouts = 5;
-  const ValidationReport report = validate_barrier(
-      bench.ccds, {controller}, result.barrier, vcfg, rng);
+  const ValidationReport report =
+      validate_barrier(bench.ccds, {controller}, result.barrier,
+                       result.lambda, config.rho, vcfg, rng);
   EXPECT_TRUE(report.passed) << report.detail;
 }
 

@@ -89,5 +89,39 @@ TEST(FuzzCampaign, MiniCampaignIsSoundAndLedgered) {
   }
 }
 
+TEST(FuzzCampaign, LambdaAwareGateAndStageFourAcceptGenuineCertificates) {
+  // Two systems of the CI campaign (scripts/ci.sh fuzz) whose certificates
+  // the independent checker accepts but which a lambda-blind rule on the
+  // zero-level band rejected: F2024-30 at stage 4, F2024-27 at every arm's
+  // gate. Under the one lambda-identity rule both must verify.
+  FamilyConfig family;
+  family.seed = 2024;
+  family.state_dims = {2, 3};
+  family.rl_episodes = 10;
+
+  PipelineConfig config;
+  config.seed = family.seed;
+  config.fast_mode = true;
+  config.store.mode = StoreConfig::Mode::kOff;
+
+  IndependentCheckConfig check_cfg;
+  check_cfg.mc_samples = 1500;
+  check_cfg.grid_budget = 1024;
+
+  for (const std::size_t index : {30u, 27u}) {
+    const GeneratedSystem gs = generate_system(family, index);
+    ASSERT_EQ(gs.benchmark.name, "F2024-" + std::to_string(index));
+    const SynthesisResult r = synthesize(gs.benchmark, config);
+    EXPECT_EQ(r.verdict, "VERIFIED")
+        << gs.benchmark.name << " " << r.failure_stage << ": "
+        << r.failure_message;
+    if (!r.barrier.success) continue;
+    const IndependentCheckReport chk = independent_check(
+        gs.benchmark.ccds, r.controller, r.barrier, config.barrier.rho,
+        check_cfg);
+    EXPECT_TRUE(chk.accepted) << gs.benchmark.name << ": " << chk.detail;
+  }
+}
+
 }  // namespace
 }  // namespace scs

@@ -13,6 +13,7 @@
 #include "obs/json_reader.hpp"
 #include "poly/parse.hpp"
 #include "systems/benchmarks.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace scs {
@@ -70,10 +71,10 @@ class IndependentCheckGolden : public ::testing::Test {
 TEST_F(IndependentCheckGolden, AcceptsTheStoredCertificate) {
   const IndependentCheckReport report = check(cert_.barrier, cert_.lambda);
   EXPECT_TRUE(report.accepted) << report.detail;
-  // All four conditions must have been evaluated on real points -- an
+  // All three conditions must have been evaluated on real points -- an
   // accept that never saw a sample is exactly the vacuous pass this suite
   // exists to rule out.
-  ASSERT_EQ(report.conditions.size(), 4u);
+  ASSERT_EQ(report.conditions.size(), 3u);
   EXPECT_NE(report.find("init"), nullptr);
   EXPECT_NE(report.find("unsafe"), nullptr);
   EXPECT_NE(report.find("lambda_identity"), nullptr);
@@ -129,13 +130,11 @@ TEST_F(IndependentCheckGolden, RejectsCoefficientNoise) {
   EXPECT_FALSE(report.accepted) << report.detail;
 }
 
-TEST_F(IndependentCheckGolden, LambdaIdentitySkippedWithoutLambda) {
-  // A default-constructed lambda (num_vars 0) disables the identity check
-  // but the three Theorem-1 conditions still run.
-  const IndependentCheckReport report = check(cert_.barrier, Polynomial());
-  EXPECT_TRUE(report.accepted) << report.detail;
-  EXPECT_EQ(report.conditions.size(), 3u);
-  EXPECT_EQ(report.find("lambda_identity"), nullptr);
+TEST_F(IndependentCheckGolden, RejectsALambdaOfTheWrongVariableCount) {
+  // lambda is required: a lambda over 3 variables for the 2-state pendulum
+  // must not silently switch the lambda identity off.
+  const Polynomial lambda3 = Polynomial::constant(3, -1.0);
+  EXPECT_THROW(check(cert_.barrier, lambda3), PreconditionError);
 }
 
 TEST(IndependentCheck, RequiresMatchingVariableCount) {

@@ -4,8 +4,8 @@
 
 #include <cmath>
 
+#include "barrier/independent_check.hpp"
 #include "barrier/synthesis.hpp"
-#include "barrier/validation.hpp"
 #include "pac/pac_fit.hpp"
 #include "poly/basis.hpp"
 #include "ode/trajectory.hpp"
@@ -51,7 +51,8 @@ TEST(Integration, ObstacleGeometryBarrier) {
   vcfg.samples_per_set = 800;
   vcfg.simulation_rollouts = 5;
   const ValidationReport report =
-      validate_barrier(sys, {Polynomial(3)}, result.barrier, vcfg, rng);
+      validate_barrier(sys, {Polynomial(3)}, result.barrier, result.lambda,
+                       cfg.rho, vcfg, rng);
   EXPECT_TRUE(report.passed) << report.detail;
 }
 

@@ -6,8 +6,8 @@
 #include <cmath>
 #include <vector>
 
+#include "barrier/independent_check.hpp"
 #include "barrier/mc_safety.hpp"
-#include "barrier/validation.hpp"
 #include "math/mat.hpp"
 #include "opt/sdp.hpp"
 #include "pac/pac_fit.hpp"
@@ -174,18 +174,18 @@ TEST_F(ParallelDeterminismTest, ValidateBarrier) {
     cfg.simulation_rollouts = 10;
     cfg.simulation_steps = 200;
     Rng rng(27);
-    const ValidationReport report =
-        validate_barrier(bench.ccds, controller, barrier, cfg, rng);
-    // NaN (no boundary points found) would defeat EXPECT_EQ; map it to a
-    // sentinel so "NaN in both runs" still counts as identical.
-    const double lie = std::isnan(report.min_lie_on_boundary)
-                           ? -1e300
-                           : report.min_lie_on_boundary;
-    return std::vector<double>{
-        report.min_b_on_theta, report.max_b_on_unsafe, lie,
-        static_cast<double>(report.boundary_samples),
-        static_cast<double>(report.safe_rollouts),
-        report.passed ? 1.0 : 0.0};
+    const ValidationReport report = validate_barrier(
+        bench.ccds, controller, barrier,
+        Polynomial::constant(bench.ccds.num_states, -1.0), 1e-3, cfg, rng);
+    std::vector<double> out;
+    for (const ConditionCheck& c : report.conditions) {
+      out.push_back(c.worst);
+      out.push_back(c.threshold);
+      out.insert(out.end(), c.witness.begin(), c.witness.end());
+    }
+    out.push_back(static_cast<double>(report.unsafe_rollouts));
+    out.push_back(report.passed ? 1.0 : 0.0);
+    return out;
   });
 }
 

@@ -363,6 +363,22 @@ TEST(StageKeys, UpstreamChangePropagatesDownstream) {
   EXPECT_EQ(bar1, barrier_stage_key(pac1, cfg.barrier));
 }
 
+TEST(StageKeys, BarrierRevisionMovesOnlyBarrierAndValidationKeys) {
+  // Pinned keys of one fixed config, as computed before the barrier stage
+  // revision was hashed in. RL and PAC keys must stay byte-identical (a
+  // store written before keeps serving trained actors and PAC fits); the
+  // barrier key, and the validation key chained from it, must move so the
+  // old gate and stage-4 verdicts are recomputed, not served warm.
+  const Benchmark bench = make_benchmark(BenchmarkId::kC1);
+  PipelineConfig cfg;
+  const std::uint64_t rl = rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 100, 25);
+  const std::uint64_t pac = pac_stage_key(rl, 1, bench.pac, cfg.pac_fit,
+                                          bench.ccds.control_bound, 1);
+  EXPECT_EQ(rl, 0x9f3f6b86b4aff4dbull);
+  EXPECT_EQ(pac, 0x1ebaf11e3db060b5ull);
+  EXPECT_NE(barrier_stage_key(pac, cfg.barrier), 0xf123cb835e5fed3cull);
+}
+
 // ---- StageCache: hit/miss/corrupt accounting and fault injection.
 
 RlStagePayload sample_rl_payload() {

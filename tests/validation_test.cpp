@@ -1,7 +1,7 @@
-// Tests for the independent barrier-certificate validation module.
+// Tests for stage 4, the pipeline's validation of a barrier certificate.
 #include <gtest/gtest.h>
 
-#include "barrier/validation.hpp"
+#include "barrier/independent_check.hpp"
 #include "util/check.hpp"
 
 namespace scs {
@@ -31,19 +31,25 @@ Polynomial shell_barrier(double r_mid) {
   return Polynomial::constant(2, r_mid * r_mid) - x1 * x1 - x2 * x2;
 }
 
+/// lambda = -1 and rho = 1e-3: with the zero controller the shell barrier's
+/// decrease L_f B - lambda B = ||x||^2 + 1 clears rho everywhere on Psi.
+Polynomial toy_lambda() { return Polynomial::constant(2, -1.0); }
+constexpr double kRho = 1e-3;
+
 TEST(Validation, AcceptsTrueCertificate) {
   const Ccds sys = stable_toy();
   Rng rng(1);
   ValidationConfig cfg;
   cfg.samples_per_set = 1000;
   cfg.simulation_rollouts = 10;
-  const ValidationReport report =
-      validate_barrier(sys, {Polynomial(2)}, shell_barrier(1.0), cfg, rng);
+  const ValidationReport report = validate_barrier(
+      sys, {Polynomial(2)}, shell_barrier(1.0), toy_lambda(), kRho, cfg, rng);
   EXPECT_TRUE(report.passed) << report.detail;
-  EXPECT_GT(report.min_b_on_theta, 0.0);
-  EXPECT_LT(report.max_b_on_unsafe, 0.0);
-  EXPECT_GT(report.boundary_samples, 0u);
-  EXPECT_EQ(report.safe_rollouts, report.total_rollouts);
+  EXPECT_GT(report.find("init")->worst, 0.0);
+  EXPECT_LT(report.find("unsafe")->worst, 0.0);
+  EXPECT_GT(report.find("lambda_identity")->points, 0u);
+  EXPECT_EQ(report.unsafe_rollouts, 0u);
+  EXPECT_EQ(report.rollouts, 10u);
 }
 
 TEST(Validation, RejectsBarrierNegativeOnTheta) {
@@ -53,10 +59,15 @@ TEST(Validation, RejectsBarrierNegativeOnTheta) {
   ValidationConfig cfg;
   cfg.samples_per_set = 200;
   cfg.simulation_rollouts = 2;
-  const ValidationReport report = validate_barrier(
-      sys, {Polynomial(2)}, Polynomial::constant(2, -1.0), cfg, rng);
+  const ValidationReport report =
+      validate_barrier(sys, {Polynomial(2)}, Polynomial::constant(2, -1.0),
+                       toy_lambda(), kRho, cfg, rng);
   EXPECT_FALSE(report.passed);
-  EXPECT_LT(report.min_b_on_theta, 0.0);
+  const ConditionCheck* failed = first_failure(report.conditions);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->name, "init");
+  EXPECT_LT(failed->worst, 0.0);
+  EXPECT_EQ(failed->witness.size(), 2u);
 }
 
 TEST(Validation, RejectsBarrierPositiveOnUnsafe) {
@@ -66,10 +77,15 @@ TEST(Validation, RejectsBarrierPositiveOnUnsafe) {
   ValidationConfig cfg;
   cfg.samples_per_set = 200;
   cfg.simulation_rollouts = 2;
-  const ValidationReport report = validate_barrier(
-      sys, {Polynomial(2)}, Polynomial::constant(2, 1.0), cfg, rng);
+  const ValidationReport report =
+      validate_barrier(sys, {Polynomial(2)}, Polynomial::constant(2, 1.0),
+                       toy_lambda(), kRho, cfg, rng);
   EXPECT_FALSE(report.passed);
-  EXPECT_GT(report.max_b_on_unsafe, 0.0);
+  const ConditionCheck* failed = first_failure(report.conditions);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->name, "unsafe");
+  EXPECT_GT(failed->worst, 0.0);
+  EXPECT_EQ(failed->witness.size(), 2u);
 }
 
 TEST(Validation, RejectsWhenDynamicsCrossLevelSet) {
@@ -81,9 +97,17 @@ TEST(Validation, RejectsWhenDynamicsCrossLevelSet) {
   ValidationConfig cfg;
   cfg.samples_per_set = 1000;
   cfg.simulation_rollouts = 10;
-  const ValidationReport report =
-      validate_barrier(sys, {controller}, shell_barrier(1.0), cfg, rng);
+  const ValidationReport report = validate_barrier(
+      sys, {controller}, shell_barrier(1.0), toy_lambda(), kRho, cfg, rng);
   EXPECT_FALSE(report.passed);
+  // L_f B - lambda B = 1 - 3 x1^2 + x2^2 dips below rho wherever |x1| is
+  // large, and rollouts from Theta escape along x1.
+  const ConditionCheck* failed = first_failure(report.conditions);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->name, "lambda_identity");
+  EXPECT_LT(failed->worst, kRho);
+  EXPECT_EQ(failed->witness.size(), 2u);
+  EXPECT_GT(report.unsafe_rollouts, 0u);
 }
 
 TEST(Validation, RejectsWrongVariableCount) {
@@ -91,7 +115,8 @@ TEST(Validation, RejectsWrongVariableCount) {
   Rng rng(5);
   ValidationConfig cfg;
   EXPECT_THROW(validate_barrier(sys, {Polynomial(2)},
-                                Polynomial::variable(3, 0), cfg, rng),
+                                Polynomial::variable(3, 0), toy_lambda(), kRho,
+                                cfg, rng),
                PreconditionError);
 }
 
