@@ -19,8 +19,6 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/request.hpp"
-#include "serve/server.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -77,27 +75,6 @@ double loop_trace_guarded(int iters, double start) {
     trace_instant("bench.trace_guard");
   }
   return acc;
-}
-
-/// One cold serve request through a fresh SynthesisServer, returning the
-/// submit->result wall clock. Same seed each call: a fresh server with the
-/// store off always runs cold, so traced and untraced runs do equal work.
-double serve_cold_seconds(bool traced) {
-  ServerConfig config;
-  config.workers = 1;
-  config.store.mode = StoreConfig::Mode::kOff;
-  SynthesisServer server(config);
-  JobRequest request;
-  request.benchmark = "C1";
-  request.seed = 3;
-  request.fast_mode = true;
-  request.id = traced ? "bench-traced" : "bench-plain";
-  Stopwatch sw;
-  const auto submit = server.submit(request);
-  server.wait(submit.key);
-  const double seconds = sw.seconds();
-  server.drain();
-  return seconds;
 }
 
 /// Every counter the instrumentation can bump; summing their values after
@@ -167,8 +144,7 @@ int main() {
             << plain_med / kIters * 1e9 << " ns work step ("
             << disabled_ns_per_site << " ns/site)\n";
 
-  // Same micro measurement for a trace site (tracing off): the correlation
-  // id plumbing must not have added cost to the disabled path.
+  // Same micro measurement for a trace site (tracing off).
   trace_stop();
   trace_clear();
   sink = sink + loop_trace_guarded(kIters, sink);  // warm
@@ -235,19 +211,13 @@ int main() {
             << off_med << " s\n";
 
   // ---- (c) Determinism with tracing on: 1 vs 4 threads, same controller
-  // bit-for-bit (timestamps only ever reach the trace file). The ambient
-  // TraceIdScope exercises the request-correlation plumbing, including its
-  // propagation into pool workers -- it must stay observation-only.
+  // bit-for-bit (timestamps only ever reach the trace file).
   trace_start("/dev/null");
   const std::size_t default_threads = parallel_threads();
-  SynthesisResult r1, r4;
-  {
-    TraceIdScope rid("bench-determinism");
-    set_parallel_threads(1);
-    r1 = run_fast(bench, law, cfg);
-    set_parallel_threads(4);
-    r4 = run_fast(bench, law, cfg);
-  }
+  set_parallel_threads(1);
+  const SynthesisResult r1 = run_fast(bench, law, cfg);
+  set_parallel_threads(4);
+  const SynthesisResult r4 = run_fast(bench, law, cfg);
   set_parallel_threads(default_threads);
   trace_stop();
   trace_clear();
@@ -257,30 +227,6 @@ int main() {
           controllers_fingerprint(r4.controller);
   std::cout << "  traced 1-thread vs 4-thread identical: "
             << (deterministic ? "yes" : "NO") << "\n";
-
-  // ---- (d) Request-correlated traced serve: one cold request through the
-  // server with per-request tracing (rid-tagged spans buffered in memory)
-  // vs tracing off. The solve dominates; the trace tax must stay small.
-  serve_cold_seconds(false);  // warm
-  std::vector<double> serve_plain_s, serve_traced_s;
-  for (int rep = 0; rep < 3; ++rep) {
-    trace_stop();
-    trace_clear();
-    serve_plain_s.push_back(serve_cold_seconds(false));
-    trace_start("/dev/null");
-    serve_traced_s.push_back(serve_cold_seconds(true));
-    trace_stop();
-    trace_clear();
-  }
-  const double serve_plain_med = median_seconds(serve_plain_s);
-  const double serve_traced_med = median_seconds(serve_traced_s);
-  const double serve_traced_overhead_pct =
-      serve_plain_med > 0.0
-          ? (serve_traced_med / serve_plain_med - 1.0) * 100.0
-          : 0.0;
-  std::cout << "  traced serve: plain " << serve_plain_med << " s, traced "
-            << serve_traced_med << " s => overhead "
-            << serve_traced_overhead_pct << " %\n";
 
   JsonWriter w;
   w.begin_object();
@@ -296,9 +242,6 @@ int main() {
   w.key("enabled_on_seconds").value(on_med, 6);
   w.key("enabled_overhead_pct").value(enabled_overhead_pct, 4);
   w.key("traced_thread_determinism").value(deterministic);
-  w.key("serve_plain_seconds").value(serve_plain_med, 6);
-  w.key("serve_traced_seconds").value(serve_traced_med, 6);
-  w.key("serve_traced_overhead_pct").value(serve_traced_overhead_pct, 4);
   w.end_object();
   std::ofstream("BENCH_obs.json") << w.str() << "\n";
   std::cout << "wrote BENCH_obs.json\n";

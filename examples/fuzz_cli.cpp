@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
       if (max_seconds > 0.0 && campaign_clock.seconds() > max_seconds)
         continue;  // time budget: skip, never fail
       o.ran = true;
-      // Same job unit the serving daemon and synthesize_cli run.
+      // Same job unit synthesize_cli and perfbench run.
       const SynthesisJob job(gs.benchmark, base);
       JobContext ctx;
       ctx.control = (max_seconds > 0.0) ? &campaign_control : nullptr;

@@ -31,18 +31,7 @@
 // 1 when any check regressed or a baselined metric is missing from the
 // current run; 2 on usage/load errors (a gate that cannot load must fail
 // loudly). This is what `scripts/ci.sh perf` runs.
-//
-// Fleet mode (`scripts/ci.sh fleet`):
-//
-//   ./report_cli fleet --ledger 'spool-a/runs.jsonl' --ledger 'fleet/*.jsonl'
-//                [--baseline baselines/fleet.json]
-//                [--markdown fleet.md] [--json fleet.json]
-//
-// treats each --ledger path (globs allowed, filename-level) as one daemon
-// instance and merges their serve records + daemon summaries into a
-// per-instance / fleet-wide dashboard (obs/fleet.hpp): dedupe efficiency,
-// warm-hit rate, latency quantiles, verdict mix, lost requests, redundant
-// cold runs. Baselines gate the "fleet.*" samples; exit codes as above.
+
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -50,7 +39,6 @@
 #include <vector>
 
 #include "obs/baseline.hpp"
-#include "obs/fleet.hpp"
 #include "obs/json_reader.hpp"
 #include "obs/ledger.hpp"
 #include "systems/paper_table2.hpp"
@@ -64,94 +52,7 @@ void print_usage(const char* argv0) {
       << "usage: " << argv0
       << " [--ledger <file>]... [--bench <name>=<json-file>]...\n"
       << "       [--baseline <json-file>]... [--markdown <file>]\n"
-      << "       [--json <file>] [--no-dashboard]\n"
-      << "   or: " << argv0
-      << " fleet --ledger <file-or-glob>... [--baseline <json-file>]...\n"
-      << "       [--markdown <file>] [--json <file>]\n";
-}
-
-/// `report_cli fleet`: merge N instance ledgers into the fleet dashboard
-/// and gate the fleet.* samples.
-int run_fleet(int argc, char** argv) {
-  std::vector<std::string> ledger_args;
-  std::vector<std::string> baseline_paths;
-  std::string markdown_path;
-  std::string json_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs " << what << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--ledger") {
-      ledger_args.push_back(next("a file or glob argument"));
-    } else if (arg == "--baseline") {
-      baseline_paths.push_back(next("a file argument"));
-    } else if (arg == "--markdown") {
-      markdown_path = next("a file argument");
-    } else if (arg == "--json") {
-      json_path = next("a file argument");
-    } else {
-      print_usage(argv[0]);
-      return 2;
-    }
-  }
-  if (ledger_args.empty()) {
-    print_usage(argv[0]);
-    return 2;
-  }
-
-  const std::vector<std::string> paths = fleet_expand_ledger_args(ledger_args);
-  if (paths.empty()) {
-    std::cerr << "error: no ledger files matched "
-              << "(globs expand against existing files)\n";
-    return 2;
-  }
-  const FleetReport report = fleet_aggregate(paths);
-  for (const std::string& e : report.errors)
-    std::cerr << "warning: " << e << "\n";
-  if (report.instances.empty()) {
-    std::cerr << "error: none of the ledgers could be read\n";
-    return 2;
-  }
-
-  MetricSamples samples;
-  fleet_samples(report, &samples);
-  std::vector<BaselineReport> reports;
-  for (const std::string& path : baseline_paths) {
-    try {
-      reports.push_back(baseline_compare(baseline_load_file(path), samples));
-    } catch (const JsonParseError& e) {
-      std::cerr << "error: baseline '" << path << "': " << e.what() << "\n";
-      return 2;
-    }
-  }
-
-  std::ostringstream md;
-  md << fleet_markdown(report);
-  if (!reports.empty()) md << "\n" << baseline_report_markdown(reports);
-  if (markdown_path.empty()) {
-    std::cout << md.str();
-  } else {
-    std::ofstream(markdown_path) << md.str();
-    std::cout << "fleet markdown written to " << markdown_path << "\n";
-  }
-  if (!json_path.empty()) {
-    std::ofstream(json_path) << fleet_json(report) << "\n";
-    std::cout << "fleet json written to " << json_path << "\n";
-  }
-
-  bool passed = true;
-  for (const BaselineReport& r : reports) {
-    passed = passed && r.passed();
-    std::cerr << "gate " << r.name << ": "
-              << (r.passed() ? "PASSED" : "FAILED") << " (" << r.regressed
-              << " regressed, " << r.missing << " missing)\n";
-  }
-  return passed ? 0 : 1;
+      << "       [--json <file>] [--no-dashboard]\n";
 }
 
 std::string read_file(const std::string& path, bool& ok) {
@@ -325,7 +226,6 @@ std::string fuzz_markdown(const std::vector<LedgerRecord>& records) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "fleet") return run_fleet(argc, argv);
   std::vector<std::string> ledger_paths;
   std::vector<std::pair<std::string, std::string>> bench_inputs;
   std::vector<std::string> baseline_paths;

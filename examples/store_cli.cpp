@@ -7,7 +7,7 @@
 //                                                # drop corrupt/oldest blobs
 //
 // gc defers (exit 3) while another live process -- e.g. a running
-// synthesize_server -- holds a reader lock on the store, because evicting
+// synthesize_cli -- holds a reader lock on the store, because evicting
 // a blob mid-pipeline silently degrades that run. --force overrides.
 // The store directory defaults to $SCS_CACHE_DIR.
 #include <cstdlib>

@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   if (positional.size() > 2)
     config.rl_episodes = std::atoi(positional[2].c_str());
   config.pac_fit.max_samples = 50000;
-  // The CLI is a thin client of the same job unit the serving daemon runs:
+  // The CLI is a thin client of the job unit fuzz_cli and perfbench run:
   // one SynthesisJob, one optional JobControl.
   const SynthesisJob job(bench, config);
   JobControl control;

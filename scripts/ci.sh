@@ -23,22 +23,10 @@
 #                            # zero tolerated soundness violations, gated by
 #                            # baselines/fuzz_campaign.json, plus a negative
 #                            # perturbed-certificate check
-#   scripts/ci.sh serve      # serving suite: serve-labeled tests under tsan
-#                            # (dedupe races + cancellation) and in Release,
-#                            # then a spool daemon smoke where the second
-#                            # submit of the same request must be answered
-#                            # warm from the dedupe map
-#   scripts/ci.sh fleet      # multi-instance observability: two daemons on
-#                            # separate spools serve mixed cold/warm traffic
-#                            # (incl. a cancelled queued duplicate) with
-#                            # per-request tracing; the traces must carry
-#                            # request-correlated rid args and `report_cli
-#                            # fleet` must merge both ledgers and pass
-#                            # baselines/fleet.json, plus a negative
-#                            # violated-baseline check
-#   scripts/ci.sh race       # portfolio-racing suite: race-labeled tests
-#                            # under tsan (speculative arms + cancellation
-#                            # must be data-race free) and in Release, then
+#   scripts/ci.sh race       # racing + cancellation suite: race-labeled
+#                            # tests (race_test, job_context_test) under
+#                            # tsan (speculative arms + cancellation must be
+#                            # data-race free) and in Release, then
 #                            # a raced-vs-replayed determinism smoke where
 #                            # the pinned winner must reproduce bitwise
 #   scripts/ci.sh simd       # SCS_SIMD=OFF build + full tests (the scalar
@@ -134,8 +122,7 @@ run_perf() {
   echo "==> Perf regression gate (run ledger + baselines + Table-2 dashboard)"
   cmake --preset default
   cmake --build --preset default -j "${JOBS}" \
-      --target synthesize_cli report_cli bench_obs bench_solvers bench_serve \
-      bench_race
+      --target synthesize_cli report_cli bench_obs bench_solvers bench_race
   local tmp rc
   tmp="$(mktemp -d)"
 
@@ -155,11 +142,6 @@ run_perf() {
   # kernel row carries the counter the baseline pins: SIMD matmul
   # speedup >= 1.5.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
-  # bench_serve times a cold submit vs the in-memory warm-hit fast path and
-  # self-checks the exactly-one-cold dedupe guarantee; the baseline pins
-  # the warm-hit latency/speedup so a regression in the serving hot path
-  # (e.g. an accidental store round trip per hit) fails CI.
-  (cd "${tmp}" && TMPDIR="${tmp}" "${OLDPWD}/build/bench/bench_serve")
   # bench_race times the serial ladder against the raced arms on a
   # BMI-heavy system and self-checks the >= 1.3x speedup gate plus the
   # bitwise replay of the recorded winner; the baseline re-pins both so
@@ -175,11 +157,9 @@ run_perf() {
       --ledger "${tmp}/ledger.jsonl" \
       --bench bench_obs="${tmp}/BENCH_obs.json" \
       --bench bench_solvers="${tmp}/BENCH_solvers.json" \
-      --bench bench_serve="${tmp}/BENCH_serve.json" \
       --bench bench_race="${tmp}/BENCH_race.json" \
       --baseline baselines/bench_obs.json \
       --baseline baselines/bench_solvers.json \
-      --baseline baselines/serve.json \
       --baseline baselines/race.json \
       --baseline baselines/table2_fast.json \
       --markdown "${tmp}/report.md" --json "${tmp}/report.json"
@@ -253,186 +233,19 @@ run_fuzz() {
   rm -rf "${tmp}"
 }
 
-# The spool daemons create their directory layout on startup; a submit
-# racing that loses. Wait (up to 10s) for every listed inbox to exist.
-wait_for_spool() {
-  local waited=0
-  while [ "$#" -gt 0 ]; do
-    if [ -d "$1/inbox" ]; then shift; continue; fi
-    sleep 0.1
-    waited=$((waited + 1))
-    if [ "${waited}" -ge 100 ]; then
-      echo "daemon never created spool $1" >&2; exit 1
-    fi
-  done
-}
-
-run_serve() {
-  echo "==> Serving + cancellation suite under ThreadSanitizer"
-  # serve_test races duplicate submitters against the dedupe map and
-  # job_context_test cancels mid-solver; both must be clean under tsan.
-  cmake --preset tsan
-  cmake --build --preset tsan -j "${JOBS}" --target job_context_test serve_test
-  ctest --preset tsan-serve -j "${JOBS}" --output-on-failure
-
-  echo "==> Serve-labeled tests in the Release tree"
-  cmake --preset default
-  cmake --build --preset default -j "${JOBS}" \
-      --target job_context_test serve_test synthesize_server serve_cli
-  (cd build && ctest -L serve --output-on-failure)
-
-  echo "==> Daemon smoke: spool round trip, second submit answered warm"
-  local tmp rc pid
-  tmp="$(mktemp -d)"
-  ./build/examples/synthesize_server --spool "${tmp}/spool" --workers 2 \
-      --cache-dir "${tmp}/cache" --ledger "${tmp}/serve.jsonl" \
-      --poll-ms 50 &
-  pid=$!
-  wait_for_spool "${tmp}/spool"
-  # Exit 1 (= UNVERIFIED on the shrunken fast budget) is tolerated, as in
-  # the other smokes -- this gate checks the serving counters, never the
-  # fast-mode verdict. Exit 2+ still fails.
-  rc=0
-  ./build/examples/serve_cli --spool "${tmp}/spool" submit C1 --fast \
-      --episodes 2 --id cold --wait --timeout 300 > /dev/null || rc=$?
-  if [ "${rc}" -gt 1 ]; then
-    echo "cold submit exited with ${rc}" >&2; exit "${rc}"
-  fi
-  rc=0
-  ./build/examples/serve_cli --spool "${tmp}/spool" submit C1 --fast \
-      --episodes 2 --id warm --wait --timeout 60 > /dev/null || rc=$?
-  if [ "${rc}" -gt 1 ]; then
-    echo "warm submit exited with ${rc}" >&2; exit "${rc}"
-  fi
-  ./build/examples/serve_cli --spool "${tmp}/spool" drain > /dev/null
-  wait "${pid}"
-  grep -q '"warm_hit":true' "${tmp}/spool/results/warm.json" || {
-    echo "second submit was not served warm from the dedupe map" >&2; exit 1; }
-  grep -q '"warm_hits":1' "${tmp}/spool/status.json" || {
-    echo "status.json does not report exactly one warm hit" >&2; exit 1; }
-  grep -q '"source":"serve-hit"' "${tmp}/serve.jsonl" || {
-    echo "run ledger is missing the serve-hit record" >&2; exit 1; }
-  rm -rf "${tmp}"
-}
-
-run_fleet() {
-  echo "==> Fleet observability: two traced daemons, merged dashboard + gate"
-  cmake --preset default
-  cmake --build --preset default -j "${JOBS}" \
-      --target synthesize_server serve_cli report_cli json_check fleet_test
-  (cd build && ctest -R fleet_test --output-on-failure)
-
-  local tmp rc pid_a pid_b
-  tmp="$(mktemp -d)"
-  mkdir -p "${tmp}/fleet"
-  ./build/examples/synthesize_server --spool "${tmp}/spool-a" --workers 2 \
-      --ledger "${tmp}/fleet/alpha.jsonl" --instance alpha \
-      --trace "${tmp}/trace-a.json" --poll-ms 50 &
-  pid_a=$!
-  ./build/examples/synthesize_server --spool "${tmp}/spool-b" --workers 1 \
-      --ledger "${tmp}/fleet/beta.jsonl" --instance beta --poll-ms 50 &
-  pid_b=$!
-  wait_for_spool "${tmp}/spool-a" "${tmp}/spool-b"
-
-  # Instance alpha: one cold solve, then the same request again -- a warm
-  # hit from the dedupe map. Instance beta cold-solves the same config (a
-  # redundant cold run across the fleet), then a second job keeps its
-  # single worker busy while a third queues behind it and is cancelled via
-  # the ctl/cancel marker before a worker ever picks it up. Exit 1 (=
-  # UNVERIFIED on the fast budget) is tolerated throughout, as in the
-  # other smokes; this gate checks observability, never the verdict.
-  submit() {  # <spool> <id> <seed> [--wait]
-    local spool="$1" id="$2" seed="$3"; shift 3
-    rc=0
-    ./build/examples/serve_cli --spool "${tmp}/${spool}" submit C1 --fast \
-        --episodes 2 --seed "${seed}" --id "${id}" "$@" --timeout 300 \
-        > /dev/null || rc=$?
-    if [ "${rc}" -gt 1 ]; then
-      echo "submit ${id} exited with ${rc}" >&2; exit "${rc}"
-    fi
-  }
-  submit spool-a cold-a 5 --wait
-  submit spool-a warm-a 5 --wait
-  submit spool-b cold-b 5 --wait
-  submit spool-b busy-b 7
-  submit spool-b doomed 8
-  ./build/examples/serve_cli --spool "${tmp}/spool-b" cancel doomed
-  rc=0
-  ./build/examples/serve_cli --spool "${tmp}/spool-b" result doomed \
-      --wait --timeout 300 > "${tmp}/doomed.out" || rc=$?
-  if [ "${rc}" -gt 1 ]; then
-    echo "doomed result wait exited with ${rc}" >&2; exit "${rc}"
-  fi
-  grep -q '"verdict":"CANCELLED"' "${tmp}/spool-b/results/doomed.json" || {
-    echo "cancel marker did not cancel the queued duplicate" >&2; exit 1; }
-  rc=0
-  ./build/examples/serve_cli --spool "${tmp}/spool-b" result busy-b \
-      --wait --timeout 300 > /dev/null || rc=$?
-  if [ "${rc}" -gt 1 ]; then
-    echo "busy-b result wait exited with ${rc}" >&2; exit "${rc}"
-  fi
-  ./build/examples/serve_cli --spool "${tmp}/spool-a" drain > /dev/null
-  ./build/examples/serve_cli --spool "${tmp}/spool-b" drain > /dev/null
-  wait "${pid_a}" "${pid_b}"
-
-  # The daemons' live exposition survives them: schema-2 status renders
-  # through serve_cli and metrics.txt is Prometheus text.
-  ./build/examples/serve_cli --spool "${tmp}/spool-a" status \
-      | grep -q 'warm 1' || {
-    echo "serve_cli status does not render alpha's warm hit" >&2; exit 1; }
-  grep -q '^scs_serve_warm_hits 1$' "${tmp}/spool-a/metrics.txt" || {
-    echo "metrics.txt is missing the warm-hit counter" >&2; exit 1; }
-
-  # Request-correlated tracing: the trace parses strictly, and cold-a's id
-  # tags its whole lifecycle -- queue wait through result write -- while
-  # the warm hit is distinguishable by its own instant.
-  ./build/examples/json_check "${tmp}/trace-a.json"
-  grep -q '"name":"serve.queue_wait".*"rid":"cold-a"' "${tmp}/trace-a.json" || {
-    echo "trace is missing cold-a's queue-wait span" >&2; exit 1; }
-  grep -q '"name":"spool.result_write".*"rid":"cold-a"' \
-      "${tmp}/trace-a.json" || {
-    echo "trace is missing cold-a's result-write span" >&2; exit 1; }
-  grep -q '"name":"serve.warm_hit".*"rid":"warm-a"' "${tmp}/trace-a.json" || {
-    echo "trace is missing warm-a's warm-hit instant" >&2; exit 1; }
-
-  # Merge both instance ledgers (glob expanded by report_cli, not the
-  # shell) and gate the fleet SLOs: zero lost requests, >= 1 warm hit and
-  # cancellation, warm-hit latency ceiling.
-  ./build/examples/report_cli fleet \
-      --ledger "${tmp}/fleet/*.jsonl" \
-      --baseline baselines/fleet.json \
-      --markdown "${tmp}/fleet.md" --json "${tmp}/fleet.json"
-  ./build/examples/json_check "${tmp}/fleet.json"
-  grep -q 'Fleet dashboard (2 instances)' "${tmp}/fleet.md" || {
-    echo "fleet.md is missing the two-instance dashboard" >&2; exit 1; }
-  grep -q '"redundant_cold_runs":1' "${tmp}/fleet.json" || {
-    echo "fleet.json does not flag the cross-instance redundant cold run" >&2
-    exit 1; }
-
-  echo "==> Negative check: a violated fleet baseline must exit nonzero"
-  printf '%s\n' \
-    '{"schema":1,"name":"tampered_fleet","metrics":{' \
-    ' "fleet.warm_hits":{"kind":"min","value":10000}}}' \
-    > "${tmp}/tampered_fleet.json"
-  if ./build/examples/report_cli fleet --ledger "${tmp}/fleet/*.jsonl" \
-      --baseline "${tmp}/tampered_fleet.json" > /dev/null; then
-    echo "report_cli fleet passed a deliberately violated baseline" >&2
-    exit 1
-  fi
-  rm -rf "${tmp}"
-}
-
 run_race() {
-  echo "==> Portfolio-racing suite under ThreadSanitizer"
+  echo "==> Racing + cancellation suite under ThreadSanitizer"
   # race_test runs speculative arms on the pool and cancels losers through
-  # child JobControl scopes; the whole dance must be clean under tsan.
+  # child JobControl scopes, and job_context_test cancels jobs mid-solver;
+  # both must be clean under tsan.
   cmake --preset tsan
-  cmake --build --preset tsan -j "${JOBS}" --target race_test
+  cmake --build --preset tsan -j "${JOBS}" --target race_test job_context_test
   ctest --preset tsan-race -j "${JOBS}" --output-on-failure
 
   echo "==> Race-labeled tests in the Release tree"
   cmake --preset default
-  cmake --build --preset default -j "${JOBS}" --target race_test bench_race
+  cmake --build --preset default -j "${JOBS}" \
+      --target race_test job_context_test bench_race
   (cd build && ctest -L race --output-on-failure)
 
   echo "==> Replay-determinism smoke (raced winner pinned and reproduced)"
@@ -469,12 +282,10 @@ case "${1:-all}" in
   obs)     run_obs ;;
   perf)    run_perf ;;
   fuzz)    run_fuzz ;;
-  serve)   run_serve ;;
-  fleet)   run_fleet ;;
   race)    run_race ;;
   simd)    run_simd ;;
-  all)     run_release; run_asan; run_ubsan; run_store; run_obs; run_perf; run_fuzz; run_serve; run_fleet; run_race; run_simd ;;
-  *) echo "unknown configuration: $1 (want release|asan|ubsan|fault|store|obs|perf|fuzz|serve|fleet|race|simd|all)" >&2
+  all)     run_release; run_asan; run_ubsan; run_store; run_obs; run_perf; run_fuzz; run_race; run_simd ;;
+  *) echo "unknown configuration: $1 (want release|asan|ubsan|fault|store|obs|perf|fuzz|race|simd|all)" >&2
      exit 2 ;;
 esac
 

@@ -463,9 +463,8 @@ BarrierResult synthesize_barrier_ladder(const Ccds& system_in,
       outcomes[i].preempted = true;
       return;
     }
-    // One span per arm lifetime (correlated to the serve request via the
-    // ambient id): winners and mid-solve-cancelled losers are told apart
-    // by the race.winner / race.preempted instants inside.
+    // One span per arm lifetime: winners and mid-solve-cancelled losers
+    // are told apart by the race.winner / race.preempted instants inside.
     TraceSpan arm_span(trace_enabled() ? "barrier.arm:" + arm_desc(arms[i])
                                        : std::string());
     outcomes[i] = run_arm(system, closed_fields[arms[i].rung], arms[i], config,

@@ -9,20 +9,12 @@ namespace scs {
 SynthesisJob::SynthesisJob(Benchmark benchmark, PipelineConfig config)
     : benchmark_(std::move(benchmark)), config_(std::move(config)) {}
 
-SynthesisJob::SynthesisJob(Benchmark benchmark, ControlLaw law,
-                           PipelineConfig config)
-    : benchmark_(std::move(benchmark)),
-      config_(std::move(config)),
-      law_(std::move(law)),
-      from_law_(true) {}
-
 std::uint64_t SynthesisJob::config_key() const {
-  return detail::job_config_key(benchmark_, config_, from_law_);
+  return detail::job_config_key(benchmark_, config_);
 }
 
 SynthesisResult SynthesisJob::run(const JobContext& ctx) const {
-  return detail::run_synthesis_job(benchmark_, from_law_ ? &law_ : nullptr,
-                                   config_, ctx);
+  return detail::run_synthesis_job(benchmark_, nullptr, config_, ctx);
 }
 
 }  // namespace scs

@@ -337,9 +337,9 @@ void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
 namespace detail {
 
 std::uint64_t job_config_key(const Benchmark& benchmark,
-                             const PipelineConfig& config, bool from_law) {
+                             const PipelineConfig& config) {
   return config_key_of(benchmark, normalize_config(benchmark, config),
-                       from_law);
+                       /*from_law=*/false);
 }
 
 SynthesisResult run_synthesis_job(const Benchmark& benchmark,
@@ -348,12 +348,6 @@ SynthesisResult run_synthesis_job(const Benchmark& benchmark,
                                   const JobContext& ctx) {
   ObsRunScope obs_scope(config.obs);
   LogTagScope tag_scope(benchmark.name);
-  // Serve requests correlate the whole run's span tree (this thread and its
-  // pool fan-out) under the request id; guarded so the non-traced path
-  // stays at one relaxed load.
-  std::optional<TraceIdScope> id_scope;
-  if (!ctx.request_id.empty() && trace_enabled())
-    id_scope.emplace(ctx.request_id);
   TraceSpan run_span("synthesize:" + benchmark.name);
   Stopwatch total_sw;
   SynthesisResult result;
@@ -365,9 +359,10 @@ SynthesisResult run_synthesis_job(const Benchmark& benchmark,
   // Computed whether or not the cache is on: the key doubles as the run's
   // configuration identity (config_key) in the ledger.
   const std::uint64_t config_key = config_key_of(benchmark, job, from_law);
-  // The cache handle is either shared (server: one handle across all jobs)
-  // or owned by this run. A from-law key does not cover the law, so such a
-  // run caches only through a handle its caller hands it.
+  // The cache handle is either borrowed (a caller answering many jobs from
+  // one store shares one handle) or owned by this run. A from-law key does
+  // not cover the law, so such a run caches only through a handle its
+  // caller hands it.
   std::optional<StageCache> own_cache;
   StageCache* cache = ctx.cache;
   if (cache == nullptr && !from_law) cache = &own_cache.emplace(job.cfg.store);

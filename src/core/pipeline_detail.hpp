@@ -17,11 +17,10 @@ SynthesisResult run_synthesis_job(const Benchmark& benchmark,
                                   const PipelineConfig& config,
                                   const JobContext& ctx);
 
-/// The run-identity key run_synthesis_job records in the ledger for this
-/// (benchmark, config) pair: the RL stage key for full runs, the
-/// benchmark+seed digest for from-law runs.
+/// The run-identity key run_synthesis_job records in the ledger for a full
+/// run of this (benchmark, config) pair: the RL stage key.
 std::uint64_t job_config_key(const Benchmark& benchmark,
-                             const PipelineConfig& config, bool from_law);
+                             const PipelineConfig& config);
 
 }  // namespace detail
 }  // namespace scs

@@ -59,6 +59,23 @@ std::string read_first_line(const std::string& path) {
   return line;
 }
 
+/// Sha that a packed-refs file records for `ref` ("" when absent). Lines
+/// are "<sha> <ref>"; the '#' header and '^' peeled-tag lines are skipped.
+std::string packed_ref_sha(const std::string& path, const std::string& ref) {
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#' || line[0] == '^') continue;
+    const std::size_t space = line.find(' ');
+    if (space == std::string::npos) continue;
+    std::string name = line.substr(space + 1);
+    while (!name.empty() && (name.back() == '\r' || name.back() == ' '))
+      name.pop_back();
+    if (name == ref) return line.substr(0, space);
+  }
+  return {};
+}
+
 }  // namespace
 
 std::string git_head_describe(const std::string& dir) {
@@ -70,9 +87,12 @@ std::string git_head_describe(const std::string& dir) {
     if (!head.empty()) {
       constexpr std::string_view kRefPrefix = "ref: ";
       if (head.rfind(kRefPrefix, 0) == 0) {
+        // A loose ref file wins; after `git gc` or `git pack-refs` the
+        // branch lives only in packed-refs.
         const std::string ref = head.substr(kRefPrefix.size());
         const std::string sha = read_first_line(base + "/.git/" + ref);
-        return sha.empty() ? head : sha;
+        if (!sha.empty()) return sha;
+        return packed_ref_sha(base + "/.git/packed-refs", ref);
       }
       return head;  // detached HEAD: already a sha
     }

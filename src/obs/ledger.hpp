@@ -140,9 +140,10 @@ std::string ledger_env_path();
 /// SCS_LEDGER, else "" (ledger off).
 std::string resolve_ledger_path(const std::string& configured);
 
-/// Best-effort current git HEAD: reads .git/HEAD (following one level of
-/// ref indirection) from `dir` upward. Returns "" when no checkout is
-/// found. Pure filesystem -- no subprocess.
+/// Best-effort current git HEAD: reads .git/HEAD from `dir` upward and
+/// follows one level of ref indirection, to the loose ref file first and
+/// then to .git/packed-refs. Returns "" when no checkout is found or its
+/// ref resolves nowhere. Pure filesystem -- no subprocess.
 std::string git_head_describe(const std::string& dir = ".");
 
 }  // namespace scs

@@ -138,23 +138,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.counters.reserve(im.counters.size());
   for (const auto& [name, c] : im.counters)
     snap.counters.push_back({name, c->value()});
-  snap.gauges.reserve(im.gauges.size());
-  for (const auto& [name, g] : im.gauges)
-    snap.gauges.push_back({name, g->value(), g->max()});
-  snap.histograms.reserve(im.histograms.size());
-  for (const auto& [name, h] : im.histograms) {
-    MetricsSnapshot::HistogramSample s;
-    s.name = name;
-    s.count = h->count();
-    s.sum = h->sum();
-    s.max = h->max();
-    s.p50 = h->quantile_upper(0.50);
-    s.p90 = h->quantile_upper(0.90);
-    s.p99 = h->quantile_upper(0.99);
-    for (int b = 0; b < Histogram::kBuckets; ++b)
-      s.buckets[b] = h->bucket_count(b);
-    snap.histograms.push_back(std::move(s));
-  }
   return snap;
 }
 

@@ -98,7 +98,7 @@ class Histogram {
   /// ceil(q * count), clamped to the exact tracked max (so p99 never
   /// reports above an observed value). 0 when the histogram is empty --
   /// callers that surface quantiles must check count() first and render
-  /// null/absent instead (the registry JSON and Prometheus exposition do).
+  /// null/absent instead (the registry JSON does).
   /// Approximate under concurrent observes, like every other read here.
   std::uint64_t quantile_upper(double q) const;
   void reset() {
@@ -121,34 +121,17 @@ class Histogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
-/// Point-in-time copy of every registered instrument, for exporters that
-/// need to iterate the registry (Prometheus text exposition, the daemon's
-/// status.json) without touching registration internals. Values are read
-/// with relaxed loads, so a snapshot taken under concurrent updates is
-/// approximate in the same way every other read here is.
+/// Point-in-time copy of every registered counter, for readers that need
+/// to iterate the registry (perfbench's per-layer counters) without
+/// touching registration internals. Values are read with relaxed loads, so
+/// a snapshot taken under concurrent updates is approximate in the same
+/// way every other read here is.
 struct MetricsSnapshot {
   struct CounterSample {
     std::string name;
     std::uint64_t value = 0;
   };
-  struct GaugeSample {
-    std::string name;
-    std::int64_t value = 0;
-    std::int64_t max = 0;
-  };
-  struct HistogramSample {
-    std::string name;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t max = 0;
-    std::uint64_t p50 = 0;  // meaningless when count == 0 (render as null)
-    std::uint64_t p90 = 0;
-    std::uint64_t p99 = 0;
-    std::uint64_t buckets[Histogram::kBuckets] = {};
-  };
-  std::vector<CounterSample> counters;    // sorted by name
-  std::vector<GaugeSample> gauges;        // sorted by name
-  std::vector<HistogramSample> histograms;  // sorted by name
+  std::vector<CounterSample> counters;  // sorted by name
 };
 
 /// Name -> instrument registry. Instruments are created on first lookup and
@@ -166,12 +149,11 @@ class MetricsRegistry {
   /// Serialize every registered instrument as one JSON object, sorted by
   /// name: counters as integers, gauges as {value,max}, histograms as
   /// {count,sum,max,buckets:[{le,count},...]}. Quantiles of an empty
-  /// histogram are emitted as JSON null, never 0 -- a never-observed serve
+  /// histogram are emitted as JSON null, never 0 -- a never-observed
   /// latency must not read as "instant".
   std::string json() const;
 
-  /// Copy every instrument's current values (exporters; see
-  /// MetricsSnapshot).
+  /// Copy every counter's current value (see MetricsSnapshot).
   MetricsSnapshot snapshot() const;
 
   /// Zero every instrument (tests and bench iterations).

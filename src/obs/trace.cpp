@@ -57,14 +57,6 @@ void push_event(TraceEvent&& e) {
   s.events.push_back(std::move(e));
 }
 
-/// Ambient per-thread correlation id. A plain thread_local (not guarded by
-/// trace_enabled) so scopes installed before trace_start() still tag events
-/// recorded after it; hot sites guard installation themselves.
-std::string& tls_correlation_id() {
-  thread_local std::string id;
-  return id;
-}
-
 }  // namespace
 
 bool trace_enabled() {
@@ -116,11 +108,6 @@ bool trace_write(const std::string& path) {
       w.key("s").value("t");  // instant scope: thread
     w.key("pid").value(0);
     w.key("tid").value(static_cast<std::uint64_t>(e.tid));
-    if (!e.id.empty()) {
-      w.key("args").begin_object();
-      w.key("rid").value(e.id);
-      w.end_object();
-    }
     w.end_object();
   }
   w.end_array();
@@ -156,36 +143,11 @@ void trace_instant(const char* name) {
   if (!trace_enabled()) return;
   TraceEvent e;
   e.name = name;
-  e.id = tls_correlation_id();
   e.tid = trace_thread_id();
   e.ts_ns = now_ns();
   e.phase = 'i';
   push_event(std::move(e));
 }
-
-std::int64_t trace_now_ns() { return now_ns(); }
-
-void trace_complete(std::string name, std::int64_t start_ns) {
-  if (!trace_enabled()) return;
-  TraceEvent e;
-  e.name = std::move(name);
-  e.id = tls_correlation_id();
-  e.tid = trace_thread_id();
-  e.ts_ns = start_ns;
-  e.dur_ns = now_ns() - start_ns;
-  e.phase = 'X';
-  push_event(std::move(e));
-}
-
-const std::string& trace_correlation_id() { return tls_correlation_id(); }
-
-TraceIdScope::TraceIdScope(std::string id) {
-  std::string& tls = tls_correlation_id();
-  prev_ = std::move(tls);
-  tls = std::move(id);
-}
-
-TraceIdScope::~TraceIdScope() { tls_correlation_id() = std::move(prev_); }
 
 TraceSpan::TraceSpan(const char* name) : active_(trace_enabled()) {
   if (!active_) return;
@@ -204,7 +166,6 @@ void TraceSpan::close() {
   active_ = false;
   TraceEvent e;
   e.name = std::move(name_);
-  e.id = tls_correlation_id();
   e.tid = trace_thread_id();
   e.ts_ns = start_ns_;
   e.dur_ns = now_ns() - start_ns_;

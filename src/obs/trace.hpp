@@ -24,7 +24,6 @@ namespace scs {
 
 struct TraceEvent {
   std::string name;
-  std::string id;           // correlation id ("rid" arg); empty = uncorrelated
   std::uint32_t tid = 0;    // small stable per-thread id (0 = first seen)
   std::int64_t ts_ns = 0;   // begin, relative to the trace clock origin
   std::int64_t dur_ns = 0;  // 0 for instant events
@@ -63,40 +62,6 @@ std::uint32_t trace_thread_id();
 /// Record an instant event (e.g. one solver iteration). Call sites guard
 /// with trace_enabled().
 void trace_instant(const char* name);
-
-/// Nanoseconds since the trace clock origin; pairs with trace_complete()
-/// for spans that begin on one thread and end on another (queue waits).
-std::int64_t trace_now_ns();
-
-/// Record a complete 'X' event spanning [start_ns, now] on the calling
-/// thread. For cross-thread intervals where TraceSpan's RAII shape does
-/// not fit; start_ns comes from trace_now_ns() at the interval's origin.
-void trace_complete(std::string name, std::int64_t start_ns);
-
-/// Ambient correlation id of the calling thread ("" when unset). Every
-/// event recorded while a TraceIdScope is active carries this id as the
-/// "rid" arg in the exported trace, so one serve request's full timeline
-/// (spool ingest -> queue wait -> solve -> result write, across threads)
-/// can be cut from a fleet trace by id.
-const std::string& trace_correlation_id();
-
-/// RAII: installs `id` as the calling thread's correlation id, restoring
-/// the previous id on destruction. Scopes nest; the pool's parallel_for
-/// re-installs the submitting thread's id inside worker-thread helpers so
-/// fan-out (race arms, SDP chunks) stays attributed to the request.
-/// Cost with tracing disabled: two thread-local string moves, no locks --
-/// but serve/pipeline sites additionally guard installation on
-/// trace_enabled() so the disabled path stays at one relaxed load.
-class TraceIdScope {
- public:
-  explicit TraceIdScope(std::string id);
-  ~TraceIdScope();
-  TraceIdScope(const TraceIdScope&) = delete;
-  TraceIdScope& operator=(const TraceIdScope&) = delete;
-
- private:
-  std::string prev_;
-};
 
 /// RAII span: records one complete event from construction to destruction.
 /// Construction with tracing disabled costs one relaxed load; such a span

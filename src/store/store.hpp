@@ -88,9 +88,9 @@ class ArtifactStore {
 
 /// RAII liveness marker for a store root: creates
 /// `<root>/reader-<pid>-<n>.lock` on construction and removes it on
-/// destruction. Every enabled StageCache holds one, so a long-running
-/// daemon's cache directory is visibly "in use" to gc from other
-/// processes. Crash-safe: a lock whose pid no longer exists is reaped by
+/// destruction. Every enabled StageCache holds one, so a store that a
+/// running synthesis (or a batch holding one shared handle) reads from is
+/// visibly "in use" to gc from other processes. Crash-safe: a lock whose pid no longer exists is reaped by
 /// the next live_reader_pids() scan. Creation is best-effort -- on I/O
 /// failure the guard is inert (path() empty) and gc protection is simply
 /// absent, matching the store's degrade-don't-crash policy.

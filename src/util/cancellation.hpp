@@ -1,11 +1,11 @@
 // Cooperative cancellation and wall-clock deadlines for synthesis jobs.
 //
-// A JobControl is shared between a job's owner (the serving daemon, a CLI
-// signal handler, a portfolio racer) and the code doing the work. The owner
-// calls cancel() or arms a deadline; the workers poll stop_requested() at
-// stage boundaries and inside the solver iteration loops (SDP interior
-// point, revised simplex) and unwind cooperatively -- no thread is ever
-// killed, no lock is ever abandoned.
+// A JobControl is shared between a job's owner (synthesize_cli's deadline,
+// fuzz_cli's campaign budget, a portfolio racer) and the code doing the
+// work. The owner calls cancel() or arms a deadline; the workers poll
+// stop_requested() at stage boundaries and inside the solver iteration
+// loops (SDP interior point, revised simplex) and unwind cooperatively --
+// no thread is ever killed, no lock is ever abandoned.
 //
 // Design constraints:
 //   1. Polling must be cheap enough for an inner iteration loop: cancelled()

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace scs {
@@ -263,20 +262,8 @@ void parallel_for(std::size_t n, std::size_t chunk,
   // window after return is never dereferenced; `state` is kept alive by the
   // shared_ptr captures.
   const std::size_t helpers = std::min(pool.size(), num_chunks - 1);
-  if (trace_enabled() && !trace_correlation_id().empty()) {
-    // Propagate the submitter's trace correlation id into pool helpers so
-    // fanned-out work (race arms, SDP chunks) stays attributed to the serve
-    // request that spawned it. Transitive through nested parallel_for.
-    const std::string trace_id = trace_correlation_id();
-    for (std::size_t h = 0; h < helpers; ++h)
-      pool.submit([state, trace_id] {
-        TraceIdScope id_scope(trace_id);
-        state->run_chunks();
-      });
-  } else {
-    for (std::size_t h = 0; h < helpers; ++h)
-      pool.submit([state] { state->run_chunks(); });
-  }
+  for (std::size_t h = 0; h < helpers; ++h)
+    pool.submit([state] { state->run_chunks(); });
 
   state->run_chunks();  // the caller participates (and enables nesting)
 

@@ -2,7 +2,8 @@
 // behavior, cooperative preemption inside the solver iteration loops, and
 // the pipeline-level guarantees -- CANCELLED/DEADLINE verdicts in the
 // result and ledger, no partial stage artifacts in the store, and bitwise
-// neutrality of an armed-but-idle control.
+// neutrality of an armed-but-idle control, plus a rerun answered from the
+// store through a borrowed StageCache handle.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include "opt/minimax_fit.hpp"
 #include "opt/sdp.hpp"
 #include "opt/simplex.hpp"
+#include "store/stage_cache.hpp"
 #include "store/store.hpp"
 #include "util/cancellation.hpp"
 #include "util/hash.hpp"
@@ -357,9 +359,42 @@ TEST(JobContextPipeline, ConfigKeyIgnoresControlAndMatchesLedgerIdentity) {
   const LedgerReadResult read = ledger_read(ledger);
   ASSERT_EQ(read.records.size(), 1u);
   // The ledger's config_key is the job's key rendered hex -- one identity
-  // across the serving dedupe map, the stage cache, and the run ledger.
+  // across the stage cache and the run ledger.
   EXPECT_EQ(read.records[0].config_key, hash_to_hex(key));
   EXPECT_EQ(read.records[0].source, "job_context_test");
+}
+
+TEST(JobContextPipeline, BorrowedCacheHandleAnswersARerunFromTheStore) {
+  // A batch runner opens one StageCache on a store and lends it to every
+  // job through JobContext::cache (perfbench campaign's warm pass). The
+  // rerun must load every stage it reaches and answer as the cold run did.
+  TempDir dir("scs_job_ctx_borrowed_cache");
+  PipelineConfig config = fast_config();
+  config.store.mode = StoreConfig::Mode::kOn;
+  config.store.cache_dir = dir.str();
+  StageCache cache(config.store);
+  ASSERT_TRUE(cache.enabled());
+  JobContext ctx;
+  ctx.cache = &cache;
+  const SynthesisJob job(make_benchmark(BenchmarkId::kC1), config);
+
+  const SynthesisResult cold = job.run(ctx);
+  EXPECT_TRUE(cold.cache.enabled);
+  EXPECT_EQ(cold.cache.rl.misses, 1);
+  EXPECT_EQ(cold.cache.rl.stores, 1);
+
+  const SynthesisResult warm = job.run(ctx);
+  EXPECT_EQ(warm.cache.rl.hits, 1);
+  for (const StageCounters* stage : {&warm.cache.rl, &warm.cache.pac,
+                                     &warm.cache.barrier,
+                                     &warm.cache.validation})
+    EXPECT_EQ(stage->misses, 0);
+  EXPECT_EQ(warm.verdict, cold.verdict);
+  EXPECT_EQ(warm.failure_stage, cold.failure_stage);
+  ASSERT_EQ(warm.controller.size(), cold.controller.size());
+  for (std::size_t i = 0; i < cold.controller.size(); ++i)
+    EXPECT_EQ(warm.controller[i].to_string(17),
+              cold.controller[i].to_string(17));
 }
 
 }  // namespace

@@ -256,6 +256,36 @@ TEST(Ledger, ConcurrentAppendsStayIntact) {
   }
 }
 
+void write_file(const fs::path& path, const std::string& text) {
+  fs::create_directories(path.parent_path());
+  std::ofstream(path, std::ios::trunc) << text;
+}
+
+TEST(Ledger, GitHeadResolvesLooseThenPackedRefs) {
+  const fs::path root = fs::temp_directory_path() /
+                        ("scs_ledger_git_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  const fs::path git = root / ".git";
+  const std::string packed(40, 'a');
+  const std::string loose(40, 'b');
+  write_file(git / "HEAD", "ref: refs/heads/main\n");
+  // What `git pack-refs` writes: a header, a longer name sharing the
+  // prefix, the branch, and an annotated tag with its peeled line.
+  write_file(git / "packed-refs",
+             "# pack-refs with: peeled fully-peeled sorted \n" +
+                 std::string(40, 'c') + " refs/heads/main-old\n" + packed +
+                 " refs/heads/main\n" + std::string(40, 'd') +
+                 " refs/tags/v1\n^" + std::string(40, 'e') + "\n");
+  EXPECT_EQ(git_head_describe(root.string()), packed);
+
+  write_file(git / "refs" / "heads" / "main", loose + "\n");
+  EXPECT_EQ(git_head_describe(root.string()), loose);
+
+  write_file(git / "HEAD", "ref: refs/heads/absent\n");
+  EXPECT_EQ(git_head_describe(root.string()), "");
+  fs::remove_all(root);
+}
+
 TEST(Ledger, ResolvePathPrefersConfigured) {
   EXPECT_EQ(resolve_ledger_path("explicit.jsonl"), "explicit.jsonl");
   // With no SCS_LEDGER in the test environment, empty resolves to off.

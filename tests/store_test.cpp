@@ -261,7 +261,7 @@ TEST(ArtifactStoreTest, ConcurrentPutsOfOneKeyNeitherFailNorTear) {
 }
 
 // ---- gc vs live readers: the reader-lock interlock (store_cli gc must
-// not evict blobs under a running daemon).
+// not evict blobs under a running synthesis in another process).
 
 TEST(ArtifactStoreTest, GcDefersToOtherProcessReaders) {
   TempDir dir("scs_store_test_gc_lock");
@@ -471,6 +471,7 @@ TEST(PipelineResume, WarmRunSkipsRlAndIsBitwiseIdentical) {
   PipelineConfig cfg;
   cfg.seed = 2024;
   cfg.fast_mode = true;
+  cfg.rl_episodes = 5;  // the CI perf smoke's budget
   cfg.store.mode = StoreConfig::Mode::kOn;
   cfg.store.cache_dir = dir.str();
 
