@@ -140,7 +140,10 @@ run_perf() {
   # determinism; bench_solvers emits google-benchmark JSON for a small,
   # stable subset (full sweeps stay in the manual bench workflow). The
   # kernel row carries the counter the baseline pins: SIMD matmul
-  # speedup >= 1.5.
+  # speedup >= 1.5. TemplateSweep/2 (K = 20,000, 15 basis terms) runs
+  # support LPs of a few hundred rows, so it is the row that catches a
+  # return to dense simplex pricing, which the tiny LPs of
+  # SamplesSweep/1000 cannot.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
   # bench_race times the serial ladder against the raced arms on a
   # BMI-heavy system and self-checks the >= 1.3x speedup gate plus the
@@ -148,7 +151,7 @@ run_perf() {
   # the numbers land in the dashboard next to the other suites.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_race")
   ./build/bench/bench_solvers \
-      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_KernelSpeedup_Matmul$' \
+      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$' \
       --benchmark_format=json \
       --benchmark_out="${tmp}/BENCH_solvers.json" \
       --benchmark_out_format=json > /dev/null

@@ -7,6 +7,7 @@
 
 #include "math/cholesky.hpp"
 #include "math/robust_solve.hpp"
+#include "obs/trace.hpp"
 #include "opt/simplex.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
@@ -134,6 +135,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
   }
 
   // ---- Stage 1: Lawson IRLS toward the Chebyshev solution.
+  TraceSpan lawson_span("minimax.lawson");
   Vec w(k_samples, 1.0 / static_cast<double>(k_samples));
   LinearSolveReport ls = weighted_ls(design, targets, w, options.ridge);
   if (!ls.ok()) {
@@ -175,7 +177,11 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
     c = std::move(step.x);
   }
 
-  // ---- Stage 2: exchange refinement with exact support LPs.
+  lawson_span.close();
+
+  // ---- Stage 2: exchange refinement with exact support LPs (one lp.solve
+  // span per round).
+  TraceSpan exchange_span("minimax.exchange");
   Vec r = residuals(design, targets, c);
   double e_full = r.max_abs();
   std::set<std::size_t> support;
@@ -234,6 +240,8 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
       grew |= support.insert(idx[i]).second;
     if (!grew) break;  // support saturated; e_full is our best answer
   }
+
+  exchange_span.close();
 
   result.coefficients = c;
   result.error = e_full;

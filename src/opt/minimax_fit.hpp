@@ -3,8 +3,13 @@
 //     min_c  e   s.t.  |u_i - phi(x_i)' c| <= e  for all K samples,
 //
 // solved at scale by Lawson's iteratively reweighted least squares followed
-// by an exact active-set exchange refinement (each exchange step solves a
-// small LP over the current support set with the revised simplex).
+// by an exact active-set exchange refinement. Each exchange round solves the
+// LP over the current support set (2s rows, 2v + 1 + 2s columns for s
+// support samples and v basis terms) from scratch with the two-phase primal
+// simplex of simplex.hpp, then adds up to `exchange_add_per_round` of the
+// worst violators. The last rounds' LPs are the largest: 540 rows by 561
+// columns on the C1 benchmark, where the exchange, not Lawson, takes most
+// of the fit's time.
 //
 // The returned error is always the exact achieved max |residual| over all K
 // samples, i.e. a feasible objective value of (8); when `exact` is true it

@@ -1,10 +1,22 @@
-// Dense two-phase revised simplex for standard-form linear programs:
+// Two-phase revised simplex for standard-form linear programs:
 //
 //     min c'x   s.t.  A x = b,  x >= 0.
 //
-// Sized for the small exact LPs inside the minimax exchange refinement
-// (tens of rows/columns); the large scenario programs never reach this
-// solver directly -- see minimax_fit.hpp.
+// Serves the support LPs of the minimax exchange refinement (see
+// minimax_fit.hpp): 2s rows by 2v + 1 + 2s columns for a support of s
+// samples, which reaches 540 x 561 (1,101 columns with the artificials) on
+// the C1 benchmark. The scenario programs themselves never reach this
+// solver directly.
+//
+// The basis inverse is dense and updated by elementary pivots. Everything
+// else follows the nonzeros of A: [A | I] is held column-compressed once
+// per solve, reduced costs sum y_i * a_ij over each column's nonzeros in
+// increasing row order, a unit entering column (slack or artificial) reads
+// its direction straight off B^{-1}, and basis membership is a flag per
+// column. Contract: on finite data this chooses the same entering and
+// leaving variable at every pivot and returns bit-identical x, dual, basis
+// and iterations as dense Dantzig pricing over the full matrix -- skipping
+// a structural zero only drops a +-0 term.
 #pragma once
 
 #include <vector>
@@ -42,6 +54,9 @@ struct LpSolution {
 };
 
 struct LpOptions {
+  /// Pivot cap per phase (per run, for the Bland rerun); a phase that has
+  /// made this many pivots and is still not optimal stops with
+  /// kIterationLimit.
   int max_iterations = 20000;
   double tol = 1e-9;
   /// Wall-clock budget in seconds for the whole solve (both phases and the

@@ -172,6 +172,7 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
       // generation and design-matrix evaluation run on all cores while the
       // drawn scenarios stay bitwise-identical at any thread count.
       const std::size_t k_used = static_cast<std::size_t>(row.samples_used);
+      TraceSpan draw_span("pac.draw");
       if (metrics_enabled()) {
         static Counter& drawn =
             MetricsRegistry::instance().counter("pac.samples_drawn");
@@ -204,6 +205,7 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
                      }
                      evaluate_basis_rows(basis, chunk_pts, design, begin);
                    });
+      draw_span.close();
       // Screen non-finite rows at the boundary: a handful of bad samples
       // (diverging controller rollouts, injected NaNs) must not poison the
       // whole scenario program. Dropping rows weakens the Theorem-3 count,

@@ -289,7 +289,9 @@ TEST(Ledger, GitHeadResolvesLooseThenPackedRefs) {
 TEST(Ledger, ResolvePathPrefersConfigured) {
   EXPECT_EQ(resolve_ledger_path("explicit.jsonl"), "explicit.jsonl");
   // With no SCS_LEDGER in the test environment, empty resolves to off.
-  if (ledger_env_path().empty()) EXPECT_EQ(resolve_ledger_path(""), "");
+  if (ledger_env_path().empty()) {
+    EXPECT_EQ(resolve_ledger_path(""), "");
+  }
 }
 
 }  // namespace

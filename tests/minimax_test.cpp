@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "math/simd.hpp"
 #include "opt/minimax_fit.hpp"
 #include "util/check.hpp"
 #include "opt/simplex.hpp"
 #include "poly/basis.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace scs {
@@ -135,6 +139,42 @@ TEST(Minimax, LargeSampleCountRuns) {
   const MinimaxFitResult fit = minimax_fit(design, targets);
   EXPECT_GT(fit.error, 0.0);
   EXPECT_LT(fit.error, 0.2);  // tanh is nearly linear on this box
+}
+
+// Recorded from the dense-pricing simplex this case was written against.
+constexpr std::uint64_t kCubicFitDigest = 0xe3a7fe3fc81c3400ull;
+
+TEST(Minimax, SeededCubicFitIsBitIdentical) {
+  // A PAC-sized n = 2, d = 3 scenario program: K = 20,000 uniform samples
+  // on [-1, 1]^2 of tanh(2 x1 - x2). Its exchange runs a few dozen support
+  // LPs of up to a few hundred rows, and every bit of the answer is pinned.
+  Rng rng(2);
+  const auto basis = monomials_up_to(2, 3);
+  const std::size_t k = 20000;
+  Mat design(k, basis.size());
+  Vec targets(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Vec x(rng.uniform_vector(2, -1.0, 1.0));
+    design.set_row(i, evaluate_basis(basis, x));
+    targets[i] = std::tanh(2.0 * x[0] - x[1]);
+  }
+  std::vector<simd::Kernel> kernels{simd::Kernel::kScalar};
+  if (simd::avx2_available()) kernels.push_back(simd::Kernel::kAvx2);
+  for (const simd::Kernel kernel : kernels) {
+    simd::set_kernel_override(kernel);
+    const MinimaxFitResult fit = minimax_fit(design, targets);
+    Fnv1a h;
+    hash_append(h, fit.coefficients);
+    hash_append(h, fit.error);
+    hash_append(h, fit.support_error);
+    hash_append(h, fit.exchange_rounds);
+    hash_append(h, fit.support);
+    const char* name = simd::active_kernel_name();
+    simd::set_kernel_override(simd::Kernel::kAuto);
+    EXPECT_EQ(h.digest(), kCubicFitDigest)
+        << "kernel " << name << ": 0x" << std::hex << h.digest();
+    EXPECT_GT(fit.exchange_rounds, 10);
+  }
 }
 
 TEST(Minimax, RejectsEmptyProblem) {

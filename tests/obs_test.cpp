@@ -21,7 +21,10 @@
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "opt/minimax_fit.hpp"
+#include "poly/basis.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace scs {
@@ -294,6 +297,41 @@ TEST_F(ObsTest, LogTagScopeRestoresPreviousTag) {
   set_log_tag("");
 }
 
+TEST_F(ObsTest, TracedMinimaxFitEmitsOneLpSolvePerExchangeRound) {
+  Rng rng(9);
+  const auto basis = monomials_up_to(2, 3);
+  const std::size_t k = 2000;
+  Mat design(k, basis.size());
+  Vec targets(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Vec x(rng.uniform_vector(2, -1.0, 1.0));
+    design.set_row(i, evaluate_basis(basis, x));
+    targets[i] = std::tanh(2.0 * x[0] - x[1]);
+  }
+  trace_start(temp_path("scs_obs_minimax.json"));
+  set_metrics_enabled(true);
+  const MinimaxFitResult fit = minimax_fit(design, targets);
+  const std::vector<TraceEvent> events = trace_snapshot();
+  ASSERT_GT(fit.exchange_rounds, 1);
+
+  std::vector<const TraceEvent*> exchange, lawson, solves;
+  for (const TraceEvent& e : events) {
+    if (e.name == "minimax.exchange") exchange.push_back(&e);
+    if (e.name == "minimax.lawson") lawson.push_back(&e);
+    if (e.name == "lp.solve") solves.push_back(&e);
+  }
+  ASSERT_EQ(exchange.size(), 1u);
+  ASSERT_EQ(lawson.size(), 1u);
+  EXPECT_LE(lawson[0]->ts_ns + lawson[0]->dur_ns, exchange[0]->ts_ns);
+  EXPECT_EQ(solves.size(), static_cast<std::size_t>(fit.exchange_rounds));
+  for (const TraceEvent* e : solves) {
+    EXPECT_GE(e->ts_ns, exchange[0]->ts_ns);
+    EXPECT_LE(e->ts_ns + e->dur_ns, exchange[0]->ts_ns + exchange[0]->dur_ns);
+  }
+  EXPECT_EQ(MetricsRegistry::instance().counter("simplex.solves").value(),
+            static_cast<std::uint64_t>(fit.exchange_rounds));
+}
+
 TEST_F(ObsTest, TracedPipelineEmitsAllStageSpansAndStaysDeterministic) {
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
   PipelineConfig cfg;
@@ -334,6 +372,15 @@ TEST_F(ObsTest, TracedPipelineEmitsAllStageSpansAndStaysDeterministic) {
     EXPECT_LE(e->ts_ns + e->dur_ns, run->ts_ns + run->dur_ns) << stage;
   }
   ASSERT_NE(find_event(events, "sdp.iteration"), nullptr);
+  // The PAC stage breaks down below its attempts.
+  const TraceEvent* pac = find_event(events, "stage.pac");
+  for (const char* inner : {"pac.draw", "minimax.lawson", "minimax.exchange",
+                            "lp.solve"}) {
+    const TraceEvent* e = find_event(events, inner);
+    ASSERT_NE(e, nullptr) << inner;
+    EXPECT_GE(e->ts_ns, pac->ts_ns) << inner;
+    EXPECT_LE(e->ts_ns + e->dur_ns, pac->ts_ns + pac->dur_ns) << inner;
+  }
 
   // The per-run ObsRunScope wrote both files; both must parse.
   std::string error;
