@@ -5,13 +5,16 @@
 // of the recorded winner bitwise-identical, same verdict both ways).
 //
 // The workload is chosen so the serial schedule has real work to burn: on
-// a moderately damped oscillator at degree 4, the alternating-BMI arm for
+// a weakly damped oscillator at degree 4, the alternating-BMI arm for
 // attempt 0 draws an unlucky lambda and grinds through three lambda-/B-
 // step rounds (7 solves) before its certificate passes the gate, while
-// the draws of attempts 1-3 certify on the first solve. The serial ladder
-// always pays for the grinder in full; the racer runs all four arms at
-// once and cancels it mid-solve through its child JobControl scope the
-// moment a sibling wins -- which is why racing wins even on one core.
+// the draws of attempts 1 and 3 certify on the first solve (attempt 2 on
+// its third). The serial ladder always pays for the grinder in full; the
+// racer runs all four arms at once and cancels it mid-solve through its
+// child JobControl scope the moment a sibling wins -- which is why racing
+// wins even on one core. The workload must keep that shape: when arm 0
+// certifies in a few solves, racing has nothing to cancel and loses to the
+// serial ladder (EXPERIMENTS E9).
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -29,10 +32,10 @@
 namespace scs {
 namespace {
 
-/// Damped oscillator with the unsafe shell at |x| >= 1.5. Under the
-/// alternating-BMI strategy at degree 4 (seed 1), the attempt-0 lambda
-/// draw certifies only after three lambda-/B-step rounds (7 solves), while
-/// attempts 1-3 certify on their first solve.
+/// Damped oscillator (damping 0.4) with the unsafe shell at |x| >= 1.5.
+/// Under the alternating-BMI strategy at degree 4 (seed 17), the attempt-0
+/// lambda draw certifies only after three lambda-/B-step rounds (7
+/// solves), while attempts 1 and 3 certify on their first solve.
 Ccds bmi_heavy_system() {
   Ccds sys;
   sys.name = "racebench";
@@ -41,7 +44,7 @@ Ccds bmi_heavy_system() {
   const auto x1 = Polynomial::variable(3, 0);
   const auto x2 = Polynomial::variable(3, 1);
   const auto u = Polynomial::variable(3, 2);
-  sys.open_field = {x2, x1 * -1.0 - x2 * 0.5 + u};
+  sys.open_field = {x2, x1 * -1.0 - x2 * 0.4 + u};
   const Box box = Box::centered(2, 2.0);
   sys.init_set = SemialgebraicSet::ball(Vec{0.0, 0.0}, 0.5);
   sys.domain = SemialgebraicSet::from_box(box);
@@ -55,7 +58,7 @@ BarrierConfig ladder_config() {
   cfg.degree_schedule = {4};
   cfg.lambda_attempts = 4;
   cfg.bmi_rounds = 8;
-  cfg.seed = 1;
+  cfg.seed = 17;
   cfg.race.strategies = {LambdaStrategy::kAlternating};
   return cfg;
 }

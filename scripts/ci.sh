@@ -128,9 +128,12 @@ run_perf() {
 
   # Fresh ledger from a fast C1 synthesis. Exit 1 (= UNVERIFIED on the
   # shrunken fast budget) is tolerated -- the gate checks the recorded PAC
-  # facts and timings, never the fast-mode verdict. Exit 2+ still fails.
+  # facts, timings and solver counters, never the fast-mode verdict. Exit
+  # 2+ still fails. --metrics turns the registry on, so the ledger record
+  # carries the counters (C1.metrics.counters.*) that table2_fast.json pins.
   rc=0
   ./build/examples/synthesize_cli --fast --no-cache \
+      --metrics "${tmp}/metrics.json" \
       --ledger "${tmp}/ledger.jsonl" C1 "${tmp}/out.txt" 5 || rc=$?
   if [ "${rc}" -gt 1 ]; then
     echo "synthesize_cli exited with ${rc}" >&2; exit "${rc}"

@@ -59,6 +59,8 @@ struct ProgramOutcome {
   Polynomial lambda;
   double max_identity_residual = 0.0;
   double min_gram_eigenvalue = 0.0;
+  /// The SDP proved the program infeasible (SdpStatus::kInfeasible).
+  bool proven_infeasible = false;
   std::string failure_reason;
 };
 
@@ -197,6 +199,7 @@ ProgramOutcome solve_program(const Ccds& system,
   for (double r : result.identity_residuals)
     out.max_identity_residual = std::max(out.max_identity_residual, r);
   out.min_gram_eigenvalue = result.min_gram_eigenvalue;
+  out.proven_infeasible = result.sdp.status == SdpStatus::kInfeasible;
   if (!result.values.empty()) {
     out.barrier = b_free ? result.value(b_var) : *fixed_barrier;
     out.lambda = lambda_free ? result.value(lambda_var) : *fixed_lambda;
@@ -282,7 +285,8 @@ struct ArmOutcome {
   ProgramOutcome program;
   /// "lmi" | "bmi-lambda" | "bmi-b" when feasible, "" otherwise.
   std::string accepted_via;
-  int attempts = 0;  // SOS programs solved by this arm
+  int attempts = 0;    // SOS programs solved by this arm
+  int infeasible = 0;  // of those, proven infeasible by the SDP
   /// Stopped by the arm's JobControl (race loser or job-level stop) rather
   /// than by running out of ideas.
   bool preempted = false;
@@ -309,6 +313,7 @@ ArmOutcome run_arm(const Ccds& system,
   ProgramOutcome outcome = solve_program(
       system, closed_field, arm.degree,
       lambda.degree() < 0 ? 0 : lambda.degree(), nullptr, &lambda, cfg);
+  out.infeasible += outcome.proven_infeasible;
   std::string via = "lmi";
 
   // Alternating BMI heuristic: bounce between the lambda-step (B fixed)
@@ -325,6 +330,7 @@ ArmOutcome run_arm(const Ccds& system,
       ProgramOutcome lam_step = solve_program(system, closed_field,
                                               arm.degree, 1, &b_cur, nullptr,
                                               cfg);
+      out.infeasible += lam_step.proven_infeasible;
       if (lam_step.lambda.is_zero() && !lam_step.feasible) break;
       lambda = lam_step.lambda;
       if (lam_step.feasible) {
@@ -341,6 +347,7 @@ ArmOutcome run_arm(const Ccds& system,
       ProgramOutcome b_step =
           solve_program(system, closed_field, arm.degree, lambda.degree(),
                         nullptr, &lambda, cfg);
+      out.infeasible += b_step.proven_infeasible;
       // The last solve's diagnostics stand even when the B-step collapses
       // to the zero polynomial and the recovery is abandoned.
       outcome.max_identity_residual = b_step.max_identity_residual;
@@ -546,14 +553,21 @@ BarrierResult synthesize_barrier_ladder(const Ccds& system_in,
     result.failure_reason = "preempted (job cancelled or deadline)";
   } else if (!outcomes.empty()) {
     // Every arm ran to completion; surface the last arm's diagnostics
-    // (deterministic: independent of scheduling).
-    const ProgramOutcome& last = outcomes.back().program;
-    result.max_identity_residual = last.max_identity_residual;
-    result.min_gram_eigenvalue = last.min_gram_eigenvalue;
-    result.failure_reason = last.failure_reason;
+    // (deterministic: independent of scheduling): which arm, how many of
+    // its SOS programs the SDP proved infeasible, and why its last failed.
+    const ArmOutcome& last = outcomes.back();
+    result.max_identity_residual = last.program.max_identity_residual;
+    result.min_gram_eigenvalue = last.program.min_gram_eigenvalue;
+    result.failure_reason =
+        "arm " + arm_desc(arms.back()) + ": " +
+        std::to_string(last.infeasible) + " of " +
+        std::to_string(last.attempts) +
+        " SOS program(s) proven infeasible; last: " +
+        last.program.failure_reason;
     if (replay_arm >= 0)
       result.failure_reason =
-          "replayed arm no longer yields a certificate: " + last.failure_reason;
+          "replayed arm no longer yields a certificate: " +
+          result.failure_reason;
   }
   if (!result.success && result.failure_reason.empty())
     result.failure_reason = "no feasible certificate in the degree schedule";

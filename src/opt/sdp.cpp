@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "math/cholesky.hpp"
+#include "math/eigen_sym.hpp"
 #include "math/robust_solve.hpp"
 #include "math/simd.hpp"
 #include "obs/metrics.hpp"
@@ -121,6 +122,29 @@ struct Residuals {
   double mu = 0.0;
 };
 
+/// delta >= max(0, -lambda_min(Z)) for one block of infeasibility_bound.
+/// `z_abs` bounds |Z| entrywise including the terms that cancelled while Z
+/// was summed from `terms` products; the allowance covers that summation
+/// and the Cholesky backward error (Demmel: a factorization that completes
+/// proves Z + E positive definite with ||E||_2 <= n (n + 1) u max|Z_ii|).
+double block_slack(const Mat& z, double z_abs, std::size_t terms) {
+  const double n = static_cast<double>(z.rows());
+  const auto allowance = [&](double shift) {
+    return n * (static_cast<double>(terms) + n + 2.0) *
+           std::numeric_limits<double>::epsilon() * (z_abs + shift);
+  };
+  if (Cholesky(z).ok()) return allowance(0.0);
+  // Indefinite (or singular): shift by the eigenvalue estimate plus the
+  // allowance, and confirm the shift with a factorization that completes.
+  double shift = std::max(0.0, -min_eigenvalue(z)) + allowance(0.0);
+  for (int k = 0; k < 8 && shift > 0.0; ++k, shift *= 2.0) {
+    Mat shifted = z;
+    for (std::size_t i = 0; i < z.rows(); ++i) shifted(i, i) += shift;
+    if (Cholesky(shifted).ok()) return shift + allowance(shift);
+  }
+  return std::numeric_limits<double>::infinity();  // no usable bound
+}
+
 /// Data-driven starting scale for the identity initial iterates.
 double auto_scale(const SdpProblem& problem) {
   Vec b(problem.constraints.size());
@@ -204,6 +228,7 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
   if (!problem.block_obj_weight.empty()) cw = problem.block_obj_weight;
   Vec cf(s, 0.0);
   if (!problem.free_obj.empty()) cf = problem.free_obj;
+  const double w_max = *std::max_element(cw.begin(), cw.end());
 
   // RHS vector.
   Vec b(m);
@@ -297,6 +322,25 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
         d_infeas < options.tol_feasibility && gap < options.tol_gap) {
       sol.status = SdpStatus::kConverged;
       break;
+    }
+
+    // Certified infeasibility. The bound is at most b'y / max(w_max,
+    // ||B'y||), so one dot product gates the check, which rebuilds the
+    // certificate from the problem data and factors each block once.
+    if (const double by = dot(b, y); by > kInfeasibilitySize * w_max &&
+        by > kInfeasibilitySize * std::max(w_max, bt_y(y).norm())) {
+      const double bound = infeasibility_bound(problem, y);
+      if (bound > kInfeasibilitySize) {
+        sol.status = SdpStatus::kInfeasible;
+        sol.infeasibility_bound = bound;
+        if (metrics_enabled()) {
+          static Counter& infeasible =
+              MetricsRegistry::instance().counter("sdp.infeasible");
+          infeasible.add(1);
+        }
+        if (trace_enabled()) trace_instant("sdp.infeasible");
+        break;
+      }
     }
 
     // Wall-clock budget (shared across retries by the caller).
@@ -600,6 +644,55 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
 }
 
 }  // namespace
+
+double infeasibility_bound(const SdpProblem& problem, const Vec& y) {
+  const std::size_t m = problem.constraints.size();
+  const std::size_t num_blocks = problem.block_dims.size();
+  SCS_REQUIRE(y.size() == m, "infeasibility_bound: need one y per constraint");
+  SCS_REQUIRE(problem.block_obj_weight.empty() ||
+                  problem.block_obj_weight.size() == num_blocks,
+              "infeasibility_bound: objective weight count mismatch");
+  const auto weight = [&](std::size_t l) {
+    return problem.block_obj_weight.empty() ? 0.0
+                                            : problem.block_obj_weight[l];
+  };
+  // b'y and B'y, each with the magnitude of its summands: a sum of m
+  // products is off by at most (m + 1) u times that magnitude.
+  const double round = static_cast<double>(m + 2) *
+                       std::numeric_limits<double>::epsilon();
+  double by = 0.0, by_abs = 0.0;
+  Vec bty(problem.num_free, 0.0), bty_abs(problem.num_free, 0.0);
+  std::vector<Mat> z(num_blocks), z_abs(num_blocks);
+  for (std::size_t l = 0; l < num_blocks; ++l) {
+    z[l] = Mat::identity(problem.block_dims[l]) * weight(l);
+    z_abs[l] = Mat::identity(problem.block_dims[l]) * std::fabs(weight(l));
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const SdpConstraint& con = problem.constraints[i];
+    by += con.rhs * y[i];
+    by_abs += std::fabs(con.rhs * y[i]);
+    for (const auto& [idx, coeff] : con.free_terms) {
+      bty[idx] += coeff * y[i];
+      bty_abs[idx] += std::fabs(coeff * y[i]);
+    }
+    for (const SdpEntry& e : con.entries) {
+      const double v = e.value * y[i];
+      z[e.block](e.row, e.col) -= v;
+      z_abs[e.block](e.row, e.col) += std::fabs(v);
+      if (e.row != e.col) {
+        z[e.block](e.col, e.row) -= v;
+        z_abs[e.block](e.col, e.row) += std::fabs(v);
+      }
+    }
+  }
+  by -= round * by_abs;
+  if (!(by > 0.0)) return 0.0;
+  double denom = bty.norm() + round * bty_abs.norm();
+  for (std::size_t l = 0; l < num_blocks; ++l)
+    denom = std::max(denom,
+                     weight(l) + block_slack(z[l], z_abs[l].max_abs(), m));
+  return denom > 0.0 ? by / denom : std::numeric_limits<double>::infinity();
+}
 
 SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options) {
   TraceSpan span("sdp.solve");

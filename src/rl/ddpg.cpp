@@ -64,6 +64,10 @@ void DdpgAgent::update_networks(Rng& rng) {
 
   // ---- Actor update: ascend Q(x, actor(x)), i.e. minimize (6).
   Vec actor_grad(actor_.parameter_count(), 0.0);
+  // Sink for the critic's parameter gradient, which the actor step never
+  // reads; backward only accumulates into it, so one buffer serves the
+  // whole batch.
+  Vec scratch(critic_.parameter_count(), 0.0);
   for (const Transition* t : batch) {
     Mlp::Workspace actor_ws;
     const Vec a = actor_.forward(t->state, actor_ws);
@@ -71,7 +75,6 @@ void DdpgAgent::update_networks(Rng& rng) {
     critic_.forward(concat(t->state, a), critic_ws);
     // dJ/dq = -1/N  (J = -mean Q).
     Vec dq(1, -inv_n);
-    Vec scratch(critic_.parameter_count(), 0.0);
     const Vec dinput = critic_.backward(critic_ws, dq, scratch);
     // Slice dJ/da from the critic's input gradient, then apply inverting
     // gradients (Hausknecht & Stone): attenuate the component that pushes an

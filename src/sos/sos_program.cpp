@@ -1,5 +1,6 @@
 #include "sos/sos_program.hpp"
 
+#include <cstdio>
 #include <map>
 
 #include "math/eigen_sym.hpp"
@@ -246,7 +247,7 @@ SosProgram::Result SosProgram::solve(const SdpOptions& sdp_options,
     result.sdp = solve_sdp(sdp, sdp_options);
   }
 
-  if (result.sdp.status == SdpStatus::kInfeasible) {
+  if (result.sdp.status == SdpStatus::kInfeasible && result.sdp.x.empty()) {
     result.failure_reason = "SDP structurally infeasible";
     return result;
   }
@@ -257,7 +258,9 @@ SosProgram::Result SosProgram::solve(const SdpOptions& sdp_options,
   }
 
   // Extract decision polynomials regardless of status; the residual /
-  // PSD checks below are the real acceptance test.
+  // PSD checks below are the real acceptance test. A certified-infeasible
+  // run keeps its last iterate too: the alternating BMI seeds its next
+  // lambda- and B-step from it.
   result.values.resize(vars_.size());
   result.min_gram_eigenvalue = 0.0;
   bool first_gram = true;
@@ -307,6 +310,15 @@ SosProgram::Result SosProgram::solve(const SdpOptions& sdp_options,
       s += " after " + std::to_string(result.sdp.restarts) + " restart(s)";
     return s + "]";
   };
+  if (result.sdp.status == SdpStatus::kInfeasible) {
+    char bound[32];
+    std::snprintf(bound, sizeof bound, "%.3g",
+                  result.sdp.infeasibility_bound);
+    result.failure_reason =
+        std::string("SDP infeasible: every solution has Σ tr(G) + ‖f‖ ≥ ") +
+        bound;
+    return result;
+  }
   if (max_residual > identity_tol) {
     result.failure_reason = "identity residual " +
                             std::to_string(max_residual) + " exceeds tol" +

@@ -33,8 +33,11 @@ void trace_store_event(const char* name) {
 /// The validation key chains from the barrier key, so it moves too; the RL
 /// and PAC keys do not. Revision 1: the per-arm gate and stage 4 decide
 /// Theorem 1 by the lambda-identity rule of barrier/independent_check, and
-/// the validation payload stores its per-condition rows.
-constexpr std::uint64_t kBarrierStageRevision = 1;
+/// the validation payload stores its per-condition rows. Revision 2: SDP
+/// runs stop at a checked infeasibility certificate (opt/sdp.hpp), which
+/// moves the iterates the alternating BMI seeds from, and a failed ladder
+/// names its last arm and how many of its programs were proven infeasible.
+constexpr std::uint64_t kBarrierStageRevision = 2;
 
 /// Seed every stage key with the serialization format version and a stage
 /// tag, so a format bump orphans old blobs instead of misreading them and

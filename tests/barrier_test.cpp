@@ -84,7 +84,14 @@ TEST(Barrier, InfeasibleForUnsafeController) {
   const BarrierResult result =
       synthesize_barrier(bench.ccds, {controller}, config);
   EXPECT_FALSE(result.success);
-  EXPECT_FALSE(result.failure_reason.empty());
+  // The verdict says why: the last arm of the ladder, and how many of its
+  // SOS programs the SDP proved infeasible.
+  EXPECT_EQ(result.failure_reason.rfind(
+                "arm constant/d=4/a=1: 1 of 1 SOS program(s) proven "
+                "infeasible; last: SDP infeasible: every solution has ",
+                0),
+            0u)
+      << result.failure_reason;
 }
 
 TEST(Barrier, DegreeScheduleGuardSkipsHugePrograms) {
@@ -148,15 +155,15 @@ TEST(BarrierBmi, BStepAcceptanceReportsAcceptedDiagnostics) {
 }
 
 TEST(BarrierBmi, LambdaStepAcceptanceReportsAcceptedDiagnostics) {
-  // (toy2 damping 0.4, seed 4, degree {4}): LMI fails, round-1 B-step
-  // fails, the round-2 lambda-step accepts. Before the fix this path kept
-  // the failed solve's diagnostics in the result.
+  // (toy2 damping 0.4, seed 1, degree {2}): LMI fails, the round-1
+  // lambda- and B-steps fail, the round-2 lambda-step accepts. Before the
+  // fix this path kept the failed solve's diagnostics in the result.
   const Ccds sys = toy2_weak(0.4);
   BarrierConfig cfg;
   cfg.lambda_strategy = LambdaStrategy::kAlternating;
-  cfg.degree_schedule = {4};
+  cfg.degree_schedule = {2};
   cfg.lambda_attempts = 2;
-  cfg.seed = 4;
+  cfg.seed = 1;
   const BarrierResult result = synthesize_barrier(sys, {Polynomial(2)}, cfg);
   ASSERT_TRUE(result.success) << result.failure_reason;
   ASSERT_EQ(result.accepted_via, "bmi-lambda");

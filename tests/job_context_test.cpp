@@ -22,6 +22,7 @@
 #include "store/store.hpp"
 #include "util/cancellation.hpp"
 #include "util/hash.hpp"
+#include "util/stopwatch.hpp"
 
 namespace scs {
 namespace {
@@ -294,14 +295,19 @@ TEST(JobContextPipeline, ExpiredDeadlineYieldsDeadlineVerdict) {
 }
 
 TEST(JobContextPipeline, MidRunDeadlinePreemptsBeforeCompletion) {
-  // A C1 fast run takes seconds; a 0.5 s deadline must stop it early at a
-  // stage or solver boundary with the DEADLINE verdict.
+  // A deadline at a third of the job's own undisturbed run time must stop
+  // it early at a stage or solver boundary with the DEADLINE verdict. The
+  // job is timed first, so the premise holds however fast it gets; the
+  // store stays off so the timed run cannot warm the second one.
   PipelineConfig config = fast_config();
+  config.store.mode = StoreConfig::Mode::kOff;
+  const SynthesisJob job(make_benchmark(BenchmarkId::kC1), config);
+  Stopwatch full;
+  job.run();
   JobControl control;
-  control.set_deadline_after(0.5);
+  control.set_deadline_after(full.seconds() / 3.0);
   JobContext ctx;
   ctx.control = &control;
-  const SynthesisJob job(make_benchmark(BenchmarkId::kC1), config);
   const SynthesisResult result = job.run(ctx);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.verdict, "DEADLINE");

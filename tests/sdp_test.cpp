@@ -84,6 +84,13 @@ TEST(Sdp, FreeVariableShiftsBudget) {
   ASSERT_EQ(sol.status, SdpStatus::kConverged);
   EXPECT_NEAR(sol.free_vars[0], 1.0, 1e-5);
   EXPECT_NEAR(sol.x[0](0, 0), 0.0, 1e-4);
+  // The free column enters infeasibility_bound through ||B'y||: no y may
+  // claim more than the size 1 of the solution X = 0, f = 1.
+  Rng rng(7);
+  for (int k = 0; k < 100; ++k) {
+    const Vec y{1e8 * rng.normal(), 1e8 * rng.normal()};
+    EXPECT_LE(infeasibility_bound(p, y), 1.0 + 1e-12) << "draw " << k;
+  }
 }
 
 TEST(Sdp, FreeVariableWithCost) {
@@ -119,7 +126,9 @@ TEST(Sdp, StructurallyInfeasibleEmptyRow) {
 }
 
 TEST(Sdp, InfeasibleProblemDoesNotConverge) {
-  // X_00 = -1 with X PSD is infeasible.
+  // X_00 = -1 with X PSD is infeasible. y -> -infinity along the Farkas ray
+  // y = -t, which proves every solution has size >= t: the run stops there
+  // with a checked bound and is not retried.
   SdpProblem p;
   p.block_dims = {1};
   p.block_obj_weight = {1.0};
@@ -130,7 +139,11 @@ TEST(Sdp, InfeasibleProblemDoesNotConverge) {
   SdpOptions opts;
   opts.max_iterations = 40;
   const SdpSolution sol = solve_sdp(p, opts);
-  EXPECT_NE(sol.status, SdpStatus::kConverged);
+  ASSERT_EQ(sol.status, SdpStatus::kInfeasible);
+  EXPECT_EQ(sol.restarts, 0);
+  EXPECT_GT(sol.infeasibility_bound, kInfeasibilitySize);
+  EXPECT_EQ(infeasibility_bound(p, sol.y), sol.infeasibility_bound);
+  EXPECT_EQ(sol.x.size(), 1u);  // the last iterate is kept
 }
 
 class SdpRandomFeasible : public ::testing::TestWithParam<int> {};
@@ -169,6 +182,17 @@ TEST_P(SdpRandomFeasible, RecoversFeasiblePoint) {
   ASSERT_EQ(sol.status, SdpStatus::kConverged) << "seed " << GetParam();
   EXPECT_LT(sol.primal_infeasibility, 1e-6);
   EXPECT_GT(min_eigenvalue(sol.x[0]), -1e-7);
+
+  // No y certifies a feasible program infeasible: every solution, X0
+  // included, bounds infeasibility_bound from above -- at the final iterate
+  // and at large random dual vectors like those of a diverging run.
+  const double size = x0.trace() * (1.0 + 1e-12);
+  EXPECT_LE(infeasibility_bound(p, sol.y), size);
+  for (int k = 0; k < 20; ++k) {
+    Vec y(m);
+    for (double& v : y) v = 1e8 * rng.normal();
+    EXPECT_LE(infeasibility_bound(p, y), size) << "draw " << k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SdpRandomFeasible, ::testing::Range(1, 26));

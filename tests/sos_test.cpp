@@ -1,6 +1,8 @@
 // Tests for the SOS program compiler and certificate utilities.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "obs/metrics.hpp"
 #include "poly/basis.hpp"
 #include "sos/certificate.hpp"
@@ -89,6 +91,45 @@ TEST(SosProgram, InfeasibleCertificateDetected) {
   const Polynomial one = Polynomial::constant(1, 1.0);
   prog.add_identity(f, {{-one, s0, {}}, {-g1, s1, {}}, {-g2, s2, {}}});
   EXPECT_FALSE(prog.solve().feasible);
+}
+
+TEST(SosProgram, InfeasibleProgramReturnsCheckedCertificate) {
+  // s = -1 - x^2 with s SOS over {1, x}: the constant and x^2 coefficients
+  // of s would have to be negative. The SDP's dual iterate proves it.
+  SosProgram prog(1);
+  const auto s = prog.add_sos_poly(monomials_up_to(1, 1));
+  // s - (-1 - x^2) == 0.
+  prog.add_identity(Polynomial::constant(1, 1.0) + var(1, 0).pow(2),
+                    {{Polynomial::constant(1, 1.0), s, {}}});
+  const SdpProblem sdp = prog.compile();
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  const Counter& infeasible =
+      MetricsRegistry::instance().counter("sdp.infeasible");
+  const std::uint64_t before = infeasible.value();
+  const SdpSolution sol = solve_sdp(sdp);
+  const std::uint64_t added = infeasible.value() - before;
+  set_metrics_enabled(was_enabled);
+  ASSERT_EQ(sol.status, SdpStatus::kInfeasible);
+  EXPECT_EQ(added, 1u);
+  EXPECT_GT(sol.infeasibility_bound, kInfeasibilitySize);
+  // The bound is recomputed from the problem data alone.
+  EXPECT_EQ(infeasibility_bound(sdp, sol.y), sol.infeasibility_bound);
+
+  // A perturbed certificate fails the check: flip the largest entry of y.
+  Vec y = sol.y;
+  std::size_t largest = 0;
+  for (std::size_t i = 1; i < y.size(); ++i)
+    if (std::fabs(y[i]) > std::fabs(y[largest])) largest = i;
+  y[largest] = -y[largest];
+  EXPECT_LT(infeasibility_bound(sdp, y), kInfeasibilitySize);
+
+  const auto result = prog.solve();
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.values.size(), 1u);  // extracted from the last iterate
+  EXPECT_EQ(result.failure_reason.rfind("SDP infeasible: every solution", 0),
+            0u)
+      << result.failure_reason;
 }
 
 TEST(SosProgram, CompileProducesOneEquationPerMonomial) {

@@ -368,7 +368,10 @@ TEST(StageKeys, BarrierRevisionMovesOnlyBarrierAndValidationKeys) {
   // revision was hashed in. RL and PAC keys must stay byte-identical (a
   // store written before keeps serving trained actors and PAC fits); the
   // barrier key, and the validation key chained from it, must move so the
-  // old gate and stage-4 verdicts are recomputed, not served warm.
+  // old gate and stage-4 verdicts are recomputed, not served warm. The
+  // barrier key moves again at every revision: 0x9e877907e22f6031 is the
+  // revision-1 key, before SDP runs stopped at an infeasibility
+  // certificate.
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
   PipelineConfig cfg;
   const std::uint64_t rl = rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 100, 25);
@@ -376,7 +379,9 @@ TEST(StageKeys, BarrierRevisionMovesOnlyBarrierAndValidationKeys) {
                                           bench.ccds.control_bound, 1);
   EXPECT_EQ(rl, 0x9f3f6b86b4aff4dbull);
   EXPECT_EQ(pac, 0x1ebaf11e3db060b5ull);
-  EXPECT_NE(barrier_stage_key(pac, cfg.barrier), 0xf123cb835e5fed3cull);
+  const std::uint64_t barrier = barrier_stage_key(pac, cfg.barrier);
+  EXPECT_NE(barrier, 0xf123cb835e5fed3cull);
+  EXPECT_NE(barrier, 0x9e877907e22f6031ull);
 }
 
 // ---- StageCache: hit/miss/corrupt accounting and fault injection.
