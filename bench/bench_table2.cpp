@@ -14,8 +14,6 @@
 //   SCS_T2_MAXK=N      cap the scenario sample count (eps is recomputed
 //                      honestly from the capped K, Theorem 3)
 //   SCS_SKIP_BASELINE=1  skip the nncontroller column
-//   SCS_T2_RACE=1      race the barrier ladder arms (portfolio racing)
-//                      instead of walking them serially
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -54,7 +52,6 @@ int main() {
   if (ep_env != nullptr) cfg.rl_episodes = std::atoi(ep_env);
   if (const char* maxk = std::getenv("SCS_T2_MAXK"); maxk != nullptr)
     cfg.pac_fit.max_samples = static_cast<std::uint64_t>(std::atoll(maxk));
-  if (std::getenv("SCS_T2_RACE") != nullptr) cfg.barrier.race.enabled = true;
   if (fast) {
     cfg.rl_episodes = (cfg.rl_episodes > 0) ? cfg.rl_episodes : 60;
     cfg.pac_fit.max_samples = 10000;

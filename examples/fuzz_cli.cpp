@@ -26,8 +26,9 @@
 //                     from cached stages instead of recomputing
 //   --no-cache        disable the artifact store
 //   --summary <file>  also write the campaign summary JSON to this file
-//   --max-seconds <s> time budget: stop launching new systems once elapsed
-//                     (skipped systems are reported, not failed), and arm a
+//   --max-seconds <s> time budget in seconds (a positive number): stop
+//                     launching new systems once elapsed (skipped systems
+//                     are reported, not failed), and arm a
 //                     shared job deadline so in-flight runs preempt at the
 //                     next stage/solver boundary (verdict DEADLINE) instead
 //                     of overshooting the budget by a full pipeline run
@@ -35,6 +36,7 @@
 //
 // Exit code: 0 = campaign clean, 1 = soundness violation(s), 2 = usage.
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -133,6 +135,16 @@ bool parse_dims(const std::string& text, std::vector<std::size_t>& out) {
   return !out.empty();
 }
 
+/// The whole of `text` as a finite, positive number of seconds.
+bool parse_seconds(const char* text, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+    return false;
+  out = v;
+  return true;
+}
+
 void print_usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
@@ -199,7 +211,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-cache") {
       store.mode = StoreConfig::Mode::kOff;
     } else if (arg == "--max-seconds") {
-      max_seconds = std::atof(next("a duration"));
+      if (!parse_seconds(next("a duration"), max_seconds)) {
+        std::cerr << "--max-seconds needs a positive number of seconds\n";
+        print_usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "--verbose") {
       verbose = true;
     } else {

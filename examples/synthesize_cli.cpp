@@ -16,9 +16,10 @@
 //                       (see src/obs/ledger.hpp; SCS_LEDGER is the env
 //                       equivalent, report_cli the consumer)
 //   --fast              shrunken budgets (smoke tests / CI)
-//   --deadline <s>      wall-clock budget; the run stops at the next stage /
-//                       solver-iteration boundary and reports verdict
-//                       DEADLINE (exit code 1, no partial cache artifacts)
+//   --deadline <s>      wall-clock budget in seconds (a positive number);
+//                       the run stops at the next stage / solver-iteration
+//                       boundary and reports verdict DEADLINE (exit code 1,
+//                       no partial cache artifacts)
 //   --seed <n>          pipeline seed (default 2024); for gen:<i> targets it
 //                       is also the family seed
 //   --dims <d1,d2,...>  state dimensions of the generated family (gen:<i>
@@ -27,6 +28,7 @@
 // Besides C1..C10 the benchmark may be "gen:<index>": system <index> of the
 // random family defined by --seed/--dims (src/systems/family_gen) -- the
 // triage path for a system fuzz_cli flagged, reproduced bit for bit.
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -72,7 +74,7 @@ void print_usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--cache-dir <dir>] [--no-cache] [--trace <file>]\n"
             << "       [--metrics <file>] [--ledger <file>] [--fast]\n"
-            << "       [--seed <n>] [--dims <d1,d2,...>] "
+            << "       [--deadline <s>] [--seed <n>] [--dims <d1,d2,...>] "
             << "<C1..C10|gen:<index>> <output-file> "
             << "[episodes]\n       " << argv0 << " --load <file>\n";
 }
@@ -87,6 +89,16 @@ bool parse_dims(const std::string& text, std::vector<std::size_t>& out) {
     out.push_back(static_cast<std::size_t>(v));
   }
   return !out.empty();
+}
+
+/// The whole of `text` as a finite, positive number of seconds.
+bool parse_seconds(const char* text, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+    return false;
+  out = v;
+  return true;
 }
 
 }  // namespace
@@ -147,11 +159,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--fast") {
       fast = true;
     } else if (arg == "--deadline") {
-      if (i + 1 >= argc) {
-        std::cerr << "--deadline needs a seconds argument\n";
+      if (i + 1 >= argc || !parse_seconds(argv[i + 1], deadline_seconds)) {
+        std::cerr << "--deadline needs a positive number of seconds\n";
+        print_usage(argv[0]);
         return 2;
       }
-      deadline_seconds = std::atof(argv[++i]);
+      ++i;
     } else {
       positional.push_back(arg);
     }

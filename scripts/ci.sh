@@ -23,18 +23,17 @@
 #                            # zero tolerated soundness violations, gated by
 #                            # baselines/fuzz_campaign.json, plus a negative
 #                            # perturbed-certificate check
-#   scripts/ci.sh race       # racing + cancellation suite: race-labeled
-#                            # tests (race_test, job_context_test) under
-#                            # tsan (speculative arms + cancellation must be
-#                            # data-race free) and in Release, then
-#                            # a raced-vs-replayed determinism smoke where
-#                            # the pinned winner must reproduce bitwise
+#   scripts/ci.sh cancel     # cancellation suite: the cancel-labeled
+#                            # job_context_test under tsan (jobs cancelled
+#                            # mid-solver must be data-race free) and in
+#                            # Release
 #   scripts/ci.sh simd       # SCS_SIMD=OFF build + full tests (the scalar
 #                            # fallback must stand alone), then the
 #                            # simd-labeled suite under ubsan so the
 #                            # intrinsics paths run sanitized
 #
-# Label shortcuts (run from any built tree): ctest -L property|fault|golden|store.
+# Label shortcuts (run from any built tree):
+# ctest -L property|fault|golden|store|cancel.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -122,7 +121,7 @@ run_perf() {
   echo "==> Perf regression gate (run ledger + baselines + Table-2 dashboard)"
   cmake --preset default
   cmake --build --preset default -j "${JOBS}" \
-      --target synthesize_cli report_cli bench_obs bench_solvers bench_race
+      --target synthesize_cli report_cli bench_obs bench_solvers
   local tmp rc
   tmp="$(mktemp -d)"
 
@@ -148,11 +147,6 @@ run_perf() {
   # return to dense simplex pricing, which the tiny LPs of
   # SamplesSweep/1000 cannot.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
-  # bench_race times the serial ladder against the raced arms on a
-  # BMI-heavy system and self-checks the >= 1.3x speedup gate plus the
-  # bitwise replay of the recorded winner; the baseline re-pins both so
-  # the numbers land in the dashboard next to the other suites.
-  (cd "${tmp}" && "${OLDPWD}/build/bench/bench_race")
   ./build/bench/bench_solvers \
       --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$' \
       --benchmark_format=json \
@@ -163,10 +157,8 @@ run_perf() {
       --ledger "${tmp}/ledger.jsonl" \
       --bench bench_obs="${tmp}/BENCH_obs.json" \
       --bench bench_solvers="${tmp}/BENCH_solvers.json" \
-      --bench bench_race="${tmp}/BENCH_race.json" \
       --baseline baselines/bench_obs.json \
       --baseline baselines/bench_solvers.json \
-      --baseline baselines/race.json \
       --baseline baselines/table2_fast.json \
       --markdown "${tmp}/report.md" --json "${tmp}/report.json"
   grep -q 'Table 2 reproduction dashboard' "${tmp}/report.md" || {
@@ -239,30 +231,18 @@ run_fuzz() {
   rm -rf "${tmp}"
 }
 
-run_race() {
-  echo "==> Racing + cancellation suite under ThreadSanitizer"
-  # race_test runs speculative arms on the pool and cancels losers through
-  # child JobControl scopes, and job_context_test cancels jobs mid-solver;
-  # both must be clean under tsan.
+run_cancel() {
+  echo "==> Cancellation suite under ThreadSanitizer"
+  # job_context_test cancels jobs and arms deadlines while solvers run on
+  # the pool; it must be clean under tsan.
   cmake --preset tsan
-  cmake --build --preset tsan -j "${JOBS}" --target race_test job_context_test
-  ctest --preset tsan-race -j "${JOBS}" --output-on-failure
+  cmake --build --preset tsan -j "${JOBS}" --target job_context_test
+  ctest --preset tsan-cancel -j "${JOBS}" --output-on-failure
 
-  echo "==> Race-labeled tests in the Release tree"
+  echo "==> Cancel-labeled tests in the Release tree"
   cmake --preset default
-  cmake --build --preset default -j "${JOBS}" \
-      --target race_test job_context_test bench_race
-  (cd build && ctest -L race --output-on-failure)
-
-  echo "==> Replay-determinism smoke (raced winner pinned and reproduced)"
-  # bench_race itself exits nonzero unless the replay of the recorded
-  # winning arm is bitwise-identical to the raced result; SCS_FAST skips
-  # the wall-clock speedup gate (that stays in the perf job) so this smoke
-  # asserts determinism only.
-  local tmp
-  tmp="$(mktemp -d)"
-  (cd "${tmp}" && SCS_FAST=1 "${OLDPWD}/build/bench/bench_race")
-  rm -rf "${tmp}"
+  cmake --build --preset default -j "${JOBS}" --target job_context_test
+  (cd build && ctest -L cancel --output-on-failure)
 }
 
 run_simd() {
@@ -288,10 +268,10 @@ case "${1:-all}" in
   obs)     run_obs ;;
   perf)    run_perf ;;
   fuzz)    run_fuzz ;;
-  race)    run_race ;;
+  cancel)  run_cancel ;;
   simd)    run_simd ;;
-  all)     run_release; run_asan; run_ubsan; run_store; run_obs; run_perf; run_fuzz; run_race; run_simd ;;
-  *) echo "unknown configuration: $1 (want release|asan|ubsan|fault|store|obs|perf|fuzz|race|simd|all)" >&2
+  all)     run_release; run_asan; run_ubsan; run_store; run_obs; run_perf; run_fuzz; run_cancel; run_simd ;;
+  *) echo "unknown configuration: $1 (want release|asan|ubsan|fault|store|obs|perf|fuzz|cancel|simd|all)" >&2
      exit 2 ;;
 esac
 

@@ -1,12 +1,9 @@
 #include "barrier/synthesis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <deque>
 
 #include "barrier/independent_check.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "poly/basis.hpp"
 #include "sos/sos_program.hpp"
@@ -14,7 +11,6 @@
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 #include "util/hash.hpp"
 
 namespace scs {
@@ -234,12 +230,11 @@ Polynomial random_lambda(std::size_t n, LambdaStrategy strategy, int attempt,
 
 // ---- The ladder as one explicit arm list.
 //
-// One arm = one (rung, degree, lambda-strategy, attempt) cell of the
-// ladder, self-contained: its own Rng stream (forked by its index within
-// its rung from BarrierConfig::seed, so an arm's draws never depend on
-// which other arms ran or what they returned) and its own JobControl
-// scope. One driver walks the arms of each rung in order or races them,
-// and cancels the rest once one wins.
+// One arm = one (rung, degree, attempt) cell of the ladder, self-contained:
+// its own Rng stream, forked by its index within its rung from
+// BarrierConfig::seed, so an arm's draws never depend on which other arms
+// ran or what they returned. The driver walks the arms in order and stops
+// at the first one whose certificate passes the gate.
 
 struct Arm {
   std::size_t rung = 0;
@@ -257,23 +252,21 @@ std::string arm_desc(const Arm& arm) {
   return desc;
 }
 
-/// Flatten the ladder. Rung-major, then degree (cheap degrees first),
-/// strategy and attempt: with one rung and one strategy this is exactly
-/// the classic nested degree/attempt loop.
+/// Flatten the ladder. Rung-major, then degree (cheap degrees first) and
+/// attempt: with one rung this is exactly the classic nested degree/attempt
+/// loop.
 std::vector<Arm> enumerate_arms(const std::vector<BarrierRung>& rungs,
                                 const BarrierConfig& config) {
   std::vector<Arm> arms;
   for (std::size_t r = 0; r < rungs.size(); ++r) {
+    const LambdaStrategy strategy = rungs[r].strategy;
+    const int attempts =
+        (strategy == LambdaStrategy::kZero) ? 1 : config.lambda_attempts;
     std::size_t stream = 0;
     for (int d_b : config.degree_schedule) {
       SCS_REQUIRE(d_b >= 1, "synthesize_barrier: degrees must be >= 1");
-      for (LambdaStrategy strategy : rungs[r].strategies) {
-        const int attempts = (strategy == LambdaStrategy::kZero)
-                                 ? 1
-                                 : config.lambda_attempts;
-        for (int attempt = 0; attempt < attempts; ++attempt)
-          arms.push_back({r, d_b, strategy, attempt, stream++});
-      }
+      for (int attempt = 0; attempt < attempts; ++attempt)
+        arms.push_back({r, d_b, strategy, attempt, stream++});
     }
   }
   return arms;
@@ -287,32 +280,30 @@ struct ArmOutcome {
   std::string accepted_via;
   int attempts = 0;    // SOS programs solved by this arm
   int infeasible = 0;  // of those, proven infeasible by the SDP
-  /// Stopped by the arm's JobControl (race loser or job-level stop) rather
-  /// than by running out of ideas.
+  /// Stopped by the job's JobControl rather than by running out of ideas.
   bool preempted = false;
 };
 
 /// One complete arm: draw lambda, solve the LMI, run the alternating BMI
 /// recovery when configured, gate the extracted certificate. `rng` is the
-/// arm's private stream; `control` its cancellation scope.
+/// arm's private stream. config.sdp.control preempts every inner solve
+/// mid-interior-point.
 ArmOutcome run_arm(const Ccds& system,
                    const std::vector<Polynomial>& closed_field,
-                   const Arm& arm, const BarrierConfig& config,
-                   const JobControl* control, Rng rng) {
+                   const Arm& arm, const BarrierConfig& config, Rng rng) {
+  const JobControl* control = config.sdp.control;
   ArmOutcome out;
   if (stop_requested(control)) {
     out.preempted = true;
     return out;
   }
-  BarrierConfig cfg = config;
-  cfg.sdp.control = control;  // preempts every inner solve mid-interior-point
 
   Polynomial lambda =
       random_lambda(system.num_states, arm.strategy, arm.attempt, rng);
   ++out.attempts;
   ProgramOutcome outcome = solve_program(
       system, closed_field, arm.degree,
-      lambda.degree() < 0 ? 0 : lambda.degree(), nullptr, &lambda, cfg);
+      lambda.degree() < 0 ? 0 : lambda.degree(), nullptr, &lambda, config);
   out.infeasible += outcome.proven_infeasible;
   std::string via = "lmi";
 
@@ -329,7 +320,7 @@ ArmOutcome run_arm(const Ccds& system,
       ++out.attempts;
       ProgramOutcome lam_step = solve_program(system, closed_field,
                                               arm.degree, 1, &b_cur, nullptr,
-                                              cfg);
+                                              config);
       out.infeasible += lam_step.proven_infeasible;
       if (lam_step.lambda.is_zero() && !lam_step.feasible) break;
       lambda = lam_step.lambda;
@@ -346,7 +337,7 @@ ArmOutcome run_arm(const Ccds& system,
       ++out.attempts;
       ProgramOutcome b_step =
           solve_program(system, closed_field, arm.degree, lambda.degree(),
-                        nullptr, &lambda, cfg);
+                        nullptr, &lambda, config);
       out.infeasible += b_step.proven_infeasible;
       // The last solve's diagnostics stand even when the B-step collapses
       // to the zero polynomial and the recovery is abandoned.
@@ -360,10 +351,10 @@ ArmOutcome run_arm(const Ccds& system,
   }
 
   // The sampled Theorem-1 gate on the extracted certificate, drawn from the
-  // arm's own stream (so a replayed arm gates identically). The SOS identity
-  // plus PSD Gram already imply the conditions up to numerical slack; this
-  // catches solutions where that slack is not small. Coordinates here are
-  // the unit-box ones the ladder solves in.
+  // arm's own stream. The SOS identity plus PSD Gram already imply the
+  // conditions up to numerical slack; this catches solutions where that
+  // slack is not small. Coordinates here are the unit-box ones the ladder
+  // solves in.
   if (outcome.feasible) {
     ConditionPoints points;
     points.init = draw_points(system.init_set, 500, rng);
@@ -403,15 +394,10 @@ SemialgebraicSet scale_set(const SemialgebraicSet& set, const Vec& s) {
 
 }  // namespace
 
-std::vector<LambdaStrategy> base_strategies(const BarrierConfig& config) {
-  if (!config.race.strategies.empty()) return config.race.strategies;
-  return {config.lambda_strategy};
-}
-
 BarrierResult synthesize_barrier_ladder(const Ccds& system_in,
                                         const std::vector<BarrierRung>& rungs,
                                         const BarrierConfig& config,
-                                        std::size_t* winning_rung) {
+                                        std::size_t* accepted_rung) {
   BarrierResult result;
   Stopwatch sw;
 
@@ -438,103 +424,28 @@ BarrierResult synthesize_barrier_ladder(const Ccds& system_in,
     for (std::size_t i = 0; i < n; ++i)
       field.push_back(rung.closed_field[i].scale_vars(s) * (1.0 / s[i]));
   }
-  std::vector<Arm> arms = enumerate_arms(rungs, config);
+  const std::vector<Arm> arms = enumerate_arms(rungs, config);
   // fork_streams is prefix-stable, so one fork serves every rung: arm k of
   // any rung draws stream k, exactly what arm k of a one-rung ladder would.
   const std::vector<Rng> streams = Rng(config.seed).fork_streams(arms.size());
 
-  // Deterministic replay is the same search over a one-arm grid: the
-  // recorded arm under its recorded stream, bitwise-equal to the result it
-  // reproduces (arm numerics are schedule-independent by construction).
-  const int replay_arm = config.race.replay_arm;
-  result.raced = config.race.enabled || replay_arm >= 0;
-  if (replay_arm >= 0) {
-    if (static_cast<std::size_t>(replay_arm) >= arms.size()) {
-      result.seconds = sw.seconds();
-      result.failure_reason = "replay_arm out of range for the arm grid";
-      return result;
-    }
-    arms = {arms[static_cast<std::size_t>(replay_arm)]};
-  }
-
-  std::deque<JobControl> controls;  // one child scope per arm; never moves
-  for (std::size_t i = 0; i < arms.size(); ++i)
-    controls.emplace_back(config.sdp.control);
-  std::vector<ArmOutcome> outcomes(arms.size());
-  std::atomic<int> winner{-1};
-
-  // The one arm-loop body of serial, raced and replayed runs. The first
-  // feasible arm claims `winner` and cancels the rest.
-  const auto run_one = [&](std::size_t i) {
-    if (winner.load(std::memory_order_acquire) >= 0) {
-      outcomes[i].preempted = true;
-      return;
-    }
-    // One span per arm lifetime: winners and mid-solve-cancelled losers
-    // are told apart by the race.winner / race.preempted instants inside.
-    TraceSpan arm_span(trace_enabled() ? "barrier.arm:" + arm_desc(arms[i])
+  ArmOutcome out;
+  std::size_t k = 0;
+  for (; k < arms.size(); ++k) {
+    const Arm& arm = arms[k];
+    TraceSpan arm_span(trace_enabled() ? "barrier.arm:" + arm_desc(arm)
                                        : std::string());
-    outcomes[i] = run_arm(system, closed_fields[arms[i].rung], arms[i], config,
-                          &controls[i], streams[arms[i].stream]);
-    if (!outcomes[i].program.feasible) {
-      if (outcomes[i].preempted) trace_instant("race.preempted");
-      return;
-    }
-    int expected = -1;
-    if (winner.compare_exchange_strong(expected, static_cast<int>(i),
-                                       std::memory_order_acq_rel)) {
-      trace_instant("race.winner");
-      for (std::size_t j = 0; j < arms.size(); ++j)
-        if (j != i) controls[j].cancel();
-    } else {
-      // Photo finish: another arm won first; this certificate is discarded
-      // so the result matches what a replay of the winner produces.
-      outcomes[i].preempted = true;
-      outcomes[i].program.feasible = false;
-      trace_instant("race.preempted");
-    }
-  };
-
-  // Rungs run in order, so an earlier rung keeps its priority. A job stop
-  // needs no gate here: each remaining arm returns at its control check
-  // without building a program.
-  for (std::size_t begin = 0, end = 0;
-       begin < arms.size() && winner.load(std::memory_order_acquire) < 0;
-       begin = end) {
-    while (end < arms.size() && arms[end].rung == arms[begin].rung) ++end;
-    // Racing gives every arm its own chunk on the pool; otherwise the rung
-    // is one chunk, run in order on the calling thread. parallel_for lets
-    // the caller claim chunks too, so racing composes with outer
-    // parallelism (synthesize_many fan-out) without deadlock even when
-    // every pool worker is busy.
-    parallel_for(end - begin, config.race.enabled ? 1 : end - begin,
-                 [&](std::size_t b, std::size_t e) {
-                   for (std::size_t i = begin + b; i < begin + e; ++i)
-                     run_one(i);
-                 });
-  }
-
-  const int win = winner.load(std::memory_order_acquire);
-  for (const ArmOutcome& out : outcomes) {
+    out = run_arm(system, closed_fields[arm.rung], arm, config,
+                  streams[arm.stream]);
     result.attempts += out.attempts;
-    if (out.attempts > 0) ++result.arms_launched;  // built a program
-    if (out.preempted && config.race.enabled) ++result.arms_cancelled;
+    if (out.program.feasible || out.preempted) break;
   }
   result.seconds = sw.seconds();
-  if (config.race.enabled && metrics_enabled()) {
-    MetricsRegistry& registry = MetricsRegistry::instance();
-    registry.counter("race.arms_launched").add(result.arms_launched);
-    registry.counter("race.arms_cancelled").add(result.arms_cancelled);
-    if (win >= 0)
-      registry.histogram("race.winner_latency_ms")
-          .observe(static_cast<std::uint64_t>(result.seconds * 1e3));
-  }
 
-  if (win >= 0) {
-    // Adopt the winner's accepted solve, mapping the certificate back to
-    // the original coordinates: B(x) = B_y(S^{-1} x).
-    const Arm& arm = arms[static_cast<std::size_t>(win)];
-    const ArmOutcome& out = outcomes[static_cast<std::size_t>(win)];
+  if (out.program.feasible) {
+    // Adopt the accepted solve, mapping the certificate back to the
+    // original coordinates: B(x) = B_y(S^{-1} x).
+    const Arm& arm = arms[k];
     result.success = true;
     result.barrier = out.program.barrier.scale_vars(s_inv);
     result.lambda = out.program.lambda.scale_vars(s_inv);
@@ -543,31 +454,25 @@ BarrierResult synthesize_barrier_ladder(const Ccds& system_in,
     result.max_identity_residual = out.program.max_identity_residual;
     result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
     result.accepted_via = out.accepted_via;
-    result.winner_arm = replay_arm >= 0 ? replay_arm : win;
-    result.winner_arm_desc = arm_desc(arm);
-    if (winning_rung != nullptr) *winning_rung = arm.rung;
-    log_info("barrier: arm ", result.winner_arm_desc,
+    result.accepted_arm = arm_desc(arm);
+    if (accepted_rung != nullptr) *accepted_rung = arm.rung;
+    log_info("barrier: arm ", result.accepted_arm,
              " found a certificate after ", result.attempts, " attempt(s), ",
              result.seconds, "s");
   } else if (stop_requested(config.sdp.control)) {
     result.failure_reason = "preempted (job cancelled or deadline)";
-  } else if (!outcomes.empty()) {
-    // Every arm ran to completion; surface the last arm's diagnostics
-    // (deterministic: independent of scheduling): which arm, how many of
-    // its SOS programs the SDP proved infeasible, and why its last failed.
-    const ArmOutcome& last = outcomes.back();
-    result.max_identity_residual = last.program.max_identity_residual;
-    result.min_gram_eigenvalue = last.program.min_gram_eigenvalue;
+  } else if (!arms.empty()) {
+    // Every arm ran to completion; surface the last arm's diagnostics:
+    // which arm, how many of its SOS programs the SDP proved infeasible,
+    // and why its last failed.
+    result.max_identity_residual = out.program.max_identity_residual;
+    result.min_gram_eigenvalue = out.program.min_gram_eigenvalue;
     result.failure_reason =
         "arm " + arm_desc(arms.back()) + ": " +
-        std::to_string(last.infeasible) + " of " +
-        std::to_string(last.attempts) +
+        std::to_string(out.infeasible) + " of " +
+        std::to_string(out.attempts) +
         " SOS program(s) proven infeasible; last: " +
-        last.program.failure_reason;
-    if (replay_arm >= 0)
-      result.failure_reason =
-          "replayed arm no longer yields a certificate: " +
-          result.failure_reason;
+        out.program.failure_reason;
   }
   if (!result.success && result.failure_reason.empty())
     result.failure_reason = "no feasible certificate in the degree schedule";
@@ -578,7 +483,7 @@ BarrierResult synthesize_barrier(const Ccds& system,
                                  const std::vector<Polynomial>& controller,
                                  const BarrierConfig& config) {
   return synthesize_barrier_ladder(
-      system, {{system.closed_loop(controller), base_strategies(config)}},
+      system, {{system.closed_loop(controller), config.lambda_strategy}},
       config);
 }
 
@@ -594,11 +499,6 @@ void hash_append(Fnv1a& h, const BarrierConfig& c) {
   hash_append(h, c.identity_tol);
   hash_append(h, c.gram_tol);
   hash_append(h, static_cast<std::uint64_t>(c.max_sdp_constraints));
-  hash_append(h, c.race.enabled ? 1 : 0);
-  hash_append(h, static_cast<std::uint64_t>(c.race.strategies.size()));
-  for (LambdaStrategy s : c.race.strategies)
-    hash_append(h, static_cast<int>(s));
-  hash_append(h, c.race.replay_arm);
 }
 
 }  // namespace scs

@@ -35,27 +35,6 @@ enum class LambdaStrategy {
 
 std::string to_string(LambdaStrategy s);
 
-/// Portfolio racing over the barrier ladder's arms. When enabled, the arms
-/// of each ladder rung run speculatively on the work-stealing pool instead
-/// of one after another; the first arm whose certificate passes the
-/// sampled Theorem-1 gate wins and every other arm is cancelled through its
-/// child JobControl scope. Each arm draws from its own Rng stream (forked
-/// by its index within its rung from BarrierConfig::seed), so an arm's
-/// numerics never depend on the schedule -- only *which* arm wins is
-/// timing-dependent. Record the reported winner_arm and replay it to
-/// reproduce a raced result bitwise.
-struct BarrierRaceConfig {
-  bool enabled = false;
-  /// Strategies searched side by side; empty = just
-  /// BarrierConfig::lambda_strategy. Defines the arm list whether or not
-  /// racing is on, so serial, raced and replayed runs share arm indices.
-  std::vector<LambdaStrategy> strategies;
-  /// Deterministic replay: >= 0 runs only the arm with this index in the
-  /// whole ladder (the winner_arm of a previous run) and is
-  /// bitwise-identical to the result it reproduces. -1 = search normally.
-  int replay_arm = -1;
-};
-
 struct BarrierConfig {
   std::vector<int> degree_schedule = {2, 4};  // d_B values to attempt
   double rho = 1e-3;        // strict positivity margin in (2)
@@ -71,7 +50,6 @@ struct BarrierConfig {
   /// many equality constraints. The interior-point Schur solve is O(m^3)
   /// per iteration, so m ~ 3000 is the practical single-core ceiling.
   std::size_t max_sdp_constraints = 3000;
-  BarrierRaceConfig race;
 };
 
 void hash_append(Fnv1a& h, const BarrierConfig& c);
@@ -92,45 +70,31 @@ struct BarrierResult {
   /// "" when no certificate was found. The reported diagnostics above
   /// always belong to this accepted solve.
   std::string accepted_via;
-  /// True when this result came from a portfolio race (or a replay).
-  bool raced = false;
-  /// Index of the arm that produced the certificate in the whole ladder's
-  /// arm list, valid as BarrierRaceConfig::replay_arm; -1 when no arm
+  /// The accepted arm, "constant/d=4/a=1"; arms of a later ladder rung
+  /// carry its index, "r2/alternating-BMI/d=2/a=0". "" when no arm
   /// succeeded.
-  int winner_arm = -1;
-  /// Human-readable winner identity, "constant/d=4/a=1"; arms of a later
-  /// ladder rung carry its index, "r2/alternating-BMI/d=2/a=0".
-  std::string winner_arm_desc;
-  /// Arms that began solving, and arms stopped before they finished (race
-  /// losers cancelled or skipped once a winner emerged, or a job stop).
-  int arms_launched = 0;
-  int arms_cancelled = 0;
+  std::string accepted_arm;
 };
 
 /// One rung of the barrier ladder: a closed-loop vector field over the
 /// state variables, searched over BarrierConfig::degree_schedule under one
-/// set of lambda strategies.
+/// lambda strategy.
 struct BarrierRung {
   std::vector<Polynomial> closed_field;
-  std::vector<LambdaStrategy> strategies;
+  LambdaStrategy strategy = LambdaStrategy::kConstant;
 };
 
-/// The strategies a single-rung search uses: race.strategies when
-/// non-empty, else {lambda_strategy}.
-std::vector<LambdaStrategy> base_strategies(const BarrierConfig& config);
-
 /// The whole barrier search as one ordered arm list: rung-major, then
-/// degree, strategy and attempt. Rungs run in order, so an earlier rung
-/// keeps its priority; the arms of a rung run in order, or raced when
-/// race.enabled. Replay (race.replay_arm) runs the one pinned arm. When an
-/// arm wins and `winning_rung` is non-null, it receives that arm's rung.
+/// degree and attempt. The arms run in that order and the first whose
+/// certificate passes the gate is accepted. When an arm is accepted and
+/// `accepted_rung` is non-null, it receives that arm's rung.
 BarrierResult synthesize_barrier_ladder(const Ccds& system,
                                         const std::vector<BarrierRung>& rungs,
                                         const BarrierConfig& config,
-                                        std::size_t* winning_rung = nullptr);
+                                        std::size_t* accepted_rung = nullptr);
 
 /// Synthesize a barrier certificate for the closed-loop system
-/// f(x, p(x)): a one-rung ladder over base_strategies(config).
+/// f(x, p(x)): a one-rung ladder under config.lambda_strategy.
 /// `controller` has one polynomial per control input.
 BarrierResult synthesize_barrier(const Ccds& system,
                                  const std::vector<Polynomial>& controller,

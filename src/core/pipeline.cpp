@@ -155,10 +155,10 @@ struct StageRunner {
 /// Section 5's surrogate degrees). Rungs: the PAC-selected surrogate; the
 /// other surrogates of the Algorithm-1 sweep, highest degree first, for
 /// single-control systems (a lower-degree surrogate both shrinks the SOS
-/// program and often smooths the closed loop); then the alternating (BMI)
-/// schedule on the primary surrogate, which regularly rescues instances
-/// where every fixed-lambda program stalls, unless the base strategies
-/// already include it.
+/// program and often smooths the closed loop), each under lambda_strategy;
+/// then the alternating (BMI) schedule on the primary surrogate, which
+/// regularly rescues instances where every fixed-lambda program stalls,
+/// unless lambda_strategy already is alternating.
 BarrierStagePayload barrier_ladder(const Ccds& sys,
                                    const SynthesisResult& result,
                                    const BarrierConfig& config) {
@@ -174,14 +174,11 @@ BarrierStagePayload barrier_ladder(const Ccds& sys,
       c.pac_model = *it;
     }
   }
-  const std::vector<LambdaStrategy> base = base_strategies(config);
   std::vector<BarrierRung> rungs;
   for (const BarrierStagePayload& c : candidates)
-    rungs.push_back({sys.closed_loop(c.controller), base});
-  if (std::find(base.begin(), base.end(), LambdaStrategy::kAlternating) ==
-      base.end()) {
-    rungs.push_back(
-        {rungs.front().closed_field, {LambdaStrategy::kAlternating}});
+    rungs.push_back({sys.closed_loop(c.controller), config.lambda_strategy});
+  if (config.lambda_strategy != LambdaStrategy::kAlternating) {
+    rungs.push_back({rungs.front().closed_field, LambdaStrategy::kAlternating});
     candidates.push_back(candidates.front());
   }
   std::size_t rung = 0;

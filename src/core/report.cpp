@@ -161,10 +161,6 @@ LedgerRecord ledger_record(const SynthesisResult& result,
   r.pac_samples = m.samples;
   // 0 = no certificate; the verdict field already says why.
   r.barrier_degree = result.barrier.success ? result.barrier.degree : 0;
-  r.barrier_raced = result.barrier.raced;
-  r.race_winner_arm = result.barrier.winner_arm;
-  r.race_arms_launched = result.barrier.arms_launched;
-  r.race_arms_cancelled = result.barrier.arms_cancelled;
   r.rl_seconds = result.rl_seconds;
   r.pac_seconds = result.pac_seconds;
   r.barrier_seconds = result.barrier_seconds;

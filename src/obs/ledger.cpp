@@ -133,10 +133,6 @@ std::string ledger_record_json(const LedgerRecord& r) {
     w.key("pac_degree").value(r.pac_degree);
     w.key("pac_samples").value(r.pac_samples);
     w.key("barrier_degree").value(r.barrier_degree);
-    w.key("barrier_raced").value(r.barrier_raced);
-    w.key("race_winner_arm").value(r.race_winner_arm);
-    w.key("race_arms_launched").value(r.race_arms_launched);
-    w.key("race_arms_cancelled").value(r.race_arms_cancelled);
     w.key("rl_seconds").value(r.rl_seconds, 6);
     w.key("pac_seconds").value(r.pac_seconds, 6);
     w.key("barrier_seconds").value(r.barrier_seconds, 6);
@@ -249,14 +245,6 @@ bool ledger_record_parse(std::string_view line, LedgerRecord* out,
     r.pac_degree = static_cast<int>(num("pac_degree"));
     r.pac_samples = static_cast<std::uint64_t>(num("pac_samples"));
     r.barrier_degree = static_cast<int>(num("barrier_degree"));
-    // Race fields are optional (records predating PR 9 omit them).
-    const JsonValue* raced = doc.find("barrier_raced");
-    r.barrier_raced = raced != nullptr ? raced->bool_or(false) : false;
-    const JsonValue* warm = doc.find("race_winner_arm");
-    r.race_winner_arm =
-        warm != nullptr ? static_cast<int>(warm->number_or(-1.0)) : -1;
-    r.race_arms_launched = static_cast<int>(num("race_arms_launched"));
-    r.race_arms_cancelled = static_cast<int>(num("race_arms_cancelled"));
     r.rl_seconds = num("rl_seconds");
     r.pac_seconds = num("pac_seconds");
     r.barrier_seconds = num("barrier_seconds");

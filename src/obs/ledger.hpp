@@ -72,15 +72,6 @@ struct LedgerRecord {
   int pac_degree = 0;
   std::uint64_t pac_samples = 0;
   int barrier_degree = 0;
-  /// Portfolio-race provenance (PR 9): true when the barrier stage raced
-  /// its ladder arms (or replayed a recorded winner); race_winner_arm is
-  /// the flat arm index to pin via BarrierRaceConfig::replay_arm for a
-  /// bitwise replay (-1 = no winner / not raced). Optional in schema 1:
-  /// absent fields parse to these defaults.
-  bool barrier_raced = false;
-  int race_winner_arm = -1;
-  int race_arms_launched = 0;
-  int race_arms_cancelled = 0;
   double rl_seconds = 0.0;
   double pac_seconds = 0.0;
   double barrier_seconds = 0.0;

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -18,29 +17,7 @@ struct MetricsRegistry::Impl {
   mutable std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
-
-std::uint64_t Histogram::quantile_upper(double q) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  // ceil(q * n) with a floor of 1: the q-quantile rank among n samples.
-  std::uint64_t rank = static_cast<std::uint64_t>(q * static_cast<double>(n));
-  if (static_cast<double>(rank) < q * static_cast<double>(n)) ++rank;
-  if (rank == 0) rank = 1;
-  const std::uint64_t mx = max();
-  std::uint64_t cum = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    cum += bucket_count(b);
-    if (cum >= rank) {
-      if (b == kBuckets - 1) return mx;  // unbounded tail: max is the bound
-      return std::min(bucket_bound(b), mx);
-    }
-  }
-  return mx;  // racing observes: fall back to the tracked max
-}
 
 MetricsRegistry::Impl& MetricsRegistry::impl() const {
   static Impl* impl = new Impl;  // leaked: usable from atexit handlers
@@ -68,14 +45,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mu);
-  auto& slot = im.histograms[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
-}
-
 std::string MetricsRegistry::json() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
@@ -89,41 +58,6 @@ std::string MetricsRegistry::json() const {
     w.key(name).begin_object();
     w.key("value").value(static_cast<std::int64_t>(g->value()));
     w.key("max").value(static_cast<std::int64_t>(g->max()));
-    w.end_object();
-  }
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : im.histograms) {
-    w.key(name).begin_object();
-    w.key("count").value(h->count());
-    w.key("sum").value(h->sum());
-    w.key("max").value(h->max());
-    // Derived quantile estimates (bucket upper bounds, clamped to max) so
-    // ledger/baseline consumers get p50/p90/p99 without re-deriving them
-    // from the raw buckets -- which stay alongside for exact analysis.
-    // Empty histogram => null: a never-observed latency is unknown, not 0.
-    if (h->count() == 0) {
-      w.key("p50").null();
-      w.key("p90").null();
-      w.key("p99").null();
-    } else {
-      w.key("p50").value(h->quantile_upper(0.50));
-      w.key("p90").value(h->quantile_upper(0.90));
-      w.key("p99").value(h->quantile_upper(0.99));
-    }
-    w.key("buckets").begin_array();
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-      const std::uint64_t n = h->bucket_count(b);
-      if (n == 0) continue;  // sparse: empty buckets carry no information
-      w.begin_object();
-      if (b == Histogram::kBuckets - 1)
-        w.key("le").value("inf");
-      else
-        w.key("le").value(Histogram::bucket_bound(b));
-      w.key("count").value(n);
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
   }
   w.end_object();
@@ -146,7 +80,6 @@ void MetricsRegistry::reset_for_tests() {
   std::lock_guard<std::mutex> lk(im.mu);
   for (auto& [name, c] : im.counters) c->reset();
   for (auto& [name, g] : im.gauges) g->reset();
-  for (auto& [name, h] : im.histograms) h->reset();
 }
 
 namespace {

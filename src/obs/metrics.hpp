@@ -1,5 +1,5 @@
-// Process-wide metrics registry: named counters, gauges, and histograms
-// capturing solver and pipeline behavior (SDP iterations/restarts/stalls,
+// Process-wide metrics registry: named counters and gauges capturing
+// solver and pipeline behavior (SDP iterations/restarts/stalls,
 // simplex pivots, factorization regularization retries, PAC samples
 // drawn/dropped, artifact-store hits/misses/corruptions, thread-pool
 // steals and queue depth).
@@ -67,60 +67,6 @@ class Gauge {
   std::atomic<std::int64_t> max_{0};
 };
 
-/// Histogram over non-negative integer observations (iteration counts,
-/// pivot counts, queue depths) with fixed power-of-two bucket upper bounds
-/// 1, 2, 4, ..., 2^(kBuckets-2), +inf. Tracks count/sum/max exactly.
-class Histogram {
- public:
-  static constexpr int kBuckets = 16;
-
-  void observe(std::uint64_t v) {
-    buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t prev = max_.load(std::memory_order_relaxed);
-    while (v > prev &&
-           !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-    }
-  }
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket_count(int b) const {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-  /// Upper bound of bucket `b` (the last bucket is unbounded).
-  static std::uint64_t bucket_bound(int b) {
-    return std::uint64_t{1} << b;
-  }
-  /// Upper-bound estimate of the q-quantile (q in [0,1]) from the bucket
-  /// counts: the bound of the first bucket whose cumulative count reaches
-  /// ceil(q * count), clamped to the exact tracked max (so p99 never
-  /// reports above an observed value). 0 when the histogram is empty --
-  /// callers that surface quantiles must check count() first and render
-  /// null/absent instead (the registry JSON does).
-  /// Approximate under concurrent observes, like every other read here.
-  std::uint64_t quantile_upper(double q) const;
-  void reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  static int bucket_of(std::uint64_t v) {
-    for (int b = 0; b < kBuckets - 1; ++b)
-      if (v <= bucket_bound(b)) return b;
-    return kBuckets - 1;
-  }
-
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
-};
-
 /// Point-in-time copy of every registered counter, for readers that need
 /// to iterate the registry (perfbench's per-layer counters) without
 /// touching registration internals. Values are read with relaxed loads, so
@@ -144,13 +90,9 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
 
   /// Serialize every registered instrument as one JSON object, sorted by
-  /// name: counters as integers, gauges as {value,max}, histograms as
-  /// {count,sum,max,buckets:[{le,count},...]}. Quantiles of an empty
-  /// histogram are emitted as JSON null, never 0 -- a never-observed
-  /// latency must not read as "instant".
+  /// name: counters as integers, gauges as {value,max}.
   std::string json() const;
 
   /// Copy every counter's current value (see MetricsSnapshot).

@@ -335,11 +335,7 @@ void write_barrier_result(BinaryWriter& w, const BarrierResult& b) {
   w.f64(b.max_identity_residual);
   w.f64(b.min_gram_eigenvalue);
   w.str(b.accepted_via);
-  w.boolean(b.raced);
-  w.i64(b.winner_arm);
-  w.str(b.winner_arm_desc);
-  w.i64(b.arms_launched);
-  w.i64(b.arms_cancelled);
+  w.str(b.accepted_arm);
 }
 
 BarrierResult read_barrier_result(BinaryReader& r) {
@@ -355,11 +351,7 @@ BarrierResult read_barrier_result(BinaryReader& r) {
   b.max_identity_residual = r.f64();
   b.min_gram_eigenvalue = r.f64();
   b.accepted_via = r.str();
-  b.raced = r.boolean();
-  b.winner_arm = static_cast<int>(r.i64());
-  b.winner_arm_desc = r.str();
-  b.arms_launched = static_cast<int>(r.i64());
-  b.arms_cancelled = static_cast<int>(r.i64());
+  b.accepted_arm = r.str();
   return b;
 }
 

@@ -37,7 +37,9 @@ void trace_store_event(const char* name) {
 /// runs stop at a checked infeasibility certificate (opt/sdp.hpp), which
 /// moves the iterates the alternating BMI seeds from, and a failed ladder
 /// names its last arm and how many of its programs were proven infeasible.
-constexpr std::uint64_t kBarrierStageRevision = 2;
+/// Revision 3: the barrier payload drops the portfolio-race fields and keeps
+/// only the accepted arm's description.
+constexpr std::uint64_t kBarrierStageRevision = 3;
 
 /// Seed every stage key with the serialization format version and a stage
 /// tag, so a format bump orphans old blobs instead of misreading them and

@@ -1,6 +1,5 @@
 #include "util/cancellation.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -31,17 +30,7 @@ void JobControl::set_deadline_after(double seconds) {
 
 bool JobControl::deadline_expired() const {
   const std::int64_t d = deadline_ns_.load(std::memory_order_relaxed);
-  if (d != 0 && now_ns() >= d) return true;
-  return parent_ != nullptr && parent_->deadline_expired();
-}
-
-double JobControl::seconds_remaining() const {
-  const std::int64_t d = deadline_ns_.load(std::memory_order_relaxed);
-  double remaining = std::numeric_limits<double>::infinity();
-  if (d != 0) remaining = static_cast<double>(d - now_ns()) * 1e-9;
-  if (parent_ != nullptr)
-    remaining = std::min(remaining, parent_->seconds_remaining());
-  return remaining;
+  return d != 0 && now_ns() >= d;
 }
 
 const char* to_string(JobControl::StopReason reason) {

@@ -1,11 +1,11 @@
 // Cooperative cancellation and wall-clock deadlines for synthesis jobs.
 //
 // A JobControl is shared between a job's owner (synthesize_cli's deadline,
-// fuzz_cli's campaign budget, a portfolio racer) and the code doing the
-// work. The owner calls cancel() or arms a deadline; the workers poll
-// stop_requested() at stage boundaries and inside the solver iteration
-// loops (SDP interior point, revised simplex) and unwind cooperatively --
-// no thread is ever killed, no lock is ever abandoned.
+// fuzz_cli's campaign budget) and the code doing the work. The owner calls
+// cancel() or arms a deadline; the workers poll stop_requested() at stage
+// boundaries and inside the solver iteration loops (SDP interior point,
+// revised simplex) and unwind cooperatively -- no thread is ever killed, no
+// lock is ever abandoned.
 //
 // Design constraints:
 //   1. Polling must be cheap enough for an inner iteration loop: cancelled()
@@ -16,11 +16,6 @@
 //      produce bitwise-identical results up to the preemption point.
 //   3. Thread-safe by construction: all state is atomics; any thread may
 //      cancel while any number of workers poll.
-//   4. Child scopes nest: a control constructed with a parent observes the
-//      parent's cancel/deadline through every poll, while cancelling the
-//      child never touches the parent or its other children. The portfolio
-//      racer hands each speculative arm its own child scope so losing arms
-//      can be cancelled without stopping the job they belong to.
 #pragma once
 
 #include <atomic>
@@ -35,40 +30,16 @@ class JobControl {
   /// explicit cancel is a stronger signal than a timer).
   enum class StopReason { kNone, kCancelled, kDeadline };
 
-  JobControl() = default;
-  /// A child scope of `parent` (borrowed; may be null = no parent, must
-  /// outlive this control otherwise). The parent's cancel and deadline
-  /// propagate to every descendant; this control's own cancel/deadline
-  /// stay local to it.
-  explicit JobControl(const JobControl* parent) : parent_(parent) {}
-
-  /// Request cooperative cancellation of this scope (and, transitively,
-  /// any children created from it). Idempotent; any thread.
+  /// Request cooperative cancellation. Idempotent; any thread.
   void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
-  bool cancelled() const {
-    if (cancelled_.load(std::memory_order_relaxed)) return true;
-    return parent_ != nullptr && parent_->cancelled();
-  }
+  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
 
   /// Arm (or re-arm) a wall-clock deadline `seconds` from now. Non-positive
   /// values expire immediately.
   void set_deadline_after(double seconds);
 
-  /// Disarm this scope's own deadline (a parent's deadline still applies;
-  /// an armed one stays expired once reached only while armed).
-  void clear_deadline() { deadline_ns_.store(0, std::memory_order_relaxed); }
-
-  bool has_deadline() const {
-    if (deadline_ns_.load(std::memory_order_relaxed) != 0) return true;
-    return parent_ != nullptr && parent_->has_deadline();
-  }
-
   bool deadline_expired() const;
-
-  /// Seconds until the nearest armed deadline in this scope chain
-  /// (negative once expired); +infinity when none is armed.
-  double seconds_remaining() const;
 
   StopReason stop_reason() const {
     if (cancelled()) return StopReason::kCancelled;
@@ -85,9 +56,6 @@ class JobControl {
   std::atomic<bool> cancelled_{false};
   /// steady_clock time_since_epoch in nanoseconds; 0 = no deadline armed.
   std::atomic<std::int64_t> deadline_ns_{0};
-  /// Enclosing scope; never written after construction, so polls from any
-  /// thread are race-free.
-  const JobControl* parent_ = nullptr;
 };
 
 /// "CANCELLED" / "DEADLINE" / "" -- the ledger-verdict spelling of a stop

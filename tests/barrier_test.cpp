@@ -6,6 +6,7 @@
 #include "barrier/synthesis.hpp"
 #include "poly/basis.hpp"
 #include "systems/benchmarks.hpp"
+#include "util/cancellation.hpp"
 #include "util/rng.hpp"
 
 namespace scs {
@@ -132,6 +133,22 @@ Ccds toy2_weak(double damping) {
   return sys;
 }
 
+TEST(Barrier, CancelledJobStopsTheLadderBeforeAnySolve) {
+  // The job's control reaches the ladder through config.sdp.control: a
+  // job cancelled before the barrier stage builds no SOS program.
+  const Ccds sys = toy2_weak(1.0);
+  BarrierConfig cfg;
+  JobControl control;
+  control.cancel();
+  cfg.sdp.control = &control;
+  const BarrierResult result = synthesize_barrier(sys, {Polynomial(2)}, cfg);
+  EXPECT_FALSE(result.success);
+  EXPECT_NE(result.failure_reason.find("preempted"), std::string::npos)
+      << result.failure_reason;
+  EXPECT_EQ(result.attempts, 0);
+  EXPECT_TRUE(result.accepted_arm.empty());
+}
+
 // Regression guard for the alternating-BMI diagnostics bug: when a BMI
 // step is accepted, max_identity_residual / min_gram_eigenvalue must
 // describe the *accepted* solve, not linger from the earlier failed one.
@@ -150,6 +167,7 @@ TEST(BarrierBmi, BStepAcceptanceReportsAcceptedDiagnostics) {
   const BarrierResult result = synthesize_barrier(sys, {Polynomial(2)}, cfg);
   ASSERT_TRUE(result.success) << result.failure_reason;
   ASSERT_EQ(result.accepted_via, "bmi-b");
+  EXPECT_EQ(result.accepted_arm, "alternating-BMI/d=2/a=0");
   EXPECT_LE(result.max_identity_residual, cfg.identity_tol);
   EXPECT_GE(result.min_gram_eigenvalue, -cfg.gram_tol);
 }

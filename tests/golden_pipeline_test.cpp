@@ -285,24 +285,66 @@ TEST(GoldenPipeline, FailedBarrierStageCountsEveryRung) {
   EXPECT_GT(r.barrier.seconds, 0.0);
 }
 
-TEST(GoldenPipeline, ExplicitStrategyListStillRunsTheAlternatingRung) {
-  // race.strategies = {constant} is the default ladder spelled out: the
-  // alternating rung must run once with the alternating strategy, not
-  // repeat the constant-lambda grid.
+TEST(GoldenPipeline, AlternatingStrategyAppendsNoSecondAlternatingRung) {
+  // With lambda_strategy = alternating the primary rung already runs the
+  // BMI schedule, so the ladder appends no alternating rung after it. That
+  // rung is the default ladder's last one run on its own: the same arms on
+  // the same streams, failing with the same text minus the "r1/" prefix.
   PipelineConfig cfg;
   cfg.fast_mode = true;
   cfg.seed = 5;
   const auto [plain, plain_solves] = run_unstable_counting_solves(cfg);
-  cfg.barrier.race.strategies = {LambdaStrategy::kConstant};
-  const auto [listed, listed_solves] = run_unstable_counting_solves(cfg);
-  EXPECT_EQ(listed_solves, plain_solves);
-  EXPECT_EQ(listed.barrier.attempts, plain.barrier.attempts);
-  EXPECT_EQ(listed.barrier.failure_reason, plain.barrier.failure_reason);
-  EXPECT_EQ(listed.barrier.max_identity_residual,
+  cfg.barrier.lambda_strategy = LambdaStrategy::kAlternating;
+  const auto [alt, alt_solves] = run_unstable_counting_solves(cfg);
+  ASSERT_EQ(plain.failure_stage, "barrier");
+  ASSERT_EQ(alt.failure_stage, "barrier");
+  const std::string plain_tail = "arm r1/alternating-BMI/d=4/a=3: ";
+  const std::string alt_tail = "arm alternating-BMI/d=4/a=3: ";
+  ASSERT_EQ(plain.barrier.failure_reason.rfind(plain_tail, 0), 0u)
+      << plain.barrier.failure_reason;
+  ASSERT_EQ(alt.barrier.failure_reason.rfind(alt_tail, 0), 0u)
+      << alt.barrier.failure_reason;
+  EXPECT_EQ(alt.barrier.failure_reason.substr(alt_tail.size()),
+            plain.barrier.failure_reason.substr(plain_tail.size()));
+  EXPECT_EQ(alt.barrier.max_identity_residual,
             plain.barrier.max_identity_residual);
-  // Two degrees x four constant-lambda attempts, twice over, would be 16
-  // solves; the alternating rung's BMI rounds add more.
-  EXPECT_GT(listed_solves, 16u);
+  EXPECT_EQ(static_cast<std::uint64_t>(alt.barrier.attempts), alt_solves);
+  // The default's first rung: two degrees x four constant-lambda LMIs.
+  EXPECT_EQ(plain_solves - alt_solves, 8u);
+}
+
+TEST(GoldenPipeline, CertificateFromALaterRungIsAdopted) {
+  // 1-D integrator under a cubic law: PAC picks the degree-3 surrogate,
+  // whose SOS programs exceed the size guard, as do the degree-2 ones. The
+  // degree-1 surrogate (ladder rung 2) yields the certificate, and the
+  // result adopts that rung's controller and PAC model.
+  Benchmark bench;
+  bench.id = BenchmarkId::kC1;
+  bench.name = "race-cubic";
+  bench.ccds.name = "race-cubic";
+  bench.ccds.num_states = 1;
+  bench.ccds.num_controls = 1;
+  bench.ccds.open_field = {Polynomial::variable(2, 1)};
+  const Box box = Box::centered(1, 3.0);
+  bench.ccds.init_set = SemialgebraicSet::ball(Vec{0.0}, 0.5);
+  bench.ccds.domain = SemialgebraicSet::from_box(box);
+  bench.ccds.unsafe_set = SemialgebraicSet::outside_ball(Vec{0.0}, 2.0, box);
+  bench.ccds.control_bound = 3.0;
+  bench.pac.max_degree = 3;
+  const ControlLaw law = [](const Vec& x) {
+    return Vec{-x[0] - 0.1 * x[0] * x[0] * x[0]};
+  };
+  PipelineConfig cfg;
+  cfg.fast_mode = true;
+  cfg.seed = 5;
+  cfg.barrier.max_sdp_constraints = 10;
+  const SynthesisResult found = synthesize_from_law(bench, law, cfg);
+  ASSERT_TRUE(found.barrier.success) << found.barrier.failure_reason;
+  EXPECT_EQ(found.barrier.accepted_arm.rfind("r2/", 0), 0u)
+      << found.barrier.accepted_arm;
+  EXPECT_EQ(found.pac.model.degree, 1);
+  ASSERT_EQ(found.controller.size(), 1u);
+  EXPECT_EQ(found.controller.front().degree(), 1);
 }
 
 }  // namespace

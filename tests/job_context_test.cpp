@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,7 +48,7 @@ TEST(JobControl, StartsIdle) {
   JobControl c;
   EXPECT_FALSE(c.stop_requested());
   EXPECT_FALSE(c.cancelled());
-  EXPECT_FALSE(c.has_deadline());
+  EXPECT_FALSE(c.deadline_expired());
   EXPECT_EQ(c.stop_reason(), JobControl::StopReason::kNone);
   EXPECT_STREQ(to_string(c.stop_reason()), "");
 }
@@ -63,20 +62,18 @@ TEST(JobControl, CancelIsSticky) {
   EXPECT_STREQ(to_string(c.stop_reason()), "CANCELLED");
 }
 
-TEST(JobControl, DeadlineExpiresAndClears) {
+TEST(JobControl, DeadlineExpiresAndRearms) {
   JobControl c;
   c.set_deadline_after(3600.0);
-  EXPECT_TRUE(c.has_deadline());
+  EXPECT_FALSE(c.deadline_expired());
   EXPECT_FALSE(c.stop_requested());
-  EXPECT_GT(c.seconds_remaining(), 3000.0);
 
   c.set_deadline_after(0.0);  // non-positive = already expired
   EXPECT_TRUE(c.stop_requested());
   EXPECT_EQ(c.stop_reason(), JobControl::StopReason::kDeadline);
   EXPECT_STREQ(to_string(c.stop_reason()), "DEADLINE");
 
-  c.clear_deadline();
-  EXPECT_FALSE(c.has_deadline());
+  c.set_deadline_after(3600.0);  // re-arming replaces the expired deadline
   EXPECT_FALSE(c.stop_requested());
 }
 
@@ -101,66 +98,6 @@ TEST(JobControl, ConcurrentCancelIsVisible) {
   while (!c.stop_requested()) std::this_thread::yield();
   t.join();
   EXPECT_TRUE(c.cancelled());
-}
-
-// ---- Child scopes (the portfolio racer's arm controls).
-
-TEST(JobControlChild, ParentCancelPropagatesToChildren) {
-  JobControl parent;
-  JobControl a(&parent);
-  JobControl b(&parent);
-  EXPECT_FALSE(a.stop_requested());
-  parent.cancel();
-  EXPECT_TRUE(a.cancelled());
-  EXPECT_TRUE(b.cancelled());
-  EXPECT_EQ(a.stop_reason(), JobControl::StopReason::kCancelled);
-}
-
-TEST(JobControlChild, ChildCancelStaysLocal) {
-  JobControl parent;
-  JobControl loser(&parent);
-  JobControl winner(&parent);
-  loser.cancel();
-  EXPECT_TRUE(loser.cancelled());
-  EXPECT_FALSE(winner.cancelled());
-  EXPECT_FALSE(parent.cancelled());
-}
-
-TEST(JobControlChild, ParentDeadlineSeenThroughChild) {
-  JobControl parent;
-  JobControl child(&parent);
-  EXPECT_FALSE(child.has_deadline());
-  parent.set_deadline_after(3600.0);
-  EXPECT_TRUE(child.has_deadline());
-  EXPECT_FALSE(child.deadline_expired());
-  parent.set_deadline_after(0.0);
-  EXPECT_TRUE(child.deadline_expired());
-  EXPECT_EQ(child.stop_reason(), JobControl::StopReason::kDeadline);
-  // The child's own clear cannot disarm the parent's deadline.
-  child.clear_deadline();
-  EXPECT_TRUE(child.deadline_expired());
-}
-
-TEST(JobControlChild, SecondsRemainingIsNearestInChain) {
-  JobControl parent;
-  JobControl child(&parent);
-  EXPECT_EQ(child.seconds_remaining(),
-            std::numeric_limits<double>::infinity());
-  parent.set_deadline_after(3600.0);
-  child.set_deadline_after(7200.0);
-  EXPECT_LE(child.seconds_remaining(), 3600.0);
-  child.set_deadline_after(1.0);
-  EXPECT_LE(child.seconds_remaining(), 1.0);
-}
-
-TEST(JobControlChild, GrandchildSeesWholeChain) {
-  JobControl root;
-  JobControl mid(&root);
-  JobControl leaf(&mid);
-  EXPECT_FALSE(leaf.stop_requested());
-  root.cancel();
-  EXPECT_TRUE(leaf.cancelled());
-  EXPECT_TRUE(mid.cancelled());
 }
 
 // ---- Solver loops honor the control.
@@ -214,7 +151,6 @@ TEST(SolverPreemption, SimplexReportsCancelled) {
   options.control = &control;
   EXPECT_EQ(solve_lp(lp, options).status, LpStatus::kCancelled);
 
-  control.clear_deadline();
   LpOptions clean;
   EXPECT_EQ(solve_lp(lp, clean).status, LpStatus::kOptimal);
 }

@@ -145,6 +145,51 @@ TEST(Ledger, SynthesisRecordRoundTrips) {
   EXPECT_EQ(back.metrics_json, "{\"counters\":{\"sdp.solves\":3}}");
 }
 
+TEST(Ledger, ParsesSynthesisLineCarryingRetiredRaceFields) {
+  // A schema-1 line as the writer emitted it while the barrier ladder could
+  // race its arms: ledgers and CI artifacts on disk still carry the four
+  // race fields. The reader ignores them and reads every other field back;
+  // re-serializing the record drops them.
+  const std::string line =
+      "{\"schema\":1,\"kind\":\"synthesis\","
+      "\"run_id\":\"1760716800000-4242-0\",\"source\":\"synthesize\","
+      "\"timestamp_ms\":1760716800000,"
+      "\"git_head\":\"86bdc8e15c9fcb5c5836788b3986ff1bdd99246d\","
+      "\"config_key\":\"00000000deadbeef\",\"seed\":2024,\"threads\":4,"
+      "\"benchmark\":\"C1\",\"verdict\":\"VERIFIED\","
+      "\"failure_stage\":\"\",\"pac_valid\":true,\"pac_eps\":0.01,"
+      "\"pac_error\":0.016199999999999999,\"pac_degree\":3,"
+      "\"pac_samples\":7164,\"barrier_degree\":4,"
+      "\"barrier_raced\":false,\"race_winner_arm\":5,"
+      "\"race_arms_launched\":6,\"race_arms_cancelled\":0,"
+      "\"rl_seconds\":1.5,\"pac_seconds\":0.25,\"barrier_seconds\":2,"
+      "\"validation_seconds\":0.125,\"total_seconds\":3.875,"
+      "\"json_dropped\":0,\"metrics\":{\"counters\":{\"sdp.solves\":3}}}";
+  LedgerRecord back;
+  std::string error;
+  ASSERT_TRUE(ledger_record_parse(line, &back, &error)) << error;
+  EXPECT_EQ(back.run_id, "1760716800000-4242-0");
+  EXPECT_EQ(back.timestamp_ms, 1760716800000);
+  EXPECT_EQ(back.git_head, "86bdc8e15c9fcb5c5836788b3986ff1bdd99246d");
+  EXPECT_EQ(back.config_key, "00000000deadbeef");
+  EXPECT_EQ(back.seed, 2024u);
+  EXPECT_EQ(back.threads, 4);
+  EXPECT_EQ(back.benchmark, "C1");
+  EXPECT_EQ(back.verdict, "VERIFIED");
+  EXPECT_TRUE(back.pac_valid);
+  EXPECT_DOUBLE_EQ(back.pac_eps, 0.01);
+  EXPECT_DOUBLE_EQ(back.pac_error, 0.0162);
+  EXPECT_EQ(back.pac_degree, 3);
+  EXPECT_EQ(back.pac_samples, 7164u);
+  EXPECT_EQ(back.barrier_degree, 4);
+  EXPECT_DOUBLE_EQ(back.barrier_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(back.total_seconds, 3.875);
+  EXPECT_EQ(back.metrics_json, "{\"counters\":{\"sdp.solves\":3}}");
+  const std::string rewritten = ledger_record_json(back);
+  EXPECT_EQ(rewritten.find("_raced"), std::string::npos) << rewritten;
+  EXPECT_EQ(rewritten.find("\"race_"), std::string::npos) << rewritten;
+}
+
 TEST(Ledger, BenchRecordRoundTrips) {
   LedgerRecord r;
   r.kind = "bench";

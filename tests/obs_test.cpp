@@ -146,66 +146,13 @@ TEST_F(ObsTest, CountersAggregateExactlyAcrossPoolWorkers) {
   EXPECT_EQ(c.value(), kN);
 }
 
-TEST_F(ObsTest, GaugeTracksMaxAndHistogramBuckets) {
+TEST_F(ObsTest, GaugeTracksValueAndMax) {
   Gauge& g = MetricsRegistry::instance().gauge("test.depth");
   g.set(3);
   g.set(9);
   g.set(2);
   EXPECT_EQ(g.value(), 2);
   EXPECT_EQ(g.max(), 9);
-
-  Histogram& h = MetricsRegistry::instance().histogram("test.iters");
-  h.observe(1);
-  h.observe(2);
-  h.observe(1000);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum(), 1003u);
-  EXPECT_EQ(h.max(), 1000u);
-}
-
-TEST_F(ObsTest, HistogramQuantileUpperBounds) {
-  Histogram& h = MetricsRegistry::instance().histogram("test.quantiles");
-  for (int i = 0; i < 90; ++i) h.observe(3);    // bucket le=4
-  for (int i = 0; i < 10; ++i) h.observe(500);  // bucket le=512
-  EXPECT_EQ(h.quantile_upper(0.5), 4u);
-  EXPECT_EQ(h.quantile_upper(0.9), 4u);
-  // The tail bucket's bound (512) is clamped to the exact tracked max.
-  EXPECT_EQ(h.quantile_upper(0.99), 500u);
-  EXPECT_EQ(h.quantile_upper(1.0), 500u);
-  Histogram& empty = MetricsRegistry::instance().histogram("test.empty_q");
-  EXPECT_EQ(empty.quantile_upper(0.5), 0u);
-}
-
-TEST_F(ObsTest, EmptyHistogramQuantilesRenderAsNullNeverZero) {
-  set_metrics_enabled(true);
-  // Pin the raw API: quantile_upper on an empty histogram returns 0 --
-  // callers that render must therefore check count() and emit null.
-  Histogram& h = MetricsRegistry::instance().histogram("test.never_obs");
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile_upper(0.5), 0u);
-  EXPECT_EQ(h.quantile_upper(0.99), 0u);
-  const std::string blob = MetricsRegistry::instance().json();
-  std::string error;
-  EXPECT_TRUE(json_parse_valid(blob, &error)) << error;
-  const std::size_t at = blob.find("test.never_obs");
-  ASSERT_NE(at, std::string::npos);
-  // JSON emits explicit null, not a misleading 0.
-  EXPECT_NE(blob.find("\"p50\":null", at), std::string::npos) << blob;
-  EXPECT_NE(blob.find("\"p99\":null", at), std::string::npos);
-}
-
-TEST_F(ObsTest, RegistryJsonIncludesDerivedQuantiles) {
-  set_metrics_enabled(true);
-  Histogram& h = MetricsRegistry::instance().histogram("test.qjson");
-  for (int i = 0; i < 100; ++i) h.observe(7);
-  const std::string blob = MetricsRegistry::instance().json();
-  std::string error;
-  EXPECT_TRUE(json_parse_valid(blob, &error)) << error;
-  // All samples are 7: every quantile's bucket bound (8) clamps to max=7.
-  EXPECT_NE(blob.find("\"p50\":7"), std::string::npos) << blob;
-  EXPECT_NE(blob.find("\"p90\":7"), std::string::npos);
-  EXPECT_NE(blob.find("\"p99\":7", blob.find("test.qjson")),
-            std::string::npos);
 }
 
 TEST_F(ObsTest, RegistryJsonIsValidAndSorted) {
@@ -213,13 +160,11 @@ TEST_F(ObsTest, RegistryJsonIsValidAndSorted) {
   MetricsRegistry::instance().counter("b.second").add(2);
   MetricsRegistry::instance().counter("a.first").add(1);
   MetricsRegistry::instance().gauge("g.depth").set(5);
-  MetricsRegistry::instance().histogram("h.iters").observe(7);
   const std::string blob = MetricsRegistry::instance().json();
   std::string error;
   EXPECT_TRUE(json_parse_valid(blob, &error)) << error << "\n" << blob;
   EXPECT_LT(blob.find("a.first"), blob.find("b.second"));
   EXPECT_NE(blob.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(blob.find("\"histograms\""), std::string::npos);
   // snapshot() (perfbench's per-layer counters) copies the same counters
   // in the same order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;

@@ -371,7 +371,8 @@ TEST(StageKeys, BarrierRevisionMovesOnlyBarrierAndValidationKeys) {
   // old gate and stage-4 verdicts are recomputed, not served warm. The
   // barrier key moves again at every revision: 0x9e877907e22f6031 is the
   // revision-1 key, before SDP runs stopped at an infeasibility
-  // certificate.
+  // certificate, and 0x2ad7e95dedbae30a the revision-2 key, whose payload
+  // still carried the portfolio-race fields.
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
   PipelineConfig cfg;
   const std::uint64_t rl = rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 100, 25);
@@ -382,6 +383,7 @@ TEST(StageKeys, BarrierRevisionMovesOnlyBarrierAndValidationKeys) {
   const std::uint64_t barrier = barrier_stage_key(pac, cfg.barrier);
   EXPECT_NE(barrier, 0xf123cb835e5fed3cull);
   EXPECT_NE(barrier, 0x9e877907e22f6031ull);
+  EXPECT_NE(barrier, 0x2ad7e95dedbae30aull);
 }
 
 // ---- StageCache: hit/miss/corrupt accounting and fault injection.
