@@ -1,7 +1,7 @@
 // E5 -- google-benchmark micro-benchmarks for the solver kernels backing
 // the pipeline: the scenario minimax fit (scaling in K and in the template
-// size v) and the SOS/SDP stack (scaling in Gram block size), plus the
-// polynomial kernels they are built on.
+// size v), the SOS/SDP stack (scaling in Gram block size), the DDPG
+// minibatch update, plus the polynomial kernels they are built on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,6 +17,8 @@
 #include "opt/sdp.hpp"
 #include "poly/basis.hpp"
 #include "poly/lie.hpp"
+#include "rl/ddpg.hpp"
+#include "systems/benchmarks.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -123,6 +125,28 @@ void BM_MinimaxFit_TemplateSweep(benchmark::State& state) {
 BENCHMARK(BM_MinimaxFit_TemplateSweep)
     ->DenseRange(1, 4)
     ->Unit(benchmark::kMillisecond);
+
+/// DDPG on C1's shapes (2-30x5-1 tanh actor, 3-64-64-1 ReLU critic, batch
+/// 64, warmup 64) for two episodes of at most 80 steps. From seed 8 they run
+/// 80 and 77 steps, so 94 minibatch updates, which are over 99% of the
+/// time. Each iteration trains a fresh agent from that seed, so every
+/// iteration does the same work.
+void BM_DdpgTrain(benchmark::State& state) {
+  const Benchmark c1 = make_benchmark(BenchmarkId::kC1);
+  EnvConfig env_cfg;
+  env_cfg.dt = c1.rl.dt;
+  env_cfg.max_steps = 80;
+  DdpgConfig cfg;
+  cfg.actor_hidden = c1.hidden_layers;
+  cfg.warmup_steps = 64;
+  for (auto _ : state) {
+    Rng rng(8);
+    ControlEnv env(c1.ccds, env_cfg);
+    DdpgAgent agent(c1.ccds.num_states, c1.ccds.num_controls, cfg, rng);
+    benchmark::DoNotOptimize(agent.train(env, 2, rng));
+  }
+}
+BENCHMARK(BM_DdpgTrain)->Unit(benchmark::kMillisecond);
 
 /// min tr(X) with 2n random sparse constraints on one n x n Gram-sized
 /// block; feasible by construction around X0 = I.

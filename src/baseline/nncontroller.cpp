@@ -30,10 +30,33 @@ struct Nets {
   Mlp barrier;
 };
 
+/// One-row training passes; condition (iii) keeps two barrier passes alive
+/// at once.
+struct Passes {
+  explicit Passes(const Nets& nets)
+      : controller(nets.controller.make_batch(1)),
+        barrier(nets.barrier.make_batch(1)),
+        barrier_next(nets.barrier.make_batch(1)),
+        barrier_next_dx(nets.barrier.input_dim(), 1) {}
+
+  Mlp::Batch controller, barrier, barrier_next;
+  Mat barrier_next_dx;  // dB/dx at the stepped point
+};
+
+/// Runs `x` through `net` as a one-row pass and returns the output column.
+Vec forward_row(const Mlp& net, Mlp::Batch& pass, const Vec& x) {
+  for (std::size_t j = 0; j < x.size(); ++j) pass.x(j, 0) = x[j];
+  net.forward(pass);
+  Vec y(net.output_dim());
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = pass.y()(i, 0);
+  return y;
+}
+
 /// One training step over fresh minibatches of the three condition losses.
 /// Returns the total loss (for monitoring).
 double train_step(const Ccds& system, const NnControllerConfig& cfg,
-                  Nets& nets, Adam& ctrl_opt, Adam& barrier_opt, Rng& rng) {
+                  Nets& nets, Passes& passes, Adam& ctrl_opt,
+                  Adam& barrier_opt, Rng& rng) {
   Vec ctrl_grad(nets.controller.parameter_count(), 0.0);
   Vec barrier_grad(nets.barrier.parameter_count(), 0.0);
   double loss = 0.0;
@@ -42,26 +65,24 @@ double train_step(const Ccds& system, const NnControllerConfig& cfg,
   // ---- Condition (i): B(x) >= margin on Theta.
   for (std::size_t s = 0; s < cfg.batch_per_set; ++s) {
     const Vec x = system.init_set.sample(rng);
-    Mlp::Workspace ws;
-    const double b = nets.barrier.forward(x, ws)[0];
+    const double b = forward_row(nets.barrier, passes.barrier, x)[0];
     const double violation = cfg.margin_init - b;
     if (violation > 0.0) {
       loss += violation * inv_b;
-      Vec dy(1, -inv_b);  // d(violation)/db = -1
-      nets.barrier.backward(ws, dy, barrier_grad);
+      passes.barrier.dy(0, 0) = -inv_b;  // d(violation)/db = -1
+      nets.barrier.backward(passes.barrier, &barrier_grad, nullptr);
     }
   }
 
   // ---- Condition (ii): B(x) <= -margin on X_u.
   for (std::size_t s = 0; s < cfg.batch_per_set; ++s) {
     const Vec x = system.unsafe_set.sample(rng);
-    Mlp::Workspace ws;
-    const double b = nets.barrier.forward(x, ws)[0];
+    const double b = forward_row(nets.barrier, passes.barrier, x)[0];
     const double violation = b + cfg.margin_unsafe;
     if (violation > 0.0) {
       loss += violation * inv_b;
-      Vec dy(1, inv_b);
-      nets.barrier.backward(ws, dy, barrier_grad);
+      passes.barrier.dy(0, 0) = inv_b;
+      nets.barrier.backward(passes.barrier, &barrier_grad, nullptr);
     }
   }
 
@@ -70,8 +91,7 @@ double train_step(const Ccds& system, const NnControllerConfig& cfg,
   // w = exp(-(B/band)^2) concentrating the constraint near {B ~ 0}.
   for (std::size_t s = 0; s < cfg.batch_per_set; ++s) {
     const Vec x = system.domain.sample(rng);
-    Mlp::Workspace ws_u;
-    Vec u = nets.controller.forward(x, ws_u);
+    const Vec u = forward_row(nets.controller, passes.controller, x);
     Vec u_phys = u;
     for (auto& v : u_phys) v *= system.control_bound;
 
@@ -79,9 +99,8 @@ double train_step(const Ccds& system, const NnControllerConfig& cfg,
     Vec x2 = x;
     x2.axpy(cfg.lie_dt, fx);
 
-    Mlp::Workspace ws_b1, ws_b2;
-    const double b1 = nets.barrier.forward(x, ws_b1)[0];
-    const double b2 = nets.barrier.forward(x2, ws_b2)[0];
+    const double b1 = forward_row(nets.barrier, passes.barrier, x)[0];
+    const double b2 = forward_row(nets.barrier, passes.barrier_next, x2)[0];
     const double dbdt = (b2 - b1) / cfg.lie_dt;
 
     const double window = std::exp(-(b1 / cfg.lie_band) * (b1 / cfg.lie_band));
@@ -91,29 +110,26 @@ double train_step(const Ccds& system, const NnControllerConfig& cfg,
       loss += violation * w;
       // d(violation)/d(b2) = -1/dt ; d/d(b1) = +1/dt (window treated as
       // a constant weight -- a standard stop-gradient on the gate).
-      Vec dy2(1, -w / cfg.lie_dt);
-      const Vec db2_dx2 = nets.barrier.backward(ws_b2, dy2, barrier_grad);
-      Vec dy1(1, w / cfg.lie_dt);
-      nets.barrier.backward(ws_b1, dy1, barrier_grad);
+      passes.barrier_next.dy(0, 0) = -w / cfg.lie_dt;
+      nets.barrier.backward(passes.barrier_next, &barrier_grad,
+                            &passes.barrier_next_dx);
+      const Mat& db2_dx2 = passes.barrier_next_dx;
+      passes.barrier.dy(0, 0) = w / cfg.lie_dt;
+      nets.barrier.backward(passes.barrier, &barrier_grad, nullptr);
       // Controller chain: x2 depends on u through dt * f(x, u).
       const Mat jac = control_jacobian(system, x, u_phys);
-      Vec du(u.size(), 0.0);
       for (std::size_t k = 0; k < u.size(); ++k) {
         double acc = 0.0;
         for (std::size_t i = 0; i < x.size(); ++i)
-          acc += db2_dx2[i] * cfg.lie_dt * jac(i, k);
-        du[k] = acc * system.control_bound;
+          acc += db2_dx2(i, 0) * cfg.lie_dt * jac(i, k);
+        passes.controller.dy(k, 0) = acc * system.control_bound;
       }
-      nets.controller.backward(ws_u, du, ctrl_grad);
+      nets.controller.backward(passes.controller, &ctrl_grad, nullptr);
     }
   }
 
-  Vec cp = nets.controller.parameters();
-  ctrl_opt.step(cp, ctrl_grad);
-  nets.controller.set_parameters(cp);
-  Vec bp = nets.barrier.parameters();
-  barrier_opt.step(bp, barrier_grad);
-  nets.barrier.set_parameters(bp);
+  ctrl_opt.step(nets.controller, ctrl_grad);
+  barrier_opt.step(nets.barrier, barrier_grad);
   return loss;
 }
 
@@ -136,11 +152,12 @@ NnControllerResult run_nncontroller(const Ccds& system,
   result.barrier_structure = nets.barrier.structure_string();
   Adam ctrl_opt(nets.controller.parameter_count(), {.lr = config.lr});
   Adam barrier_opt(nets.barrier.parameter_count(), {.lr = config.lr});
+  Passes passes(nets);
 
   double recent_loss = 0.0;
   for (int it = 0; it < config.train_iterations; ++it) {
     const double l =
-        train_step(system, config, nets, ctrl_opt, barrier_opt, rng);
+        train_step(system, config, nets, passes, ctrl_opt, barrier_opt, rng);
     recent_loss = 0.95 * recent_loss + 0.05 * l;
     if ((it + 1) % 1000 == 0)
       log_debug("nncontroller: iter ", it + 1, " smoothed loss ", recent_loss);

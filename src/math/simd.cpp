@@ -1,7 +1,8 @@
 // Portable kernel implementations and the runtime dispatch switch.
 //
-// The scalar `dot` mirrors the AVX2 lane structure exactly (four
-// accumulators, fixed combine order) -- see simd.hpp for the contract.
+// The scalar `dot` and `dot_columns` mirror the AVX2 lane structure
+// exactly (four accumulators, fixed combine order) -- see simd.hpp for the
+// contract.
 #include "math/simd.hpp"
 
 #include "util/check.hpp"
@@ -17,6 +18,8 @@ void add_avx2(double* y, const double* x, std::size_t n);
 void sub_avx2(double* y, const double* x, std::size_t n);
 void scale_avx2(double* y, double s, std::size_t n);
 double dot_avx2(const double* x, const double* y, std::size_t n);
+void dot_columns_avx2(double* out, const double* w, std::size_t rows,
+                      std::size_t n, const double* x, std::size_t cols);
 
 }  // namespace detail
 
@@ -103,6 +106,29 @@ double dot_scalar(const double* x, const double* y, std::size_t n) {
   return (l0 + l1) + (l2 + l3);
 }
 
+void dot_columns_scalar(double* out, const double* w, std::size_t rows,
+                        std::size_t n, const double* x, std::size_t cols) {
+  // Two columns per 128-bit vector, one accumulator per dot lane; a last
+  // odd column runs duplicated in both halves and keeps half 0.
+  for (std::size_t r = 0; r < rows; ++r, w += n) {
+    for (std::size_t c = 0; c < cols; c += 2) {
+      const bool pair = c + 1 < cols;
+      float64x2_t lane[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0),
+                             vdupq_n_f64(0.0), vdupq_n_f64(0.0)};
+      for (std::size_t j = 0; j < n; ++j) {
+        const double* xj = x + j * cols + c;
+        const float64x2_t xv = pair ? vld1q_f64(xj) : vdupq_n_f64(*xj);
+        lane[j % 4] =
+            vaddq_f64(lane[j % 4], vmulq_f64(vdupq_n_f64(w[j]), xv));
+      }
+      const float64x2_t sum = vaddq_f64(vaddq_f64(lane[0], lane[1]),
+                                        vaddq_f64(lane[2], lane[3]));
+      out[r * cols + c] = vgetq_lane_f64(sum, 0);
+      if (pair) out[r * cols + c + 1] = vgetq_lane_f64(sum, 1);
+    }
+  }
+}
+
 #else  // plain scalar
 
 void axpy_scalar(double* y, double s, const double* x, std::size_t n) {
@@ -136,6 +162,27 @@ double dot_scalar(const double* x, const double* y, std::size_t n) {
   if (i + 1 < n) l1 += x[i + 1] * y[i + 1];
   if (i + 2 < n) l2 += x[i + 2] * y[i + 2];
   return (l0 + l1) + (l2 + l3);
+}
+
+void dot_columns_scalar(double* out, const double* w, std::size_t rows,
+                        std::size_t n, const double* x, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r, w += n) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double* xc = x + c;  // column c: stride `cols`
+      double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+      std::size_t j = 0;
+      for (; j + 4 <= n; j += 4) {
+        l0 += w[j] * xc[j * cols];
+        l1 += w[j + 1] * xc[(j + 1) * cols];
+        l2 += w[j + 2] * xc[(j + 2) * cols];
+        l3 += w[j + 3] * xc[(j + 3) * cols];
+      }
+      if (j < n) l0 += w[j] * xc[j * cols];
+      if (j + 1 < n) l1 += w[j + 1] * xc[(j + 1) * cols];
+      if (j + 2 < n) l2 += w[j + 2] * xc[(j + 2) * cols];
+      out[r * cols + c] = (l0 + l1) + (l2 + l3);
+    }
+  }
 }
 
 #endif  // __ARM_NEON
@@ -205,6 +252,17 @@ double dot(const double* x, const double* y, std::size_t n) {
   if (use_avx2()) return detail::dot_avx2(x, y, n);
 #endif
   return dot_scalar(x, y, n);
+}
+
+void dot_columns(double* out, const double* w, std::size_t rows,
+                 std::size_t n, const double* x, std::size_t cols) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::dot_columns_avx2(out, w, rows, n, x, cols);
+    return;
+  }
+#endif
+  dot_columns_scalar(out, w, rows, n, x, cols);
 }
 
 }  // namespace scs::simd

@@ -1,8 +1,9 @@
 // Runtime-dispatched dense kernels for the solver core.
 //
-// Every hot loop in src/math, src/opt and src/poly funnels through the tiny
-// kernel set below: elementwise updates (axpy / add / sub / scale) and a
-// four-lane dot product. The AVX2 implementations (simd_avx2.cpp, compiled
+// Every hot loop in src/math, src/opt, src/poly and src/nn funnels through
+// the tiny kernel set below: elementwise updates (axpy / add / sub / scale),
+// a four-lane dot product, and the same dot blocked over the columns of a
+// matrix. The AVX2 implementations (simd_avx2.cpp, compiled
 // with -mavx2 when the SCS_SIMD CMake option is ON) are written so that
 // they are *bitwise identical* to the portable fallbacks:
 //
@@ -13,6 +14,9 @@
 //    order (l0 + l1) + (l2 + l3). The scalar fallback implements the same
 //    lane structure with four scalar accumulators, so SCS_SIMD=ON and
 //    SCS_SIMD=OFF builds produce identical bits on every machine.
+//  - `dot_columns` runs that same dot for many columns at once: it keeps
+//    the lanes of four columns in one vector each, so every output has the
+//    bits `dot` gives it.
 //
 // Dispatch is decided once at startup (__builtin_cpu_supports) and can be
 // overridden per-thread with set_kernel_override for A/B benchmarks and the
@@ -57,5 +61,15 @@ void scale(double* y, double s, std::size_t n);
 /// lanes combine as (l0 + l1) + (l2 + l3). Deterministic across scalar and
 /// AVX2 paths, but NOT bitwise-equal to a plain serial accumulation.
 double dot(const double* x, const double* y, std::size_t n);
+
+/// Sample-blocked dot: for a row-major `rows` x `n` matrix `w` and a
+/// row-major `n` x `cols` matrix `x` (one column per sample),
+/// out[r * cols + c] = dot(w row r, x column c, n), bit for bit. Each output
+/// keeps `dot`'s lanes (lane j sums indices == j mod 4 in ascending order,
+/// multiply then add, combined as (l0 + l1) + (l2 + l3)); the AVX2 path
+/// vectorises across four columns, so no lane is ever reduced across a
+/// register.
+void dot_columns(double* out, const double* w, std::size_t rows,
+                 std::size_t n, const double* x, std::size_t cols);
 
 }  // namespace scs::simd

@@ -1,9 +1,12 @@
-// Adam optimizer over flat parameter vectors (Kingma & Ba).
+// Adam optimizer (Kingma & Ba) over a flat parameter vector or, in place,
+// over a network's parameter storage.
 #pragma once
 
 #include "math/vec.hpp"
 
 namespace scs {
+
+class Mlp;
 
 struct AdamConfig {
   double lr = 1e-3;
@@ -20,10 +23,18 @@ class Adam {
   /// One update: params -= lr * mhat / (sqrt(vhat) + eps).
   void step(Vec& params, const Vec& grad);
 
+  /// The same update applied to `net`'s layer storage in place; `grad` is
+  /// in the net's flattened order (Mlp::parameters()).
+  void step(Mlp& net, const Vec& grad);
+
   void reset();
   const AdamConfig& config() const { return config_; }
 
  private:
+  /// Steps params[0, n) with moment slots [offset, offset + n).
+  void update(double* params, const double* grad, std::size_t offset,
+              std::size_t n);
+
   AdamConfig config_;
   Vec m_;
   Vec v_;

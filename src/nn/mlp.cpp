@@ -1,24 +1,37 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
+#include "math/simd.hpp"
 #include "util/check.hpp"
 
 namespace scs {
 
-Vec activate(Activation act, const Vec& pre) {
-  Vec out(pre);
+namespace {
+
+/// out[i] = act(pre[i]).
+void activate_n(Activation act, const double* pre, double* out,
+                std::size_t n) {
   switch (act) {
     case Activation::kIdentity:
+      std::copy(pre, pre + n, out);
       break;
     case Activation::kRelu:
-      for (auto& v : out) v = v > 0.0 ? v : 0.0;
+      for (std::size_t i = 0; i < n; ++i) out[i] = pre[i] > 0.0 ? pre[i] : 0.0;
       break;
     case Activation::kTanh:
-      for (auto& v : out) v = std::tanh(v);
+      for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(pre[i]);
       break;
   }
+}
+
+}  // namespace
+
+Vec activate(Activation act, const Vec& pre) {
+  Vec out(pre.size());
+  activate_n(act, pre.begin(), out.begin(), pre.size());
   return out;
 }
 
@@ -85,18 +98,53 @@ Vec Mlp::forward(const Vec& x) const {
   return h;
 }
 
-Vec Mlp::forward(const Vec& x, Workspace& ws) const {
-  SCS_REQUIRE(!weights_.empty(), "Mlp::forward: uninitialized network");
-  ws.pre.assign(weights_.size(), Vec());
-  ws.post.assign(weights_.size() + 1, Vec());
-  ws.post[0] = x;
-  for (std::size_t k = 0; k < weights_.size(); ++k) {
-    Vec pre = matvec(weights_[k], ws.post[k]);
-    pre += biases_[k];
-    ws.post[k + 1] = activate(acts_[k], pre);
-    ws.pre[k] = std::move(pre);
+Mlp::Batch Mlp::make_batch(std::size_t samples) const {
+  SCS_REQUIRE(!weights_.empty(), "Mlp::make_batch: uninitialized network");
+  SCS_REQUIRE(samples > 0, "Mlp::make_batch: empty batch");
+  Batch batch;
+  batch.x = Mat(input_dim(), samples);
+  std::size_t widest = input_dim();
+  for (const Mat& w : weights_) {
+    batch.pre.emplace_back(w.rows(), samples);
+    batch.post.emplace_back(w.rows(), samples);
+    widest = std::max(widest, w.rows());
   }
-  return ws.post.back();
+  batch.dy = Mat(output_dim(), samples);
+  batch.delta.resize(samples * widest);
+  batch.delta_next.resize(samples * widest);
+  batch.x_t.resize(samples * widest);
+  batch.live.resize(widest);
+  return batch;
+}
+
+void Mlp::check_batch(const Batch& batch, const char* who) const {
+  bool ok = !weights_.empty() && batch.pre.size() == weights_.size() &&
+            batch.post.size() == weights_.size() &&
+            batch.x.rows() == input_dim() && batch.size() > 0;
+  for (std::size_t k = 0; ok && k < weights_.size(); ++k)
+    ok = batch.pre[k].rows() == weights_[k].rows() &&
+         batch.pre[k].cols() == batch.size() &&
+         batch.post[k].rows() == weights_[k].rows() &&
+         batch.post[k].cols() == batch.size();
+  SCS_REQUIRE(ok, std::string(who) + ": batch does not match this network");
+}
+
+void Mlp::forward(Batch& batch) const {
+  check_batch(batch, "Mlp::forward");
+  const std::size_t n = batch.size();
+  for (std::size_t k = 0; k < weights_.size(); ++k) {
+    const Mat& w = weights_[k];
+    const Mat& input = (k == 0) ? batch.x : batch.post[k - 1];
+    Mat& pre = batch.pre[k];
+    simd::dot_columns(pre.row_ptr(0), w.row_ptr(0), w.rows(), w.cols(),
+                      input.row_ptr(0), n);
+    for (std::size_t i = 0; i < w.rows(); ++i) {
+      double* p = pre.row_ptr(i);
+      const double bias = biases_[k][i];
+      for (std::size_t b = 0; b < n; ++b) p[b] += bias;
+      activate_n(acts_[k], p, batch.post[k].row_ptr(i), n);
+    }
+  }
 }
 
 std::size_t Mlp::parameter_count() const {
@@ -108,78 +156,114 @@ std::size_t Mlp::parameter_count() const {
 
 Vec Mlp::parameters() const {
   Vec flat(parameter_count());
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < weights_.size(); ++k) {
-    const Mat& w = weights_[k];
-    for (std::size_t i = 0; i < w.rows(); ++i)
-      for (std::size_t j = 0; j < w.cols(); ++j) flat[pos++] = w(i, j);
-    for (std::size_t i = 0; i < biases_[k].size(); ++i)
-      flat[pos++] = biases_[k][i];
-  }
+  double* out = flat.begin();
+  for_each_block([&](const double* p, std::size_t n) {
+    out = std::copy(p, p + n, out);
+  });
   return flat;
 }
 
 void Mlp::set_parameters(const Vec& flat) {
   SCS_REQUIRE(flat.size() == parameter_count(),
               "Mlp::set_parameters: size mismatch");
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < weights_.size(); ++k) {
-    Mat& w = weights_[k];
-    for (std::size_t i = 0; i < w.rows(); ++i)
-      for (std::size_t j = 0; j < w.cols(); ++j) w(i, j) = flat[pos++];
-    for (std::size_t i = 0; i < biases_[k].size(); ++i)
-      biases_[k][i] = flat[pos++];
-  }
+  const double* in = flat.begin();
+  for_each_block([&](double* p, std::size_t n) {
+    std::copy(in, in + n, p);
+    in += n;
+  });
 }
 
-Vec Mlp::backward(const Workspace& ws, const Vec& dloss_dy, Vec& grad) const {
-  SCS_REQUIRE(grad.size() == parameter_count(),
+void Mlp::backward(Batch& batch, Vec* grad, Mat* dx) const {
+  check_batch(batch, "Mlp::backward");
+  const std::size_t n = batch.size();
+  SCS_REQUIRE(batch.dy.rows() == output_dim() && batch.dy.cols() == n,
+              "Mlp::backward: output gradient shape mismatch");
+  SCS_REQUIRE(grad == nullptr || grad->size() == parameter_count(),
               "Mlp::backward: gradient buffer size mismatch");
-  SCS_REQUIRE(ws.post.size() == weights_.size() + 1,
-              "Mlp::backward: workspace does not match this network");
-  SCS_REQUIRE(dloss_dy.size() == output_dim(),
-              "Mlp::backward: output gradient size mismatch");
+  SCS_REQUIRE(dx == nullptr || (dx->rows() == input_dim() && dx->cols() == n),
+              "Mlp::backward: input gradient shape mismatch");
 
-  // Precompute each layer's flat offset.
-  std::vector<std::size_t> offsets(weights_.size());
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < weights_.size(); ++k) {
-    offsets[k] = pos;
-    pos += weights_[k].rows() * weights_[k].cols() + biases_[k].size();
-  }
+  // delta = dL/d(output of the current layer), sample-major: row b is
+  // sample b, so each sample's sums below run over contiguous memory.
+  double* delta = batch.delta.data();
+  double* next = batch.delta_next.data();
+  for (std::size_t i = 0; i < output_dim(); ++i)
+    for (std::size_t b = 0; b < n; ++b)
+      delta[b * output_dim() + i] = batch.dy(i, b);
 
-  Vec delta = dloss_dy;  // dL/d(post of current layer)
-  for (std::size_t kk = weights_.size(); kk-- > 0;) {
-    const Mat& w = weights_[kk];
-    const Vec& input = ws.post[kk];
-    const Vec& pre = ws.pre[kk];
-    const Vec& post = ws.post[kk + 1];
-    // dL/d(pre) = delta .* act'(pre).
-    Vec dpre(delta.size());
-    for (std::size_t i = 0; i < delta.size(); ++i)
-      dpre[i] =
-          delta[i] * activation_grad_from_output(acts_[kk], post[i], pre[i]);
-    // Accumulate dL/dW = dpre * input^T and dL/db = dpre.
-    std::size_t p = offsets[kk];
-    for (std::size_t i = 0; i < w.rows(); ++i) {
-      const double di = dpre[i];
-      for (std::size_t j = 0; j < w.cols(); ++j) grad[p++] += di * input[j];
+  // Layers run last to first, so layer k's flat gradient offset is found
+  // by walking down from the end.
+  std::size_t offset = parameter_count();
+  for (std::size_t k = weights_.size(); k-- > 0;) {
+    const Mat& w = weights_[k];
+    const std::size_t out = w.rows();
+    const std::size_t in = w.cols();
+    offset -= out * in + out;
+    // dL/d(pre) = delta .* act'(pre), in place.
+    for (std::size_t b = 0; b < n; ++b)
+      for (std::size_t i = 0; i < out; ++i)
+        delta[b * out + i] *= activation_grad_from_output(
+            acts_[k], batch.post[k](i, b), batch.pre[k](i, b));
+
+    if (grad != nullptr) {
+      // dL/dW += dpre * input^T and dL/db += dpre, one sample after the
+      // other: each element gets its terms in ascending sample order.
+      const Mat& input = (k == 0) ? batch.x : batch.post[k - 1];
+      double* x_t = batch.x_t.data();
+      for (std::size_t j = 0; j < in; ++j)
+        for (std::size_t b = 0; b < n; ++b) x_t[b * in + j] = input(j, b);
+      double* gw = grad->begin() + offset;
+      double* gb = gw + out * in;
+      for (std::size_t b = 0; b < n; ++b) {
+        const double* d = delta + b * out;
+        for (std::size_t i = 0; i < out; ++i)
+          simd::axpy(gw + i * in, d[i], x_t + b * in, in);
+        simd::add(gb, d, out);
+      }
     }
-    for (std::size_t i = 0; i < dpre.size(); ++i) grad[p++] += dpre[i];
-    // dL/d(input) = W^T dpre.
-    delta = matvec_t(w, dpre);
+    if (k == 0 && dx == nullptr) break;
+
+    // dL/d(input) = W^T dpre per sample, as matvec_t sums it: over units in
+    // ascending order from +0, skipping exact-zero terms (dead ReLU units).
+    // The live units are listed first, without a branch per unit: which
+    // units are dead changes from sample to sample.
+    std::size_t* live = batch.live.data();
+    for (std::size_t b = 0; b < n; ++b) {
+      double* o = next + b * in;
+      std::fill(o, o + in, 0.0);
+      const double* d = delta + b * out;
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < out; ++i) {
+        live[count] = i;
+        count += (d[i] != 0.0) ? 1 : 0;
+      }
+      for (std::size_t t = 0; t < count; ++t)
+        simd::axpy(o, d[live[t]], w.row_ptr(live[t]), in);
+    }
+    std::swap(delta, next);
   }
-  return delta;
+  if (dx != nullptr)
+    for (std::size_t j = 0; j < input_dim(); ++j)
+      for (std::size_t b = 0; b < n; ++b)
+        (*dx)(j, b) = delta[b * input_dim() + j];
 }
 
 void Mlp::soft_update_from(const Mlp& other, double tau) {
-  SCS_REQUIRE(parameter_count() == other.parameter_count(),
-              "Mlp::soft_update_from: architecture mismatch");
-  Vec mine = parameters();
-  const Vec theirs = other.parameters();
-  for (std::size_t i = 0; i < mine.size(); ++i)
-    mine[i] = tau * theirs[i] + (1.0 - tau) * mine[i];
-  set_parameters(mine);
+  bool same = weights_.size() == other.weights_.size();
+  for (std::size_t k = 0; same && k < weights_.size(); ++k)
+    same = weights_[k].rows() == other.weights_[k].rows() &&
+           weights_[k].cols() == other.weights_[k].cols();
+  SCS_REQUIRE(same, "Mlp::soft_update_from: architecture mismatch");
+  const auto blend = [tau](double* mine, const double* theirs,
+                           std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i)
+      mine[i] = tau * theirs[i] + (1.0 - tau) * mine[i];
+  };
+  for (std::size_t k = 0; k < weights_.size(); ++k) {
+    blend(weights_[k].row_ptr(0), other.weights_[k].row_ptr(0),
+          weights_[k].rows() * weights_[k].cols());
+    blend(biases_[k].begin(), other.biases_[k].begin(), biases_[k].size());
+  }
 }
 
 void Mlp::scale_output_layer(double factor) {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "math/simd.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/hash.hpp"
@@ -27,6 +30,9 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
   SCS_REQUIRE(state_dim > 0 && action_dim > 0, "DdpgAgent: bad dimensions");
   SCS_REQUIRE(config.gamma > 0.0 && config.gamma < 1.0,
               "DdpgAgent: gamma must be in (0,1)");
+  SCS_REQUIRE(config.soft_tau > 0.0 && config.soft_tau <= 1.0,
+              "DdpgAgent: soft_tau must be in (0,1]");
+  SCS_REQUIRE(config.batch_size > 0, "DdpgAgent: batch_size must be positive");
   // Small final-layer initialization (Lillicrap et al.): keeps the tanh
   // actor out of saturation early, which otherwise collapses the policy to
   // a constant +-1 for hundreds of episodes.
@@ -34,67 +40,98 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
   critic_.scale_output_layer(0.1);
   actor_target_ = actor_;
   critic_target_ = critic_;
+  actor_batch_ = actor_.make_batch(config.batch_size);
+  critic_batch_ = critic_.make_batch(config.batch_size);
+  actor_grad_ = Vec(actor_.parameter_count());
+  critic_grad_ = Vec(critic_.parameter_count());
+  td_target_ = Vec(config.batch_size);
+  critic_dx_ = Mat(state_dim + action_dim, config.batch_size);
 }
 
 Vec DdpgAgent::act(const Vec& state) const { return actor_.forward(state); }
 
 void DdpgAgent::update_networks(Rng& rng) {
-  if (buffer_.size() < config_.batch_size) return;
-  const auto batch = buffer_.sample(config_.batch_size, rng);
-  const double inv_n = 1.0 / static_cast<double>(batch.size());
-
-  // ---- Critic update: minimize (5), the TD error against the targets.
-  Vec critic_grad(critic_.parameter_count(), 0.0);
-  for (const Transition* t : batch) {
-    double y = t->reward;
-    if (!t->done) {
-      const Vec a2 = actor_target_.forward(t->next_state);
-      const Vec q2 = critic_target_.forward(concat(t->next_state, a2));
-      y += config_.gamma * q2[0];
-    }
-    Mlp::Workspace ws;
-    const Vec q = critic_.forward(concat(t->state, t->action), ws);
-    // d/dq of (y - q)^2 / N = -2 (y - q) / N.
-    Vec dq(1, -2.0 * (y - q[0]) * inv_n);
-    critic_.backward(ws, dq, critic_grad);
+  const std::size_t n = config_.batch_size;
+  if (buffer_.size() < n) return;
+  if (metrics_enabled()) {
+    static Counter& updates = MetricsRegistry::instance().counter("rl.updates");
+    updates.add(1);
   }
-  Vec critic_params = critic_.parameters();
-  critic_opt_.step(critic_params, critic_grad);
-  critic_.set_parameters(critic_params);
+  const auto batch = buffer_.sample(n, rng);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  // Column b of every workspace is transition b; the critic's input stacks
+  // the state rows over the action rows.
+  Mat& actor_x = actor_batch_.x;
+  Mat& critic_x = critic_batch_.x;
+  const Mat& actions = actor_batch_.y();
+  const Mat& q = critic_batch_.y();
 
-  // ---- Actor update: ascend Q(x, actor(x)), i.e. minimize (6).
-  Vec actor_grad(actor_.parameter_count(), 0.0);
-  // Sink for the critic's parameter gradient, which the actor step never
-  // reads; backward only accumulates into it, so one buffer serves the
-  // whole batch.
-  Vec scratch(critic_.parameter_count(), 0.0);
-  for (const Transition* t : batch) {
-    Mlp::Workspace actor_ws;
-    const Vec a = actor_.forward(t->state, actor_ws);
-    Mlp::Workspace critic_ws;
-    critic_.forward(concat(t->state, a), critic_ws);
-    // dJ/dq = -1/N  (J = -mean Q).
-    Vec dq(1, -inv_n);
-    const Vec dinput = critic_.backward(critic_ws, dq, scratch);
-    // Slice dJ/da from the critic's input gradient, then apply inverting
-    // gradients (Hausknecht & Stone): attenuate the component that pushes an
-    // action toward its bound proportionally to the remaining headroom, so
-    // the tanh actor never drives itself into saturation.
-    Vec da(action_dim_);
+  // ---- Critic update: minimize (5), the TD error against the targets. The
+  // targets run on every row; a terminal row's value is never read.
+  for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t j = 0; j < state_dim_; ++j)
+      critic_x(j, b) = actor_x(j, b) = batch[b]->next_state[j];
+  actor_target_.forward(actor_batch_);
+  for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t i = 0; i < action_dim_; ++i)
+      critic_x(state_dim_ + i, b) = actions(i, b);
+  critic_target_.forward(critic_batch_);
+  for (std::size_t b = 0; b < n; ++b) {
+    double y = batch[b]->reward;
+    if (!batch[b]->done) y += config_.gamma * q(0, b);
+    td_target_[b] = y;
+  }
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t j = 0; j < state_dim_; ++j)
+      critic_x(j, b) = batch[b]->state[j];
+    for (std::size_t i = 0; i < action_dim_; ++i)
+      critic_x(state_dim_ + i, b) = batch[b]->action[i];
+  }
+  critic_.forward(critic_batch_);
+  // d/dq of (y - q)^2 / N = -2 (y - q) / N.
+  for (std::size_t b = 0; b < n; ++b)
+    critic_batch_.dy(0, b) = -2.0 * (td_target_[b] - q(0, b)) * inv_n;
+  critic_grad_.fill(0.0);
+  critic_.backward(critic_batch_, &critic_grad_, nullptr);
+  critic_opt_.step(critic_, critic_grad_);
+
+  // ---- Actor update: ascend Q(x, actor(x)), i.e. minimize (6). The critic
+  // keeps its state rows and takes the actor's actions.
+  for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t j = 0; j < state_dim_; ++j)
+      actor_x(j, b) = batch[b]->state[j];
+  actor_.forward(actor_batch_);
+  for (std::size_t b = 0; b < n; ++b)
+    for (std::size_t i = 0; i < action_dim_; ++i)
+      critic_x(state_dim_ + i, b) = actions(i, b);
+  critic_.forward(critic_batch_);
+  // dJ/dq = -1/N  (J = -mean Q). Only the critic's input gradient is needed.
+  for (std::size_t b = 0; b < n; ++b) critic_batch_.dy(0, b) = -inv_n;
+  critic_.backward(critic_batch_, nullptr, &critic_dx_);
+  // Slice dJ/da from the critic's input gradient, then apply inverting
+  // gradients (Hausknecht & Stone): attenuate the component that pushes an
+  // action toward its bound proportionally to the remaining headroom, so
+  // the tanh actor never drives itself into saturation.
+  for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t i = 0; i < action_dim_; ++i) {
-      double g = dinput[state_dim_ + i];
-      const double ai = a[i];
+      double g = critic_dx_(state_dim_ + i, b);
+      const double ai = actions(i, b);
       // The parameter step moves a along -g.
       g *= (g < 0.0) ? 0.5 * (1.0 - ai) : 0.5 * (1.0 + ai);
-      da[i] = g;
+      actor_batch_.dy(i, b) = g;
     }
-    actor_.backward(actor_ws, da, actor_grad);
   }
-  Vec actor_params = actor_.parameters();
-  if (config_.actor_weight_decay > 0.0)
-    actor_grad.axpy(config_.actor_weight_decay, actor_params);
-  actor_opt_.step(actor_params, actor_grad);
-  actor_.set_parameters(actor_params);
+  actor_grad_.fill(0.0);
+  actor_.backward(actor_batch_, &actor_grad_, nullptr);
+  if (config_.actor_weight_decay > 0.0) {
+    std::size_t offset = 0;
+    actor_.for_each_block([&](const double* params, std::size_t len) {
+      simd::axpy(actor_grad_.begin() + offset, config_.actor_weight_decay,
+                 params, len);
+      offset += len;
+    });
+  }
+  actor_opt_.step(actor_, actor_grad_);
   if (config_.actor_weight_norm_cap > 0.0) {
     // Project each layer back into the Frobenius ball (max-norm constraint).
     for (std::size_t k = 0; k < actor_.layer_count(); ++k) {
@@ -118,6 +155,7 @@ TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng) {
   double sigma = config_.noise_sigma;
 
   for (int ep = 0; ep < episodes; ++ep) {
+    TraceSpan episode_span("rl.episode");
     Vec x = env.reset(rng);
     noise_.reset();
     noise_.set_sigma(sigma);

@@ -5,7 +5,8 @@
 // environment boundary), ReLU hidden layers -- the "n-30(5)-1" structures of
 // Table 2. Critic: (x, a) -> Q value, updated by the TD loss (5); actor
 // updated by the deterministic policy gradient (6); target networks follow
-// with soft updates.
+// with soft updates. Each minibatch update runs as batched matrix math on
+// the calling thread (Mlp::Batch), with the bits of a per-sample loop.
 #pragma once
 
 #include <vector>
@@ -38,9 +39,9 @@ struct DdpgConfig {
   /// norms, which is what keeps Algorithm 1's minimax error small: a single
   /// sharp ReLU crease anywhere in Psi would dominate e.
   double actor_weight_norm_cap = 0.9;
-  double gamma = 0.99;       // reward decay factor
-  double soft_tau = 0.005;   // target-network tracking rate
-  std::size_t batch_size = 64;
+  double gamma = 0.99;       // reward decay factor, in (0, 1)
+  double soft_tau = 0.005;   // target-network tracking rate, in (0, 1]
+  std::size_t batch_size = 64;  // > 0
   std::size_t buffer_capacity = 100000;
   std::size_t warmup_steps = 1000;  // uniform random actions before learning
   int updates_per_step = 1;
@@ -108,6 +109,13 @@ class DdpgAgent {
   Adam actor_opt_, critic_opt_;
   ReplayBuffer buffer_;
   OuNoise noise_;
+  // Minibatch workspaces, sized once for batch_size rows. The targets share
+  // them with the nets they track: their results are read before the
+  // learners' passes overwrite them.
+  Mlp::Batch actor_batch_, critic_batch_;
+  Vec actor_grad_, critic_grad_;
+  Vec td_target_;   // y per row
+  Mat critic_dx_;   // dQ/d(state, action), (state_dim + action_dim) x B
 };
 
 }  // namespace scs

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/adam.hpp"
+#include "nn/mlp.hpp"
 #include "util/check.hpp"
 
 namespace scs {
@@ -50,6 +51,27 @@ TEST(Adam, MinimizesRosenbrockish) {
   }
   EXPECT_NEAR(x[0], 1.0, 0.05);
   EXPECT_NEAR(x[1], 1.0, 0.1);
+}
+
+TEST(Adam, NetStepMatchesFlatStepBitForBit) {
+  // Stepping a network's layer storage in place is the flat update on its
+  // parameters() vector, element for element.
+  Rng rng(3);
+  Mlp net(3, {5, 4}, 2, Activation::kTanh, Activation::kIdentity, rng);
+  Vec flat = net.parameters();
+  Adam in_place(net.parameter_count(), {.lr = 0.01});
+  Adam on_flat(net.parameter_count(), {.lr = 0.01});
+  for (int step = 0; step < 5; ++step) {
+    const Vec grad(rng.uniform_vector(net.parameter_count(), -1.0, 1.0));
+    in_place.step(net, grad);
+    on_flat.step(flat, grad);
+  }
+  const Vec stepped = net.parameters();
+  for (std::size_t i = 0; i < flat.size(); ++i)
+    EXPECT_EQ(stepped[i], flat[i]) << "parameter " << i;
+  Mlp other(2, {5}, 1, Activation::kTanh, Activation::kIdentity, rng);
+  EXPECT_THROW(in_place.step(other, Vec(other.parameter_count())),
+               PreconditionError);
 }
 
 TEST(Adam, RejectsBadInputs) {

@@ -4,8 +4,10 @@
 
 #include <cmath>
 
+#include "math/simd.hpp"
 #include "rl/ddpg.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace scs {
 namespace {
@@ -115,6 +117,73 @@ TEST(Ddpg, RejectsBadConfig) {
   cfg.gamma = 1.5;
   EXPECT_THROW(DdpgAgent(1, 1, cfg, rng), PreconditionError);
   EXPECT_THROW(DdpgAgent(0, 1, small_config(), rng), PreconditionError);
+  // An empty minibatch would divide by zero in every update.
+  cfg = small_config();
+  cfg.batch_size = 0;
+  EXPECT_THROW(DdpgAgent(1, 1, cfg, rng), PreconditionError);
+  for (const double tau : {0.0, -0.1, 1.5, std::nan("")}) {
+    cfg = small_config();
+    cfg.soft_tau = tau;
+    EXPECT_THROW(DdpgAgent(1, 1, cfg, rng), PreconditionError) << tau;
+  }
+  cfg = small_config();
+  cfg.soft_tau = 1.0;  // hard target copy: allowed
+  EXPECT_NO_THROW(DdpgAgent(1, 1, cfg, rng));
+}
+
+// 2-D double integrator (x0' = x1, x1' = u): the actor's input is two wide
+// and the critic's three, so the forward kernel runs its lane tails.
+Ccds double_integrator_system() {
+  Ccds sys;
+  sys.name = "ddpg-digest";
+  sys.num_states = 2;
+  sys.num_controls = 1;
+  sys.open_field = {Polynomial::variable(3, 1), Polynomial::variable(3, 2)};
+  const Box box = Box::centered(2, 2.0);
+  sys.init_set = SemialgebraicSet::ball(Vec{0.0, 0.0}, 1.0);
+  sys.domain = SemialgebraicSet::from_box(box);
+  sys.unsafe_set = SemialgebraicSet::outside_ball(Vec{0.0, 0.0}, 1.8, box);
+  sys.control_bound = 1.0;
+  return sys;
+}
+
+/// FNV digest of every actor and critic parameter after a short run: tanh
+/// actor, ReLU critic, batch 64, 312 minibatch updates. The 25-step
+/// episodes with coarse steps often leave Psi early (11 of 20 do), so
+/// many minibatches hold terminal rows.
+std::uint64_t trained_parameter_digest() {
+  Rng rng(2024);
+  EnvConfig env_cfg;
+  env_cfg.dt = 0.15;
+  env_cfg.max_steps = 25;
+  ControlEnv env(double_integrator_system(), env_cfg);
+  DdpgConfig cfg;
+  cfg.actor_hidden = {9, 7};
+  cfg.critic_hidden = {13, 16};
+  cfg.batch_size = 64;
+  cfg.warmup_steps = 64;
+  DdpgAgent agent(2, 1, cfg, rng);
+  agent.train(env, 20, rng);
+  Fnv1a h;
+  hash_append(h, agent.actor().parameters());
+  hash_append(h, agent.critic().parameters());
+  return h.digest();
+}
+
+// Recorded with the per-sample update the batched one replaced: every
+// trained bit is pinned, on both kernel paths (and in SCS_SIMD=OFF builds,
+// where the default path is the scalar one).
+constexpr std::uint64_t kTrainedDigest = 0x3497e0f00bf52357ULL;
+
+TEST(Ddpg, TrainedParametersAreBitPinned) {
+  EXPECT_EQ(trained_parameter_digest(), kTrainedDigest);
+  simd::set_kernel_override(simd::Kernel::kScalar);
+  EXPECT_EQ(trained_parameter_digest(), kTrainedDigest);
+  if (simd::avx2_available()) {
+    simd::set_kernel_override(simd::Kernel::kAvx2);
+    EXPECT_EQ(trained_parameter_digest(), kTrainedDigest);
+  }
+  simd::set_kernel_override(simd::Kernel::kAuto);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // The SIMD contract (src/math/simd.hpp) is that the AVX2 and scalar paths
 // are bitwise identical: elementwise kernels never use FMA, and `dot` uses
 // the same four-lane accumulation in both implementations. These tests pin
-// that contract directly (kernel vs kernel over ragged lengths) and
-// end-to-end (a dense matmul forced through each path). The AVX2 halves
+// that contract directly (kernel vs kernel over ragged lengths), for the
+// sample-blocked `dot_columns` against `dot` per column, and end-to-end (a
+// dense matmul forced through each path). The AVX2 halves
 // skip themselves on machines -- or SCS_SIMD=OFF builds -- without the
 // vector kernels, so the same test binary runs everywhere.
 #include <gtest/gtest.h>
@@ -138,6 +139,73 @@ TEST_F(SimdEquivalence, DenseMatmulBitwiseIdentical) {
   };
   EXPECT_TRUE(bits_equal(flatten(simd::Kernel::kScalar),
                          flatten(simd::Kernel::kAvx2)));
+}
+
+// ---- dot_columns: the sample-blocked dot of the batched MLP pass ----------
+
+// Every input width 1-9 (each lane tail) plus a wide one, against every
+// column count 1-9 (each tail of the four- and eight-column blocks) plus a
+// minibatch-sized one.
+constexpr std::size_t kWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 64};
+constexpr std::size_t kColumns[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 64};
+constexpr std::size_t kRows = 3;
+
+/// dot_columns(w, x) and, per output, simd::dot(w row, x column) on the
+/// calling thread's kernel.
+struct ColumnDots {
+  std::vector<double> blocked, per_dot;
+};
+
+ColumnDots column_dots(const std::vector<double>& w,
+                       const std::vector<double>& x, std::size_t n,
+                       std::size_t cols) {
+  ColumnDots out{std::vector<double>(kRows * cols),
+                 std::vector<double>(kRows * cols)};
+  simd::dot_columns(out.blocked.data(), w.data(), kRows, n, x.data(), cols);
+  std::vector<double> column(n);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t j = 0; j < n; ++j) column[j] = x[j * cols + c];
+    for (std::size_t r = 0; r < kRows; ++r)
+      out.per_dot[r * cols + c] = simd::dot(w.data() + r * n, column.data(), n);
+  }
+  return out;
+}
+
+TEST(SimdKernels, DotColumnsHasTheBitsOfDotPerColumn) {
+  // On the default kernel, so SCS_SIMD=OFF builds check the scalar path.
+  Rng rng(5);
+  for (const std::size_t n : kWidths)
+    for (const std::size_t cols : kColumns) {
+      const std::vector<double> w = random_doubles(kRows * n, rng);
+      const std::vector<double> x = random_doubles(n * cols, rng);
+      const ColumnDots d = column_dots(w, x, n, cols);
+      EXPECT_TRUE(bits_equal(d.blocked, d.per_dot))
+          << "n = " << n << ", cols = " << cols;
+    }
+}
+
+TEST_F(SimdEquivalence, DotColumnsBitwiseIdenticalAcrossKernels) {
+  Rng rng(6);
+  for (const std::size_t n : kWidths)
+    for (const std::size_t cols : kColumns) {
+      const std::vector<double> w = random_doubles(kRows * n, rng);
+      const std::vector<double> x = random_doubles(n * cols, rng);
+      ColumnDots scalar, avx2;
+      {
+        KernelGuard guard(simd::Kernel::kScalar);
+        scalar = column_dots(w, x, n, cols);
+      }
+      {
+        KernelGuard guard(simd::Kernel::kAvx2);
+        avx2 = column_dots(w, x, n, cols);
+      }
+      EXPECT_TRUE(bits_equal(scalar.blocked, avx2.blocked))
+          << "dot_columns diverges at n = " << n << ", cols = " << cols;
+      EXPECT_TRUE(bits_equal(scalar.blocked, scalar.per_dot))
+          << "scalar dot_columns != dot at n = " << n << ", cols = " << cols;
+      EXPECT_TRUE(bits_equal(avx2.blocked, avx2.per_dot))
+          << "AVX2 dot_columns != dot at n = " << n << ", cols = " << cols;
+    }
 }
 
 }  // namespace
