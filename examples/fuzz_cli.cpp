@@ -13,13 +13,15 @@
 //
 // Options:
 //   --seed <n>        family seed; also the pipeline seed (default 1)
-//   --count <n>       systems to generate and run (default 64)
+//   --count <n>       systems to generate and run, 1..100000 (default 64)
 //   --dims <list>     comma-separated state dimensions to draw from ("2,3")
-//   --degree-min/--degree-max <d>    field-degree range (default 1..3)
-//   --spectral-min/--spectral-max <r> spectral-radius range (default 0.3..1.5)
-//   --episodes <n>    RL episodes per system (default 40)
+//   --degree-min/--degree-max <d>    field-degree range, 1 <= min <= max
+//                                    (default 1..3)
+//   --spectral-min/--spectral-max <r> spectral-radius range, positive with
+//                                     min <= max (default 0.3..1.5)
+//   --episodes <n>    RL episodes per system, at least 1 (default 40)
 //   --fast            shrink every pipeline budget (CI)
-//   --threads <n>     worker threads (0 = hardware default)
+//   --threads <n>     worker threads, 1..256 (default: the hardware's)
 //   --ledger <file>   append per-system synthesis records + the campaign
 //                     summary (kind "bench", source "fuzz_campaign") here
 //   --cache-dir <dir> artifact store: re-running the same campaign resumes
@@ -36,7 +38,7 @@
 //
 // Exit code: 0 = campaign clean, 1 = soundness violation(s), 2 = usage.
 #include <algorithm>
-#include <cmath>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -46,6 +48,7 @@
 #include <vector>
 
 #include "barrier/independent_check.hpp"
+#include "cli_args.hpp"
 #include "core/job.hpp"
 #include "core/pipeline.hpp"
 #include "obs/json_writer.hpp"
@@ -123,28 +126,6 @@ std::string radius_bucket(double r, double lo, double hi) {
   return os.str();
 }
 
-bool parse_dims(const std::string& text, std::vector<std::size_t>& out) {
-  out.clear();
-  std::stringstream ss(text);
-  std::string part;
-  while (std::getline(ss, part, ',')) {
-    const int v = std::atoi(part.c_str());
-    if (v < 1 || v > 12) return false;
-    out.push_back(static_cast<std::size_t>(v));
-  }
-  return !out.empty();
-}
-
-/// The whole of `text` as a finite, positive number of seconds.
-bool parse_seconds(const char* text, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0)
-    return false;
-  out = v;
-  return true;
-}
-
 void print_usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
@@ -160,11 +141,11 @@ void print_usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   FamilyConfig family;
-  std::size_t count = 64;
+  std::uint64_t count = 64;
   int episodes = 40;
   bool fast = false;
   bool verbose = false;
-  int threads = -1;
+  std::uint64_t threads = 0;  // 0: the hardware default
   double max_seconds = 0.0;
   std::string ledger_path, summary_path;
   StoreConfig store;
@@ -178,29 +159,41 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A malformed or out-of-range value: the error, the usage line, exit 2.
+    const auto reject = [&](const char* what) {
+      std::cerr << arg << " needs " << what << ", got '" << argv[i] << "'\n";
+      print_usage(argv[0]);
+      return 2;
+    };
     if (arg == "--seed") {
-      family.seed = std::strtoull(next("a number"), nullptr, 10);
+      if (!parse_uint(next("a number"), 0, UINT64_MAX, family.seed))
+        return reject("a non-negative integer");
     } else if (arg == "--count") {
-      count = static_cast<std::size_t>(std::atoll(next("a number")));
+      if (!parse_uint(next("a number"), 1, 100000, count))
+        return reject("an integer in 1..100000");
     } else if (arg == "--dims") {
-      if (!parse_dims(next("a comma-separated list"), family.state_dims)) {
-        std::cerr << "--dims expects dimensions in 1..12, e.g. 2,3\n";
-        return 2;
-      }
+      if (!parse_dims(next("a comma-separated list"), family.state_dims))
+        return reject("dimensions in 1..12, e.g. 2,3");
     } else if (arg == "--degree-min") {
-      family.min_degree = std::atoi(next("a degree"));
+      if (!parse_int(next("a degree"), 1, INT_MAX, family.min_degree))
+        return reject("a positive integer");
     } else if (arg == "--degree-max") {
-      family.max_degree = std::atoi(next("a degree"));
+      if (!parse_int(next("a degree"), 1, INT_MAX, family.max_degree))
+        return reject("a positive integer");
     } else if (arg == "--spectral-min") {
-      family.min_spectral_radius = std::atof(next("a radius"));
+      if (!parse_positive(next("a radius"), family.min_spectral_radius))
+        return reject("a positive number");
     } else if (arg == "--spectral-max") {
-      family.max_spectral_radius = std::atof(next("a radius"));
+      if (!parse_positive(next("a radius"), family.max_spectral_radius))
+        return reject("a positive number");
     } else if (arg == "--episodes") {
-      episodes = std::atoi(next("a count"));
+      if (!parse_int(next("a count"), 1, INT_MAX, episodes))
+        return reject("a positive integer");
     } else if (arg == "--fast") {
       fast = true;
     } else if (arg == "--threads") {
-      threads = std::atoi(next("a count"));
+      if (!parse_uint(next("a count"), 1, 256, threads))
+        return reject("an integer in 1..256");
     } else if (arg == "--ledger") {
       ledger_path = next("a file");
     } else if (arg == "--summary") {
@@ -211,11 +204,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-cache") {
       store.mode = StoreConfig::Mode::kOff;
     } else if (arg == "--max-seconds") {
-      if (!parse_seconds(next("a duration"), max_seconds)) {
-        std::cerr << "--max-seconds needs a positive number of seconds\n";
-        print_usage(argv[0]);
-        return 2;
-      }
+      if (!parse_positive(next("a duration"), max_seconds))
+        return reject("a positive number of seconds");
     } else if (arg == "--verbose") {
       verbose = true;
     } else {
@@ -223,11 +213,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (count == 0) {
-    std::cerr << "--count must be positive\n";
+  if (family.min_degree > family.max_degree ||
+      family.min_spectral_radius > family.max_spectral_radius) {
+    std::cerr << "degree and spectral-radius ranges need min <= max\n";
+    print_usage(argv[0]);
     return 2;
   }
-  if (threads >= 0) set_parallel_threads(static_cast<std::size_t>(threads));
+  if (threads > 0) set_parallel_threads(static_cast<std::size_t>(threads));
 
   family.rl_episodes = episodes;
   const std::vector<GeneratedSystem> systems = generate_family(family, count);

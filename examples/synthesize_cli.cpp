@@ -1,7 +1,7 @@
 // Command-line front end: run the pipeline on a named benchmark and persist
 // the verified artifacts (controller, barrier certificate, PAC metadata).
 //
-//   ./synthesize_cli [options] C3 out.txt [episodes]
+//   ./synthesize_cli [options] C3 out.txt [episodes]   # episodes >= 1
 //   ./synthesize_cli --load out.txt        # re-validate saved artifacts
 //
 // Options:
@@ -20,23 +20,24 @@
 //                       the run stops at the next stage / solver-iteration
 //                       boundary and reports verdict DEADLINE (exit code 1,
 //                       no partial cache artifacts)
-//   --seed <n>          pipeline seed (default 2024); for gen:<i> targets it
-//                       is also the family seed
+//   --seed <n>          pipeline seed, a non-negative integer (default
+//                       2024); for gen:<i> targets it is also the family
+//                       seed
 //   --dims <d1,d2,...>  state dimensions of the generated family (gen:<i>
 //                       targets only; must match the fuzz_cli invocation)
 //
 // Besides C1..C10 the benchmark may be "gen:<index>": system <index> of the
 // random family defined by --seed/--dims (src/systems/family_gen) -- the
-// triage path for a system fuzz_cli flagged, reproduced bit for bit.
-#include <cmath>
-#include <cstdlib>
+// triage path for a system fuzz_cli flagged, reproduced bit for bit. The
+// index is below 100000, the largest fuzz_cli --count.
+#include <climits>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "barrier/independent_check.hpp"
+#include "cli_args.hpp"
 #include "core/artifacts.hpp"
 #include "core/job.hpp"
 #include "core/pipeline.hpp"
@@ -79,28 +80,6 @@ void print_usage(const char* argv0) {
             << "[episodes]\n       " << argv0 << " --load <file>\n";
 }
 
-bool parse_dims(const std::string& text, std::vector<std::size_t>& out) {
-  out.clear();
-  std::stringstream ss(text);
-  std::string part;
-  while (std::getline(ss, part, ',')) {
-    const int v = std::atoi(part.c_str());
-    if (v < 1 || v > 12) return false;
-    out.push_back(static_cast<std::size_t>(v));
-  }
-  return !out.empty();
-}
-
-/// The whole of `text` as a finite, positive number of seconds.
-bool parse_seconds(const char* text, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0)
-    return false;
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -118,14 +97,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed") {
-      if (i + 1 >= argc) {
-        std::cerr << "--seed needs a number argument\n";
+      if (i + 1 >= argc || !parse_uint(argv[i + 1], 0, UINT64_MAX, seed)) {
+        std::cerr << "--seed needs a non-negative integer\n";
+        print_usage(argv[0]);
         return 2;
       }
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      ++i;
     } else if (arg == "--dims") {
       if (i + 1 >= argc || !parse_dims(argv[i + 1], dims)) {
         std::cerr << "--dims needs a comma-separated list in 1..12\n";
+        print_usage(argv[0]);
         return 2;
       }
       ++i;
@@ -159,7 +140,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--fast") {
       fast = true;
     } else if (arg == "--deadline") {
-      if (i + 1 >= argc || !parse_seconds(argv[i + 1], deadline_seconds)) {
+      if (i + 1 >= argc || !parse_positive(argv[i + 1], deadline_seconds)) {
         std::cerr << "--deadline needs a positive number of seconds\n";
         print_usage(argv[0]);
         return 2;
@@ -173,6 +154,13 @@ int main(int argc, char** argv) {
     print_usage(argv[0]);
     return 2;
   }
+  int episodes = 0;  // 0: the benchmark's default
+  if (positional.size() > 2 &&
+      !parse_int(positional[2].c_str(), 1, INT_MAX, episodes)) {
+    std::cerr << "[episodes] needs a positive integer\n";
+    print_usage(argv[0]);
+    return 2;
+  }
 
   const std::string& name = positional[0];
   Benchmark bench;
@@ -181,9 +169,10 @@ int main(int argc, char** argv) {
   if (name.rfind("gen:", 0) == 0) {
     // Reproduce system <index> of the fuzz family defined by --seed/--dims
     // (bitwise-identical to what fuzz_cli ran with the same knobs).
-    const long index = std::atol(name.c_str() + 4);
-    if (index < 0) {
-      std::cerr << "gen:<index> needs a non-negative index\n";
+    std::uint64_t index = 0;
+    if (!parse_uint(name.c_str() + 4, 0, 99999, index)) {
+      std::cerr << "gen:<index> needs an integer in 0..99999\n";
+      print_usage(argv[0]);
       return 2;
     }
     FamilyConfig family;
@@ -218,8 +207,7 @@ int main(int argc, char** argv) {
   config.store = store;
   config.obs = obs;
   config.fast_mode = fast;
-  if (positional.size() > 2)
-    config.rl_episodes = std::atoi(positional[2].c_str());
+  if (episodes > 0) config.rl_episodes = episodes;
   config.pac_fit.max_samples = 50000;
   // The CLI is a thin client of the job unit fuzz_cli and perfbench run:
   // one SynthesisJob, one optional JobControl.

@@ -9,8 +9,15 @@
 
 namespace scs {
 
+namespace {
+
+constexpr int kDegrees[] = {2, 4};   // even degrees of V, tried in order
+constexpr double kEpsilon = 1e-3;    // definiteness margin coefficient
+constexpr double kIdentityTol = 1e-5;
+
+}  // namespace
+
 LyapunovResult synthesize_lyapunov(const std::vector<Polynomial>& field,
-                                   const LyapunovConfig& config,
                                    double equilibrium_tol) {
   SCS_REQUIRE(!field.empty(), "synthesize_lyapunov: empty field");
   const std::size_t n = field.front().num_vars();
@@ -33,16 +40,14 @@ LyapunovResult synthesize_lyapunov(const std::vector<Polynomial>& field,
     const auto xi = Polynomial::variable(n, i);
     norm2 += xi * xi;
   }
-  const Polynomial margin = norm2 * config.epsilon;
+  const Polynomial margin = norm2 * kEpsilon;
   const Polynomial one = Polynomial::constant(n, 1.0);
 
   int field_degree = 1;
   for (const auto& f : field)
     field_degree = std::max(field_degree, f.degree());
 
-  for (int d : config.degree_schedule) {
-    SCS_REQUIRE(d >= 2 && d % 2 == 0,
-                "synthesize_lyapunov: degrees must be even and >= 2");
+  for (int d : kDegrees) {
     // V has no constant/linear part (V(0) = 0 with a minimum there).
     std::vector<Monomial> v_basis;
     for (const auto& m : monomials_up_to(n, d))
@@ -70,8 +75,7 @@ LyapunovResult synthesize_lyapunov(const std::vector<Polynomial>& field,
       prog.add_identity(-margin, std::move(terms));
     }
 
-    const auto sol =
-        prog.solve(config.sdp, config.identity_tol, config.gram_tol);
+    const auto sol = prog.solve(nullptr, kIdentityTol);
     if (sol.feasible) {
       result.success = true;
       result.function = sol.value(v_var);

@@ -6,23 +6,15 @@
 //   V(x) - eps ||x||^2        SOS   (positive definiteness)
 //   -L_f V(x) - eps ||x||^2   SOS   (strict decrease)
 // over the whole space (global) -- sufficient for asymptotic stability of
-// the origin.
+// the origin. V is searched at degree 2, then 4, with eps = 1e-3.
 #pragma once
 
 #include <string>
+#include <vector>
 
-#include "opt/sdp.hpp"
 #include "poly/polynomial.hpp"
 
 namespace scs {
-
-struct LyapunovConfig {
-  std::vector<int> degree_schedule = {2, 4};
-  double epsilon = 1e-3;  // definiteness margin coefficient
-  SdpOptions sdp;
-  double identity_tol = 1e-5;
-  double gram_tol = 1e-6;
-};
 
 struct LyapunovResult {
   bool success = false;
@@ -34,7 +26,6 @@ struct LyapunovResult {
 /// Synthesize a global polynomial Lyapunov function for the (closed-loop)
 /// field. The field must vanish at the origin up to `equilibrium_tol`.
 LyapunovResult synthesize_lyapunov(const std::vector<Polynomial>& field,
-                                   const LyapunovConfig& config = {},
                                    double equilibrium_tol = 1e-9);
 
 }  // namespace scs

@@ -33,6 +33,10 @@ namespace {
 
 /// Relative margin of the per-arm Theorem-1 gate (barrier/independent_check).
 constexpr double kGateTolerance = 2e-3;
+/// Strict negativity margin rho' of condition (3).
+constexpr double kRhoPrime = 1e-3;
+/// Alternating rounds of the BMI heuristic (kAlternating only).
+constexpr int kBmiRounds = 4;
 
 int even_ceil(int d) { return (d % 2 == 0) ? d : d + 1; }
 
@@ -175,7 +179,7 @@ ProgramOutcome solve_program(const Ccds& system,
   // ---- Identity (3): -B - rho' - sum xi_k q_k - s2 == 0.
   {
     std::vector<SosProgram::Term> terms;
-    Polynomial constant = Polynomial::constant(n, -config.rho_prime);
+    Polynomial constant = Polynomial::constant(n, -kRhoPrime);
     if (b_free)
       terms.push_back({-one, b_var, {}});
     else
@@ -189,8 +193,7 @@ ProgramOutcome solve_program(const Ccds& system,
     prog.add_identity(constant, std::move(terms));
   }
 
-  const auto result =
-      prog.solve(config.sdp, config.identity_tol, config.gram_tol);
+  const auto result = prog.solve(config.control, kBarrierIdentityTol);
   out.max_identity_residual = 0.0;
   for (double r : result.identity_residuals)
     out.max_identity_residual = std::max(out.max_identity_residual, r);
@@ -286,12 +289,12 @@ struct ArmOutcome {
 
 /// One complete arm: draw lambda, solve the LMI, run the alternating BMI
 /// recovery when configured, gate the extracted certificate. `rng` is the
-/// arm's private stream. config.sdp.control preempts every inner solve
+/// arm's private stream. config.control preempts every inner solve
 /// mid-interior-point.
 ArmOutcome run_arm(const Ccds& system,
                    const std::vector<Polynomial>& closed_field,
                    const Arm& arm, const BarrierConfig& config, Rng rng) {
-  const JobControl* control = config.sdp.control;
+  const JobControl* control = config.control;
   ArmOutcome out;
   if (stop_requested(control)) {
     out.preempted = true;
@@ -313,8 +316,7 @@ ArmOutcome run_arm(const Ccds& system,
   if (!outcome.feasible && arm.strategy == LambdaStrategy::kAlternating &&
       !outcome.barrier.is_zero()) {
     Polynomial b_cur = outcome.barrier;
-    for (int round = 0; round < config.bmi_rounds && !outcome.feasible;
-         ++round) {
+    for (int round = 0; round < kBmiRounds && !outcome.feasible; ++round) {
       if (stop_requested(control)) break;
       // lambda-step: fix B, free lambda (degree 1).
       ++out.attempts;
@@ -459,7 +461,7 @@ BarrierResult synthesize_barrier_ladder(const Ccds& system_in,
     log_info("barrier: arm ", result.accepted_arm,
              " found a certificate after ", result.attempts, " attempt(s), ",
              result.seconds, "s");
-  } else if (stop_requested(config.sdp.control)) {
+  } else if (stop_requested(config.control)) {
     result.failure_reason = "preempted (job cancelled or deadline)";
   } else if (!arms.empty()) {
     // Every arm ran to completion; surface the last arm's diagnostics:
@@ -490,14 +492,9 @@ BarrierResult synthesize_barrier(const Ccds& system,
 void hash_append(Fnv1a& h, const BarrierConfig& c) {
   hash_append(h, c.degree_schedule);
   hash_append(h, c.rho);
-  hash_append(h, c.rho_prime);
   hash_append(h, static_cast<int>(c.lambda_strategy));
   hash_append(h, c.lambda_attempts);
-  hash_append(h, c.bmi_rounds);
   hash_append(h, c.seed);
-  hash_append(h, c.sdp);
-  hash_append(h, c.identity_tol);
-  hash_append(h, c.gram_tol);
   hash_append(h, static_cast<std::uint64_t>(c.max_sdp_constraints));
 }
 

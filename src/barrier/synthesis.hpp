@@ -17,9 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "opt/sdp.hpp"
 #include "poly/polynomial.hpp"
 #include "systems/ccds.hpp"
+#include "util/cancellation.hpp"
 #include "util/rng.hpp"
 
 namespace scs {
@@ -35,21 +35,24 @@ enum class LambdaStrategy {
 
 std::string to_string(LambdaStrategy s);
 
+/// Largest identity residual coefficient every SOS program the ladder
+/// solves may have (its Gram eigenvalues are held to kSosGramTol).
+inline constexpr double kBarrierIdentityTol = 2e-5;
+
 struct BarrierConfig {
   std::vector<int> degree_schedule = {2, 4};  // d_B values to attempt
   double rho = 1e-3;        // strict positivity margin in (2)
-  double rho_prime = 1e-3;  // strict negativity margin in (3)
   LambdaStrategy lambda_strategy = LambdaStrategy::kConstant;
   int lambda_attempts = 4;   // random lambda retries per degree
-  int bmi_rounds = 4;        // alternating rounds (kAlternating only)
   std::uint64_t seed = 7;
-  SdpOptions sdp;
-  double identity_tol = 2e-5;
-  double gram_tol = 1e-6;
   /// Guard: skip degree/dimension combinations whose SDP would exceed this
   /// many equality constraints. The interior-point Schur solve is O(m^3)
   /// per iteration, so m ~ 3000 is the practical single-core ceiling.
+  /// Production takes this path; tests reach it only by lowering the limit.
   std::size_t max_sdp_constraints = 3000;
+  /// Job-level preemption (borrowed, may be null), handed to every SDP the
+  /// ladder solves. Runtime plumbing only -- never hashed.
+  const JobControl* control = nullptr;
 };
 
 void hash_append(Fnv1a& h, const BarrierConfig& c);

@@ -279,7 +279,7 @@ void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
   if (barrier_cfg.degree_schedule.empty())
     barrier_cfg.degree_schedule = benchmark.barrier_degrees;
   barrier_cfg.seed = cfg.seed + 2000;
-  barrier_cfg.sdp.control = runner.control;  // preempts mid-interior-point
+  barrier_cfg.control = runner.control;  // preempts mid-interior-point
   const std::uint64_t barrier_key = barrier_stage_key(pac_key, barrier_cfg);
   if (!runner.run<BarrierStagePayload>(
           "barrier", barrier_key, result.cache.barrier,

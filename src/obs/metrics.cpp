@@ -10,13 +10,12 @@
 
 namespace scs {
 
-// Instruments live in node-stable maps so references handed to callers
+// Counters live in a node-stable map so references handed to callers
 // survive any later registration. One mutex guards registration only; the
 // hot path (instrument updates) never takes it.
 struct MetricsRegistry::Impl {
   mutable std::mutex mu;
   std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
 };
 
 MetricsRegistry::Impl& MetricsRegistry::impl() const {
@@ -37,14 +36,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lk(im.mu);
-  auto& slot = im.gauges[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 std::string MetricsRegistry::json() const {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
@@ -52,14 +43,6 @@ std::string MetricsRegistry::json() const {
   w.begin_object();
   w.key("counters").begin_object();
   for (const auto& [name, c] : im.counters) w.key(name).value(c->value());
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, g] : im.gauges) {
-    w.key(name).begin_object();
-    w.key("value").value(static_cast<std::int64_t>(g->value()));
-    w.key("max").value(static_cast<std::int64_t>(g->max()));
-    w.end_object();
-  }
   w.end_object();
   w.end_object();
   return w.str();
@@ -79,7 +62,6 @@ void MetricsRegistry::reset_for_tests() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lk(im.mu);
   for (auto& [name, c] : im.counters) c->reset();
-  for (auto& [name, g] : im.gauges) g->reset();
 }
 
 namespace {

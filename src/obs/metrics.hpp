@@ -1,8 +1,7 @@
-// Process-wide metrics registry: named counters and gauges capturing
-// solver and pipeline behavior (SDP iterations/restarts/stalls,
-// simplex pivots, factorization regularization retries, PAC samples
-// drawn/dropped, artifact-store hits/misses/corruptions, thread-pool
-// steals and queue depth).
+// Process-wide metrics registry: named counters capturing solver and
+// pipeline behavior (SDP iterations/restarts/stalls, simplex pivots,
+// factorization regularization retries, PAC samples drawn/dropped,
+// artifact-store hits/misses/corruptions, thread-pool steals).
 //
 // Design constraints, in order:
 //   1. Near-zero overhead when disabled. Every instrumentation site guards
@@ -43,30 +42,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written value plus the maximum ever written (e.g. queue depth:
-/// `set` publishes the instantaneous depth, `max` keeps the high-water
-/// mark).
-class Gauge {
- public:
-  void set(std::int64_t v) {
-    value_.store(v, std::memory_order_relaxed);
-    std::int64_t prev = max_.load(std::memory_order_relaxed);
-    while (v > prev &&
-           !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-    }
-  }
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  std::int64_t max() const { return max_.load(std::memory_order_relaxed); }
-  void reset() {
-    value_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-  std::atomic<std::int64_t> max_{0};
-};
-
 /// Point-in-time copy of every registered counter, for readers that need
 /// to iterate the registry (perfbench's per-layer counters) without
 /// touching registration internals. Values are read with relaxed loads, so
@@ -89,16 +64,15 @@ class MetricsRegistry {
   static MetricsRegistry& instance();
 
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
 
-  /// Serialize every registered instrument as one JSON object, sorted by
-  /// name: counters as integers, gauges as {value,max}.
+  /// Serialize every registered counter as one JSON object,
+  /// {"counters": {name: value, ...}}, sorted by name.
   std::string json() const;
 
   /// Copy every counter's current value (see MetricsSnapshot).
   MetricsSnapshot snapshot() const;
 
-  /// Zero every instrument (tests and bench iterations).
+  /// Zero every counter (tests and bench iterations).
   void reset_for_tests();
 
   MetricsRegistry(const MetricsRegistry&) = delete;

@@ -1,8 +1,5 @@
 #include "ode/integrator.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace scs {
@@ -26,84 +23,6 @@ Vec rk4_step(const VectorField& field, const Vec& x, double dt) {
   out.axpy(dt / 3.0, k3);
   out.axpy(dt / 6.0, k4);
   return out;
-}
-
-Vec rkf45_step(const VectorField& field, const Vec& x, double dt_try,
-               double abs_tol, double* dt_used, double* dt_next) {
-  SCS_REQUIRE(dt_try > 0.0, "rkf45_step: dt must be positive");
-  SCS_REQUIRE(abs_tol > 0.0, "rkf45_step: tolerance must be positive");
-
-  // Fehlberg coefficients.
-  static const double a2 = 1.0 / 4, a3 = 3.0 / 8, a4 = 12.0 / 13, a5 = 1.0,
-                      a6 = 1.0 / 2;
-  static const double b21 = 1.0 / 4;
-  static const double b31 = 3.0 / 32, b32 = 9.0 / 32;
-  static const double b41 = 1932.0 / 2197, b42 = -7200.0 / 2197,
-                      b43 = 7296.0 / 2197;
-  static const double b51 = 439.0 / 216, b52 = -8.0, b53 = 3680.0 / 513,
-                      b54 = -845.0 / 4104;
-  static const double b61 = -8.0 / 27, b62 = 2.0, b63 = -3544.0 / 2565,
-                      b64 = 1859.0 / 4104, b65 = -11.0 / 40;
-  // 5th-order weights and embedded 4th-order weights.
-  static const double c1 = 16.0 / 135, c3 = 6656.0 / 12825,
-                      c4 = 28561.0 / 56430, c5 = -9.0 / 50, c6 = 2.0 / 55;
-  static const double d1 = 25.0 / 216, d3 = 1408.0 / 2565, d4 = 2197.0 / 4104,
-                      d5 = -1.0 / 5;
-  (void)a2;
-  (void)a3;
-  (void)a4;
-  (void)a5;
-  (void)a6;
-
-  double dt = dt_try;
-  for (int attempt = 0; attempt < 20; ++attempt) {
-    const Vec k1 = field(x);
-    Vec t2 = x;
-    t2.axpy(dt * b21, k1);
-    const Vec k2 = field(t2);
-    Vec t3 = x;
-    t3.axpy(dt * b31, k1).axpy(dt * b32, k2);
-    const Vec k3 = field(t3);
-    Vec t4 = x;
-    t4.axpy(dt * b41, k1).axpy(dt * b42, k2).axpy(dt * b43, k3);
-    const Vec k4 = field(t4);
-    Vec t5 = x;
-    t5.axpy(dt * b51, k1).axpy(dt * b52, k2).axpy(dt * b53, k3).axpy(dt * b54,
-                                                                     k4);
-    const Vec k5 = field(t5);
-    Vec t6 = x;
-    t6.axpy(dt * b61, k1)
-        .axpy(dt * b62, k2)
-        .axpy(dt * b63, k3)
-        .axpy(dt * b64, k4)
-        .axpy(dt * b65, k5);
-    const Vec k6 = field(t6);
-
-    Vec x5 = x;
-    x5.axpy(dt * c1, k1)
-        .axpy(dt * c3, k3)
-        .axpy(dt * c4, k4)
-        .axpy(dt * c5, k5)
-        .axpy(dt * c6, k6);
-    Vec x4o = x;
-    x4o.axpy(dt * d1, k1).axpy(dt * d3, k3).axpy(dt * d4, k4).axpy(dt * d5, k5);
-
-    const double err = max_abs_diff(x5, x4o);
-    if (err <= abs_tol || dt <= 1e-12) {
-      if (dt_used != nullptr) *dt_used = dt;
-      if (dt_next != nullptr) {
-        const double grow =
-            (err > 0.0) ? 0.9 * std::pow(abs_tol / err, 0.2) : 2.0;
-        *dt_next = dt * std::clamp(grow, 0.2, 2.0);
-      }
-      return x5;
-    }
-    dt *= std::max(0.2, 0.9 * std::pow(abs_tol / err, 0.25));
-  }
-  // Tolerance unreachable (stiff segment): return the last attempt.
-  if (dt_used != nullptr) *dt_used = dt;
-  if (dt_next != nullptr) *dt_next = dt;
-  return rk4_step(field, x, dt);
 }
 
 }  // namespace scs

@@ -1,8 +1,6 @@
-// Explicit ODE integrators for simulating closed-loop dynamics.
-//
-// RK4 with a fixed step is the default for RL rollouts (cheap, predictable
-// cost per step); adaptive RKF45 is available for higher-accuracy empirical
-// safety checks.
+// Explicit ODE integration for simulating closed-loop dynamics: classical
+// RK4 with a fixed step (cheap, predictable cost per step), used by RL
+// rollouts and trajectory simulation alike.
 #pragma once
 
 #include <functional>
@@ -16,10 +14,5 @@ using VectorField = std::function<Vec(const Vec&)>;
 
 /// One classical Runge-Kutta 4 step.
 Vec rk4_step(const VectorField& field, const Vec& x, double dt);
-
-/// One adaptive Runge-Kutta-Fehlberg 4(5) step. On return, `dt_used` holds
-/// the accepted step and `dt_next` a suggestion for the next one.
-Vec rkf45_step(const VectorField& field, const Vec& x, double dt_try,
-               double abs_tol, double* dt_used, double* dt_next);
 
 }  // namespace scs

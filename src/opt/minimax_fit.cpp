@@ -16,6 +16,15 @@ namespace scs {
 
 namespace {
 
+// Fit settings. Changing one changes the PAC stage's answers, so it must
+// also add a revision to the PAC stage key (store/stage_cache.cpp), which
+// carries none yet.
+constexpr int kLawsonIterations = 40;
+constexpr int kExchangeRounds = 60;
+constexpr int kExchangeAddPerRound = 8;
+constexpr double kExchangeTol = 1e-7;  // |e_full - e_support| acceptance
+constexpr double kRidge = 1e-10;  // Tikhonov jitter for the weighted LS solves
+
 /// Residuals r = targets - design * c.
 Vec residuals(const Mat& design, const Vec& targets, const Vec& c) {
   Vec r = targets;
@@ -104,7 +113,7 @@ SupportSolution solve_support_lp(const Mat& design, const Vec& targets,
 }  // namespace
 
 MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
-                             const MinimaxOptions& options) {
+                             const JobControl* control) {
   const std::size_t k_samples = design.rows();
   const std::size_t v = design.cols();
   SCS_REQUIRE(k_samples >= 1 && v >= 1, "minimax_fit: empty problem");
@@ -114,7 +123,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
 
   // A fit that starts preempted ends preempted: bail before the first
   // normal-equation solve (mid-loop stops are handled below).
-  if (stop_requested(options.control)) {
+  if (stop_requested(control)) {
     result.ok = false;
     result.note = "preempted before fitting";
     result.coefficients = Vec(v, 0.0);
@@ -137,7 +146,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
   // ---- Stage 1: Lawson IRLS toward the Chebyshev solution.
   TraceSpan lawson_span("minimax.lawson");
   Vec w(k_samples, 1.0 / static_cast<double>(k_samples));
-  LinearSolveReport ls = weighted_ls(design, targets, w, options.ridge);
+  LinearSolveReport ls = weighted_ls(design, targets, w, kRidge);
   if (!ls.ok()) {
     result.ok = false;
     result.note = "weighted least-squares core failed even with "
@@ -148,8 +157,8 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
   }
   Vec c = std::move(ls.x);
   double prev_e = std::numeric_limits<double>::infinity();
-  for (int it = 0; it < options.lawson_iterations; ++it) {
-    if (stop_requested(options.control)) {
+  for (int it = 0; it < kLawsonIterations; ++it) {
+    if (stop_requested(control)) {
       result.note = "preempted during Lawson refinement; kept last iterate";
       break;
     }
@@ -167,7 +176,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
     }
     if (sum <= 0.0) break;
     for (auto& wi : w) wi /= sum;
-    LinearSolveReport step = weighted_ls(design, targets, w, options.ridge);
+    LinearSolveReport step = weighted_ls(design, targets, w, kRidge);
     if (!step.ok()) {
       // Keep the last good iterate; the exchange stage can still refine it.
       result.note = "Lawson step " + std::to_string(it) +
@@ -199,15 +208,15 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
   }
 
   double e_support = 0.0;
-  for (int round = 0; round < options.exchange_rounds; ++round) {
-    if (stop_requested(options.control)) {
+  for (int round = 0; round < kExchangeRounds; ++round) {
+    if (stop_requested(control)) {
       result.note = "preempted during exchange refinement; kept best iterate";
       break;
     }
     result.exchange_rounds = round + 1;
     const std::vector<std::size_t> sup(support.begin(), support.end());
     const SupportSolution ss =
-        solve_support_lp(design, targets, sup, options.control);
+        solve_support_lp(design, targets, sup, control);
     if (!ss.ok) break;  // fall back to the best iterate found so far
     const Vec r2 = residuals(design, targets, ss.c);
     const double e2 = r2.max_abs();
@@ -219,7 +228,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
     e_support = ss.e;
     // e_support is a lower bound on the scenario optimum (subset problem);
     // when the achieved full error matches it, the solution is LP-optimal.
-    if (e2 <= ss.e + options.exchange_tol) {
+    if (e2 <= ss.e + kExchangeTol) {
       c = ss.c;
       r = r2;
       e_full = e2;
@@ -230,7 +239,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
     std::vector<std::size_t> idx(k_samples);
     std::iota(idx.begin(), idx.end(), std::size_t{0});
     const std::size_t add = std::min<std::size_t>(
-        k_samples, static_cast<std::size_t>(options.exchange_add_per_round));
+        k_samples, static_cast<std::size_t>(kExchangeAddPerRound));
     std::partial_sort(idx.begin(), idx.begin() + add, idx.end(),
                       [&r2](std::size_t a, std::size_t b) {
                         return std::fabs(r2[a]) > std::fabs(r2[b]);

@@ -6,14 +6,13 @@
 // by an exact active-set exchange refinement. Each exchange round solves the
 // LP over the current support set (2s rows, 2v + 1 + 2s columns for s
 // support samples and v basis terms) from scratch with the two-phase primal
-// simplex of simplex.hpp, then adds up to `exchange_add_per_round` of the
-// worst violators. The last rounds' LPs are the largest: 540 rows by 561
-// columns on the C1 benchmark, where the exchange, not Lawson, takes most
-// of the fit's time.
+// simplex of simplex.hpp, then adds up to eight of the worst violators.
+// The last rounds' LPs are the largest: 540 rows by 561 columns on the C1
+// benchmark, where the exchange, not Lawson, takes most of the fit's time.
 //
 // The returned error is always the exact achieved max |residual| over all K
 // samples, i.e. a feasible objective value of (8); when `exact` is true it
-// matches the LP optimum to within `exchange_tol`.
+// matches the LP optimum to within 1e-7.
 #pragma once
 
 #include <string>
@@ -23,18 +22,6 @@
 #include "util/cancellation.hpp"
 
 namespace scs {
-
-struct MinimaxOptions {
-  int lawson_iterations = 40;
-  int exchange_rounds = 60;
-  int exchange_add_per_round = 8;
-  double exchange_tol = 1e-7;  // |e_full - e_support| acceptance threshold
-  double ridge = 1e-10;        // Tikhonov jitter for the weighted LS solves
-  /// Job-level preemption (borrowed, may be null): checked between Lawson
-  /// iterations / exchange rounds and forwarded into the support LPs. A
-  /// preempted fit returns ok = false. Runtime plumbing only -- never hashed.
-  const JobControl* control = nullptr;
-};
 
 struct MinimaxFitResult {
   Vec coefficients;       // c*
@@ -54,7 +41,11 @@ struct MinimaxFitResult {
 
 /// Fit: design is K x v (rows are basis evaluations phi(x_i)), targets u_i.
 /// Requires K >= 1 and v >= 1; K >= v is needed for a meaningful fit.
+/// `control` (borrowed, may be null) is checked between Lawson iterations
+/// and exchange rounds and forwarded into the support LPs; a fit that starts
+/// preempted returns ok = false, one preempted later keeps its best iterate.
+/// Runtime plumbing only -- never hashed.
 MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
-                             const MinimaxOptions& options = {});
+                             const JobControl* control = nullptr);
 
 }  // namespace scs

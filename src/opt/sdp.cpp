@@ -13,9 +13,7 @@
 #include "util/check.hpp"
 #include "util/fault_injector.hpp"
 #include "util/log.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
-#include "util/hash.hpp"
 
 namespace scs {
 
@@ -56,6 +54,23 @@ void reset_schur_parallel_threshold() {
 }
 
 namespace {
+
+// Solver settings. Changing one changes answers, so it needs a bump of
+// kBarrierStageRevision (store/stage_cache.cpp).
+constexpr int kMaxIterations = 100;  // per run; each retry is a new run
+constexpr double kTolFeasibility = 1e-7;
+constexpr double kTolGap = 1e-7;
+constexpr double kStepFraction = 0.98;  // of the step to the PSD boundary
+/// Stall detector: a run whose merit max(p_inf, d_inf, gap) makes no
+/// relative improvement of kStallImprovement over kStallWindow consecutive
+/// iterations stops as kStalled instead of grinding to kMaxIterations.
+constexpr int kStallWindow = 15;
+constexpr double kStallImprovement = 0.05;
+/// Retry-and-rescale after kStalled / kNumericalFailure: retry r restarts at
+/// the base scale multiplied (r odd) or divided (r even) by
+/// kRetryScaleFactor^ceil(r / 2).
+constexpr int kMaxRetries = 2;
+constexpr double kRetryScaleFactor = 8.0;
 
 /// Per-block view of the constraints: which constraints touch this block,
 /// and with which entries.
@@ -156,10 +171,9 @@ double auto_scale(const SdpProblem& problem) {
   return 10.0 * std::max(1.0, std::sqrt(data));
 }
 
-/// One interior-point run at a fixed starting scale. `budget_sw` counts
-/// wall-clock across the whole solve_sdp call (retries included).
-SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
-                           const Stopwatch& budget_sw) {
+/// One interior-point run from the identity iterates scaled by `scale`.
+SdpSolution solve_sdp_once(const SdpProblem& problem, double scale,
+                           const JobControl* control) {
   const std::size_t num_blocks = problem.block_dims.size();
   const std::size_t m = problem.constraints.size();
   const std::size_t s = problem.num_free;
@@ -235,8 +249,6 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
   for (std::size_t i = 0; i < m; ++i) b[i] = problem.constraints[i].rhs;
 
   // ---- Initial iterates.
-  double scale = options.initial_scale;
-  if (scale <= 0.0) scale = auto_scale(problem);
   std::vector<Mat> x(num_blocks), sm(num_blocks);
   std::size_t total_dim = 0;
   for (std::size_t l = 0; l < num_blocks; ++l) {
@@ -289,12 +301,12 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
   const double b_norm = 1.0 + b.norm();
 
   // Stall detector state: the merit must drop by a relative
-  // `stall_improvement` at least once per `stall_window` iterations.
+  // kStallImprovement at least once per kStallWindow iterations.
   double best_merit = std::numeric_limits<double>::infinity();
   int best_merit_iter = 0;
 
   Residuals res;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     sol.iterations = iter + 1;
     if (metrics_enabled()) {
       static Counter& iterations =
@@ -314,12 +326,9 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
     sol.primal_infeasibility = p_infeas;
     sol.dual_infeasibility = d_infeas;
     sol.duality_gap = gap;
-    if (options.verbose)
-      log_info("sdp iter ", iter, " mu=", gap, " p_inf=", p_infeas,
-               " d_inf=", d_infeas);
 
-    if (p_infeas < options.tol_feasibility &&
-        d_infeas < options.tol_feasibility && gap < options.tol_gap) {
+    if (p_infeas < kTolFeasibility && d_infeas < kTolFeasibility &&
+        gap < kTolGap) {
       sol.status = SdpStatus::kConverged;
       break;
     }
@@ -343,27 +352,20 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
       }
     }
 
-    // Wall-clock budget (shared across retries by the caller).
-    if (options.wall_clock_budget > 0.0 &&
-        budget_sw.seconds() > options.wall_clock_budget) {
-      sol.status = SdpStatus::kTimeLimit;
-      break;
-    }
-
     // Job-level preemption: a cancellation or job deadline stops the solve
     // here, mid-interior-point, instead of between pipeline stages.
-    if (options.control != nullptr && options.control->stop_requested()) {
-      sol.status = options.control->cancelled() ? SdpStatus::kCancelled
-                                                : SdpStatus::kTimeLimit;
+    if (stop_requested(control)) {
+      sol.status = control->cancelled() ? SdpStatus::kCancelled
+                                        : SdpStatus::kTimeLimit;
       break;
     }
 
     // Stall detection on the merit max(p_inf, d_inf, gap).
     const double merit = std::max({p_infeas, d_infeas, gap});
-    if (merit < best_merit * (1.0 - options.stall_improvement)) {
+    if (merit < best_merit * (1.0 - kStallImprovement)) {
       best_merit = merit;
       best_merit_iter = iter;
-    } else if (iter - best_merit_iter >= options.stall_window) {
+    } else if (iter - best_merit_iter >= kStallWindow) {
       sol.status = SdpStatus::kStalled;
       if (metrics_enabled()) {
         static Counter& stalls =
@@ -377,8 +379,7 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
     // so a sustained fault surfaces through the stall detector above.
     if (fault_injection_enabled() &&
         FaultInjector::instance().should_fire(FaultSite::kSdpStall)) {
-      if (iter + 1 == options.max_iterations)
-        sol.status = SdpStatus::kMaxIterations;
+      if (iter + 1 == kMaxIterations) sol.status = SdpStatus::kMaxIterations;
       continue;
     }
 
@@ -572,8 +573,8 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
       ap_aff = std::min(ap_aff, psd_step_length(x[l], dx_aff[l]));
       ad_aff = std::min(ad_aff, psd_step_length(sm[l], ds_aff[l]));
     }
-    ap_aff *= options.step_fraction;
-    ad_aff *= options.step_fraction;
+    ap_aff *= kStepFraction;
+    ad_aff *= kStepFraction;
 
     double mu_aff = 0.0;
     for (std::size_t l = 0; l < num_blocks; ++l) {
@@ -606,8 +607,8 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
       ap = std::min(ap, psd_step_length(x[l], dx[l]));
       ad = std::min(ad, psd_step_length(sm[l], ds[l]));
     }
-    ap *= options.step_fraction;
-    ad *= options.step_fraction;
+    ap *= kStepFraction;
+    ad *= kStepFraction;
     if (ap < 1e-10 && ad < 1e-10) {
       // Both step lengths collapsed: the iteration can no longer move, which
       // is a stall (often near-infeasibility), not corrupted arithmetic.
@@ -629,8 +630,7 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, const SdpOptions& options,
     if (s > 0) f.axpy(ap, df);
     y.axpy(ad, dy);
 
-    if (iter + 1 == options.max_iterations)
-      sol.status = SdpStatus::kMaxIterations;
+    if (iter + 1 == kMaxIterations) sol.status = SdpStatus::kMaxIterations;
   }
 
   sol.x = std::move(x);
@@ -694,14 +694,14 @@ double infeasibility_bound(const SdpProblem& problem, const Vec& y) {
   return denom > 0.0 ? by / denom : std::numeric_limits<double>::infinity();
 }
 
-SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options) {
+SdpSolution solve_sdp(const SdpProblem& problem, const JobControl* control) {
   TraceSpan span("sdp.solve");
   if (metrics_enabled()) {
     static Counter& solves = MetricsRegistry::instance().counter("sdp.solves");
     solves.add(1);
   }
-  Stopwatch budget_sw;
-  SdpSolution best = solve_sdp_once(problem, options, budget_sw);
+  const double base_scale = auto_scale(problem);
+  SdpSolution best = solve_sdp_once(problem, base_scale, control);
   if (best.status == SdpStatus::kConverged ||
       best.status == SdpStatus::kInfeasible ||
       best.status == SdpStatus::kTimeLimit ||
@@ -712,33 +712,24 @@ SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options) {
   // above then below the base scale. Infeasible-start interior-point methods
   // are sensitive to the starting point, so a stalled instance often
   // converges cleanly from a different scale.
-  const double base_scale =
-      (options.initial_scale > 0.0) ? options.initial_scale
-                                    : auto_scale(problem);
   const auto merit_of = [](const SdpSolution& s) {
     return std::max({s.primal_infeasibility, s.dual_infeasibility,
                      s.duality_gap});
   };
-  for (int retry = 1; retry <= options.max_retries; ++retry) {
-    if (options.wall_clock_budget > 0.0 &&
-        budget_sw.seconds() > options.wall_clock_budget)
-      break;
-    if (options.control != nullptr && options.control->stop_requested())
-      break;
-    SdpOptions retry_options = options;
-    const double factor =
-        std::pow(options.retry_scale_factor, (retry + 1) / 2);
-    retry_options.initial_scale =
+  for (int retry = 1; retry <= kMaxRetries; ++retry) {
+    if (stop_requested(control)) break;
+    const double factor = std::pow(kRetryScaleFactor, (retry + 1) / 2);
+    const double scale =
         (retry % 2 == 1) ? base_scale * factor : base_scale / factor;
     log_info("sdp: ", to_string(best.status), " after ", best.iterations,
-             " iterations; retry ", retry, "/", options.max_retries,
-             " at scale ", retry_options.initial_scale);
+             " iterations; retry ", retry, "/", kMaxRetries, " at scale ",
+             scale);
     if (metrics_enabled()) {
       static Counter& restarts =
           MetricsRegistry::instance().counter("sdp.restarts");
       restarts.add(1);
     }
-    SdpSolution next = solve_sdp_once(problem, retry_options, budget_sw);
+    SdpSolution next = solve_sdp_once(problem, scale, control);
     next.restarts = retry;
     if (next.status == SdpStatus::kConverged ||
         next.status == SdpStatus::kInfeasible)
@@ -746,20 +737,6 @@ SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options) {
     if (merit_of(next) < merit_of(best)) best = next;
   }
   return best;
-}
-
-
-void hash_append(Fnv1a& h, const SdpOptions& o) {
-  hash_append(h, o.max_iterations);
-  hash_append(h, o.tol_feasibility);
-  hash_append(h, o.tol_gap);
-  hash_append(h, o.step_fraction);
-  hash_append(h, o.initial_scale);
-  hash_append(h, o.stall_window);
-  hash_append(h, o.stall_improvement);
-  hash_append(h, o.max_retries);
-  hash_append(h, o.retry_scale_factor);
-  hash_append(h, o.wall_clock_budget);
 }
 
 }  // namespace scs

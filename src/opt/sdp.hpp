@@ -24,8 +24,6 @@
 
 namespace scs {
 
-class Fnv1a;
-
 /// One entry of a symmetric constraint matrix: A(row,col) = A(col,row) =
 /// value (specify each unordered pair once; row <= col recommended).
 struct SdpEntry {
@@ -61,8 +59,8 @@ enum class SdpStatus {
   kStalled,            // no merit progress over a full stall window, or the
                        // step lengths collapsed, with no certificate either
                        // way (structured, not garbage)
-  kTimeLimit,          // wall_clock_budget / job deadline exhausted mid-solve
-  kCancelled,          // SdpOptions::control requested cancellation
+  kTimeLimit,          // the job's deadline passed mid-solve
+  kCancelled,          // the job's control requested cancellation
 };
 
 const char* to_string(SdpStatus status);
@@ -113,40 +111,15 @@ inline constexpr double kInfeasibilitySize = 1e6;
 /// each to within 1/bound, which is the normalized Farkas ray.
 double infeasibility_bound(const SdpProblem& problem, const Vec& y);
 
-struct SdpOptions {
-  int max_iterations = 100;
-  double tol_feasibility = 1e-7;
-  double tol_gap = 1e-7;
-  double step_fraction = 0.98;
-  double initial_scale = 0.0;  // 0 = auto from problem data
-  bool verbose = false;
-
-  // ---- Robustness controls.
-  /// Stall detector: no relative merit improvement of at least
-  /// `stall_improvement` over `stall_window` consecutive iterations reports
-  /// kStalled instead of grinding to kMaxIterations.
-  int stall_window = 15;
-  double stall_improvement = 0.05;
-  /// Bounded retry-and-rescale: after kStalled / kNumericalFailure the solve
-  /// restarts with the initial scale multiplied by `retry_scale_factor`
-  /// (alternating above / below the base scale), up to `max_retries` times.
-  int max_retries = 2;
-  double retry_scale_factor = 8.0;
-  /// Wall-clock budget in seconds for the whole solve including retries;
-  /// 0 = unlimited. Exceeding it reports kTimeLimit.
-  double wall_clock_budget = 0.0;
-  /// Job-level preemption (borrowed, may be null): checked every iteration,
-  /// so a cancellation or job deadline stops the solve mid-interior-point
-  /// instead of waiting for the constructed budget above. Runtime plumbing
-  /// only -- deliberately excluded from hash_append (two runs differing
-  /// only in their control share cache keys and, absent a stop, results).
-  const JobControl* control = nullptr;
-};
-
-/// Solve, with the bounded retry-and-rescale of SdpOptions after a stall or
-/// numerical failure. A run whose dual iterate certifies infeasibility
-/// (kInfeasible) stops there and is not retried.
-SdpSolution solve_sdp(const SdpProblem& problem, const SdpOptions& options = {});
+/// Solve. A run that stalls or fails numerically restarts from a rescaled
+/// starting point, up to twice; a run whose dual iterate certifies
+/// infeasibility (kInfeasible) stops there and is not retried. `control`
+/// (borrowed, may be null) is polled every iteration, so a cancellation or
+/// job deadline stops the solve mid-interior-point; it is the only way a
+/// solve stops on time. It is never hashed: two runs differing only in
+/// their control give, absent a stop, the same result.
+SdpSolution solve_sdp(const SdpProblem& problem,
+                      const JobControl* control = nullptr);
 
 /// Work threshold (touching-constraint count x block dim^2) at or above
 /// which the Schur-complement assembly fans its columns out over the thread
@@ -161,7 +134,5 @@ std::size_t schur_parallel_threshold();
 /// `reset_schur_parallel_threshold()` to restore the built-in default.
 void set_schur_parallel_threshold(std::size_t flops);
 void reset_schur_parallel_threshold();
-
-void hash_append(Fnv1a& h, const SdpOptions& o);
 
 }  // namespace scs

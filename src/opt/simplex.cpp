@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/stopwatch.hpp"
 
 namespace scs {
 
@@ -31,6 +30,9 @@ const char* to_string(LpStatus status) {
 }
 
 namespace {
+
+/// Pricing, ratio-test and degeneracy tolerance.
+constexpr double kTol = 1e-9;
 
 /// The LP both phases solve: the rows whose b_i < 0 negated so that b >= 0,
 /// and [A | I] in column-compressed form. Column j lists its nonzeros in
@@ -91,13 +93,11 @@ PhaseLp phase_lp(const Mat& a, const Vec& b) {
 /// dense pricing whenever the data are finite.
 class SimplexCore {
  public:
-  SimplexCore(const PhaseLp& lp, const LpOptions& options,
-              const Stopwatch& budget_sw)
+  SimplexCore(const PhaseLp& lp, const LpOptions& options)
       : lp_(lp),
         m_(lp.rows),
         n_(lp.cols),
         options_(options),
-        budget_sw_(budget_sw),
         basis_(m_),
         in_basis_(n_, 0),
         binv_(Mat::identity(m_)),
@@ -128,16 +128,10 @@ class SimplexCore {
     int degenerate_streak = 0;
     for (int it = 0;; ++it) {
       *iterations_used = it;
-      // Wall-clock budget and job-level preemption, checked coarsely to keep
-      // the loop lean.
-      if ((it & 63) == 0) {
-        if (options_.wall_clock_seconds > 0.0 &&
-            budget_sw_.seconds() > options_.wall_clock_seconds)
-          return LpStatus::kTimeLimit;
-        if (options_.control != nullptr && options_.control->stop_requested())
-          return options_.control->cancelled() ? LpStatus::kCancelled
-                                               : LpStatus::kTimeLimit;
-      }
+      // Job-level preemption, checked coarsely to keep the loop lean.
+      if ((it & 63) == 0 && stop_requested(options_.control))
+        return options_.control->cancelled() ? LpStatus::kCancelled
+                                             : LpStatus::kTimeLimit;
       duals(c);
       // Pricing: Dantzig rule normally; Bland's rule after a degenerate
       // streak (or from the start, in the anti-cycling fallback) to
@@ -152,8 +146,7 @@ class SimplexCore {
       double best_ratio = 0.0;
       const std::size_t leave = ratio_test(&best_ratio);
       if (leave == m_) return LpStatus::kUnbounded;
-      degenerate_streak = (best_ratio <= options_.tol) ? degenerate_streak + 1
-                                                       : 0;
+      degenerate_streak = (best_ratio <= kTol) ? degenerate_streak + 1 : 0;
       if (metrics_enabled()) {
         static Counter& pivots =
             MetricsRegistry::instance().counter("simplex.pivots");
@@ -189,18 +182,17 @@ class SimplexCore {
   }
 
   /// Entering column, or n_ when every reduced cost r_j = c_j - y'A_j is
-  /// at least -tol.
+  /// at least -kTol.
   std::size_t price(const Vec& c, bool bland) const {
-    const double tol = options_.tol;
     std::size_t enter = n_;
-    double best = -tol;
+    double best = -kTol;
     for (std::size_t j = 0; j < n_; ++j) {
       if (in_basis_[j] != 0) continue;
       double rj = c[j];
       for (std::size_t p = lp_.start[j]; p < lp_.start[j + 1]; ++p)
         rj -= y_[lp_.row[p]] * lp_.value[p];
       if (bland) {
-        if (rj < -tol) return j;
+        if (rj < -kTol) return j;
       } else if (rj < best) {
         best = rj;
         enter = j;
@@ -226,18 +218,17 @@ class SimplexCore {
       d_[i] = simd::dot(binv_.row_ptr(i), col_.begin(), m_);
   }
 
-  /// Leaving row by the minimum ratio x_B[i] / d_i over d_i > tol (ties to
+  /// Leaving row by the minimum ratio x_B[i] / d_i over d_i > kTol (ties to
   /// the smaller basic index), or m_ when no row limits the step.
   std::size_t ratio_test(double* best_ratio) const {
-    const double tol = options_.tol;
     std::size_t leave = m_;
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < m_; ++i) {
-      if (d_[i] > tol) {
+      if (d_[i] > kTol) {
         const double xb = simd::dot(binv_.row_ptr(i), lp_.b.begin(), m_);
         const double ratio = xb / d_[i];
-        if (ratio < best - tol ||
-            (ratio < best + tol &&
+        if (ratio < best - kTol ||
+            (ratio < best + kTol &&
              (leave == m_ || basis_[i] < basis_[leave]))) {
           best = ratio;
           leave = i;
@@ -267,24 +258,22 @@ class SimplexCore {
   const PhaseLp& lp_;
   std::size_t m_, n_;
   const LpOptions& options_;
-  const Stopwatch& budget_sw_;
   std::vector<std::size_t> basis_;
   std::vector<char> in_basis_;
   Mat binv_;
   Vec y_, d_, col_;  // duals, direction, scattered entering column
 };
 
-/// Run one phase; when Dantzig pricing exhausts the iteration budget and the
-/// fallback is enabled, rewind to the phase's starting basis and rerun under
-/// pure Bland's rule (degenerate pivots cannot cycle there).
-LpStatus run_phase(SimplexCore& core, const Vec& c, const LpOptions& options,
-                   int* total_iterations) {
+/// Run one phase; when Dantzig pricing reaches the pivot cap, rewind to the
+/// phase's starting basis and rerun under pure Bland's rule (degenerate
+/// pivots cannot cycle there).
+LpStatus run_phase(SimplexCore& core, const Vec& c, int* total_iterations) {
   const std::vector<std::size_t> basis0 = core.basis();
   const Mat binv0 = core.binv();
   int iters = 0;
   LpStatus st = core.run(c, false, &iters);
   *total_iterations += iters;
-  if (st == LpStatus::kIterationLimit && options.bland_restart) {
+  if (st == LpStatus::kIterationLimit) {
     if (metrics_enabled()) {
       static Counter& restarts =
           MetricsRegistry::instance().counter("simplex.bland_restarts");
@@ -318,10 +307,9 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
   Vec cost(n + m, 0.0);
   for (std::size_t i = 0; i < m; ++i) cost[n + i] = 1.0;
 
-  Stopwatch budget_sw;
-  SimplexCore core(lp, options, budget_sw);
+  SimplexCore core(lp, options);
   {
-    const LpStatus st = run_phase(core, cost, options, &sol.iterations);
+    const LpStatus st = run_phase(core, cost, &sol.iterations);
     if (st == LpStatus::kIterationLimit || st == LpStatus::kTimeLimit ||
         st == LpStatus::kCancelled) {
       sol.status = st;
@@ -362,7 +350,7 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
   for (std::size_t i = 0; i < m; ++i) cost[n + i] = 1e6 * big;
 
   {
-    const LpStatus st = run_phase(core, cost, options, &sol.iterations);
+    const LpStatus st = run_phase(core, cost, &sol.iterations);
     if (st != LpStatus::kOptimal) {
       sol.status = st;
       return sol;

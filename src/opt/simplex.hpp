@@ -32,7 +32,7 @@ enum class LpStatus {
   kInfeasible,
   kUnbounded,
   kIterationLimit,
-  kTimeLimit,   // wall_clock_seconds budget or job deadline exhausted
+  kTimeLimit,   // the job's deadline passed mid-solve
   kCancelled,   // LpOptions::control requested cancellation
 };
 
@@ -53,22 +53,19 @@ struct LpSolution {
   int iterations = 0;
 };
 
+/// The minimax exchange sets only `control`. The cap stays settable because
+/// production takes that path (20,000 pivots, then the Bland rerun) and
+/// Simplex.IterationLimitCountsEveryPivot can reach it only with a small cap.
 struct LpOptions {
-  /// Pivot cap per phase (per run, for the Bland rerun); a phase that has
-  /// made this many pivots and is still not optimal stops with
-  /// kIterationLimit.
+  /// Pivot cap per phase and per run. A phase whose Dantzig run makes this
+  /// many pivots without reaching the optimum (heavy degeneracy / cycling)
+  /// is rerun once from its starting basis under pure Bland's rule, which
+  /// terminates by construction; a rerun that also reaches the cap stops the
+  /// solve with kIterationLimit.
   int max_iterations = 20000;
-  double tol = 1e-9;
-  /// Wall-clock budget in seconds for the whole solve (both phases and the
-  /// Bland fallback); 0 = unlimited.
-  double wall_clock_seconds = 0.0;
-  /// When Dantzig pricing hits the iteration limit (heavy degeneracy /
-  /// cycling), restart the failed phase once under pure Bland's rule, which
-  /// terminates by construction.
-  bool bland_restart = true;
-  /// Job-level preemption (borrowed, may be null): polled on the same coarse
-  /// cadence as the wall-clock budget so a cancellation or job deadline
-  /// stops the solve mid-phase. Runtime plumbing only -- never hashed.
+  /// Job-level preemption (borrowed, may be null): polled every 64 pivots,
+  /// so a cancellation or job deadline stops the solve mid-phase. It is the
+  /// only way a solve stops on time. Runtime plumbing only -- never hashed.
   const JobControl* control = nullptr;
 };
 

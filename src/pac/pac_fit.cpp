@@ -234,9 +234,7 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
         }
         row.eps = scenario_eps_for_samples(survived, settings.eta, kappa);
       }
-      MinimaxOptions minimax_options;
-      minimax_options.control = options.control;
-      MinimaxFitResult fit = minimax_fit(design, targets, minimax_options);
+      MinimaxFitResult fit = minimax_fit(design, targets, options.control);
       if (!fit.ok && stop_requested(options.control)) {
         // Preempted mid-fit: do not degrade to least squares (that would
         // burn more time); abandon the ladder and report no success.

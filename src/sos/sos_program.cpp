@@ -204,9 +204,8 @@ Polynomial sos_poly_from_gram(const std::vector<Monomial>& gram_basis,
   return p;
 }
 
-SosProgram::Result SosProgram::solve(const SdpOptions& sdp_options,
-                                     double identity_tol,
-                                     double gram_tol) const {
+SosProgram::Result SosProgram::solve(const JobControl* control,
+                                     double identity_tol) const {
   Result result;
   if (metrics_enabled()) {
     // perfbench reads this counter as `sos.gram_dim`; keep the name.
@@ -244,7 +243,7 @@ SosProgram::Result SosProgram::solve(const SdpOptions& sdp_options,
     result.sdp.status = SdpStatus::kConverged;
     result.sdp.x.clear();
   } else {
-    result.sdp = solve_sdp(sdp, sdp_options);
+    result.sdp = solve_sdp(sdp, control);
   }
 
   if (result.sdp.status == SdpStatus::kInfeasible && result.sdp.x.empty()) {
@@ -325,7 +324,7 @@ SosProgram::Result SosProgram::solve(const SdpOptions& sdp_options,
                             sdp_suffix();
     return result;
   }
-  if (result.min_gram_eigenvalue < -gram_tol) {
+  if (result.min_gram_eigenvalue < -kSosGramTol) {
     result.failure_reason = "Gram matrix not PSD (min eig " +
                             std::to_string(result.min_gram_eigenvalue) + ")" +
                             sdp_suffix();

@@ -23,6 +23,9 @@
 
 namespace scs {
 
+/// Most negative Gram eigenvalue a feasible SOS program may have.
+inline constexpr double kSosGramTol = 1e-6;
+
 class SosProgram {
  public:
   /// Handle to a decision polynomial.
@@ -75,9 +78,10 @@ class SosProgram {
 
   /// Compile and solve. Feasibility requires the SDP to converge, every
   /// identity residual to be below `identity_tol`, and every Gram matrix to
-  /// be PSD within `gram_tol`.
-  Result solve(const SdpOptions& sdp_options = {}, double identity_tol = 1e-5,
-               double gram_tol = 1e-7) const;
+  /// be PSD within kSosGramTol. `control` (borrowed, may be null) stops the
+  /// SDP on a job cancellation or deadline.
+  Result solve(const JobControl* control = nullptr,
+               double identity_tol = 1e-5) const;
 
   /// The compiled SDP (exposed for testing and diagnostics).
   SdpProblem compile() const;

@@ -38,7 +38,11 @@ void trace_store_event(const char* name) {
 /// moves the iterates the alternating BMI seeds from, and a failed ladder
 /// names its last arm and how many of its programs were proven infeasible.
 /// Revision 3: the barrier payload drops the portfolio-race fields and keeps
-/// only the accepted arm's description.
+/// only the accepted arm's description. The SDP settings (opt/sdp.cpp), the
+/// SOS Gram tolerance (sos/sos_program.hpp) and the barrier program's rho',
+/// BMI rounds and identity tolerance (barrier/synthesis.hpp, .cpp) are
+/// constants that no key hashes: changing one changes answers, so it needs
+/// a bump here.
 constexpr std::uint64_t kBarrierStageRevision = 3;
 
 /// Seed every stage key with the serialization format version and a stage

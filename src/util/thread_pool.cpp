@@ -123,14 +123,11 @@ struct ThreadPool::Impl {
       task();
       return;
     }
-    const std::size_t depth = queued.fetch_add(1, std::memory_order_relaxed) + 1;
+    queued.fetch_add(1, std::memory_order_relaxed);
     if (metrics_enabled()) {
       static Counter& submitted =
           MetricsRegistry::instance().counter("pool.tasks_submitted");
-      static Gauge& queue_depth =
-          MetricsRegistry::instance().gauge("pool.queue_depth");
       submitted.add(1);
-      queue_depth.set(static_cast<std::int64_t>(depth));
     }
     if (tls_pool == this) {
       WorkerQueue& q = *local[tls_worker_id];

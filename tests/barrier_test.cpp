@@ -5,6 +5,7 @@
 #include "barrier/independent_check.hpp"
 #include "barrier/synthesis.hpp"
 #include "poly/basis.hpp"
+#include "sos/sos_program.hpp"
 #include "systems/benchmarks.hpp"
 #include "util/cancellation.hpp"
 #include "util/rng.hpp"
@@ -134,13 +135,13 @@ Ccds toy2_weak(double damping) {
 }
 
 TEST(Barrier, CancelledJobStopsTheLadderBeforeAnySolve) {
-  // The job's control reaches the ladder through config.sdp.control: a
-  // job cancelled before the barrier stage builds no SOS program.
+  // The job's control reaches the ladder through config.control: a job
+  // cancelled before the barrier stage builds no SOS program.
   const Ccds sys = toy2_weak(1.0);
   BarrierConfig cfg;
   JobControl control;
   control.cancel();
-  cfg.sdp.control = &control;
+  cfg.control = &control;
   const BarrierResult result = synthesize_barrier(sys, {Polynomial(2)}, cfg);
   EXPECT_FALSE(result.success);
   EXPECT_NE(result.failure_reason.find("preempted"), std::string::npos)
@@ -168,8 +169,8 @@ TEST(BarrierBmi, BStepAcceptanceReportsAcceptedDiagnostics) {
   ASSERT_TRUE(result.success) << result.failure_reason;
   ASSERT_EQ(result.accepted_via, "bmi-b");
   EXPECT_EQ(result.accepted_arm, "alternating-BMI/d=2/a=0");
-  EXPECT_LE(result.max_identity_residual, cfg.identity_tol);
-  EXPECT_GE(result.min_gram_eigenvalue, -cfg.gram_tol);
+  EXPECT_LE(result.max_identity_residual, kBarrierIdentityTol);
+  EXPECT_GE(result.min_gram_eigenvalue, -kSosGramTol);
 }
 
 TEST(BarrierBmi, LambdaStepAcceptanceReportsAcceptedDiagnostics) {
@@ -185,8 +186,8 @@ TEST(BarrierBmi, LambdaStepAcceptanceReportsAcceptedDiagnostics) {
   const BarrierResult result = synthesize_barrier(sys, {Polynomial(2)}, cfg);
   ASSERT_TRUE(result.success) << result.failure_reason;
   ASSERT_EQ(result.accepted_via, "bmi-lambda");
-  EXPECT_LE(result.max_identity_residual, cfg.identity_tol);
-  EXPECT_GE(result.min_gram_eigenvalue, -cfg.gram_tol);
+  EXPECT_LE(result.max_identity_residual, kBarrierIdentityTol);
+  EXPECT_GE(result.min_gram_eigenvalue, -kSosGramTol);
 }
 
 class BarrierLambdaSweep

@@ -115,9 +115,7 @@ TEST(SolverPreemption, SdpReportsCancelled) {
 
   JobControl control;
   control.cancel();
-  SdpOptions options;
-  options.control = &control;
-  EXPECT_EQ(solve_sdp(p, options).status, SdpStatus::kCancelled);
+  EXPECT_EQ(solve_sdp(p, &control).status, SdpStatus::kCancelled);
 }
 
 TEST(SolverPreemption, SdpDeadlineMapsToTimeLimit) {
@@ -131,9 +129,7 @@ TEST(SolverPreemption, SdpDeadlineMapsToTimeLimit) {
 
   JobControl control;
   control.set_deadline_after(0.0);
-  SdpOptions options;
-  options.control = &control;
-  EXPECT_EQ(solve_sdp(p, options).status, SdpStatus::kTimeLimit);
+  EXPECT_EQ(solve_sdp(p, &control).status, SdpStatus::kTimeLimit);
 }
 
 TEST(SolverPreemption, SimplexReportsCancelled) {
@@ -165,9 +161,7 @@ TEST(SolverPreemption, MinimaxFitReportsPreempted) {
   }
   JobControl control;
   control.cancel();
-  MinimaxOptions options;
-  options.control = &control;
-  const MinimaxFitResult fit = minimax_fit(design, targets, options);
+  const MinimaxFitResult fit = minimax_fit(design, targets, &control);
   EXPECT_FALSE(fit.ok);
   EXPECT_NE(fit.note.find("preempted"), std::string::npos);
 }

@@ -146,25 +146,14 @@ TEST_F(ObsTest, CountersAggregateExactlyAcrossPoolWorkers) {
   EXPECT_EQ(c.value(), kN);
 }
 
-TEST_F(ObsTest, GaugeTracksValueAndMax) {
-  Gauge& g = MetricsRegistry::instance().gauge("test.depth");
-  g.set(3);
-  g.set(9);
-  g.set(2);
-  EXPECT_EQ(g.value(), 2);
-  EXPECT_EQ(g.max(), 9);
-}
-
 TEST_F(ObsTest, RegistryJsonIsValidAndSorted) {
   set_metrics_enabled(true);
   MetricsRegistry::instance().counter("b.second").add(2);
   MetricsRegistry::instance().counter("a.first").add(1);
-  MetricsRegistry::instance().gauge("g.depth").set(5);
   const std::string blob = MetricsRegistry::instance().json();
   std::string error;
   EXPECT_TRUE(json_parse_valid(blob, &error)) << error << "\n" << blob;
   EXPECT_LT(blob.find("a.first"), blob.find("b.second"));
-  EXPECT_NE(blob.find("\"gauges\""), std::string::npos);
   // snapshot() (perfbench's per-layer counters) copies the same counters
   // in the same order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;

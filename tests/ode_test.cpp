@@ -1,4 +1,4 @@
-// Tests for the RK4 / RKF45 integrators and trajectory simulation.
+// Tests for the RK4 integrator and trajectory simulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -48,19 +48,6 @@ TEST(Rk4, ConvergenceOrderIsFour) {
   }
 }
 
-TEST(Rkf45, AdaptiveStepMeetsTolerance) {
-  const VectorField f = [](const Vec& x) { return Vec{-10.0 * x[0]}; };
-  Vec x{1.0};
-  double t = 0.0, dt = 0.1;
-  while (t < 1.0) {
-    double used = 0.0, next = 0.0;
-    x = rkf45_step(f, x, std::min(dt, 1.0 - t), 1e-10, &used, &next);
-    t += used;
-    dt = next;
-  }
-  EXPECT_NEAR(x[0], std::exp(-10.0), 1e-6);
-}
-
 TEST(Simulate, StopsOnPredicate) {
   const VectorField f = [](const Vec&) { return Vec{1.0}; };  // xdot = 1
   SimulateOptions opts;
@@ -108,8 +95,6 @@ TEST(Simulate, CompactModeKeepsEndpoints) {
 TEST(Integrators, RejectBadInputs) {
   const VectorField f = [](const Vec& x) { return x; };
   EXPECT_THROW(rk4_step(f, Vec{1.0}, 0.0), PreconditionError);
-  EXPECT_THROW(rkf45_step(f, Vec{1.0}, -1.0, 1e-6, nullptr, nullptr),
-               PreconditionError);
 }
 
 }  // namespace

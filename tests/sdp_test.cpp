@@ -3,18 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "math/cholesky.hpp"
 #include "math/eigen_sym.hpp"
+#include "math/simd.hpp"
 #include "opt/sdp.hpp"
+#include "poly/basis.hpp"
+#include "sos/sos_program.hpp"
 #include "util/check.hpp"
+#include "util/fault_injector.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace scs {
 namespace {
 
-TEST(Sdp, MinTraceWithDiagonalConstraint) {
-  // min tr(X) s.t. X_00 + X_11 = 2, X PSD (2x2). Optimum: tr(X) = 2.
+/// min tr(X) s.t. X_00 + X_11 = 2 over one 2x2 block.
+SdpProblem min_trace_problem() {
   SdpProblem p;
   p.block_dims = {2};
   p.block_obj_weight = {1.0};
@@ -22,7 +29,24 @@ TEST(Sdp, MinTraceWithDiagonalConstraint) {
   c.entries = {{0, 0, 0, 1.0}, {0, 1, 1, 1.0}};
   c.rhs = 2.0;
   p.constraints.push_back(c);
-  const SdpSolution sol = solve_sdp(p);
+  return p;
+}
+
+/// X_00 = -1 with X PSD (1x1): infeasible.
+SdpProblem farkas_problem() {
+  SdpProblem p;
+  p.block_dims = {1};
+  p.block_obj_weight = {1.0};
+  SdpConstraint c;
+  c.entries = {{0, 0, 0, 1.0}};
+  c.rhs = -1.0;
+  p.constraints.push_back(c);
+  return p;
+}
+
+TEST(Sdp, MinTraceWithDiagonalConstraint) {
+  // Optimum: tr(X) = 2.
+  const SdpSolution sol = solve_sdp(min_trace_problem());
   ASSERT_EQ(sol.status, SdpStatus::kConverged);
   EXPECT_NEAR(sol.primal_objective, 2.0, 1e-5);
   EXPECT_LT(sol.primal_infeasibility, 1e-6);
@@ -126,19 +150,11 @@ TEST(Sdp, StructurallyInfeasibleEmptyRow) {
 }
 
 TEST(Sdp, InfeasibleProblemDoesNotConverge) {
-  // X_00 = -1 with X PSD is infeasible. y -> -infinity along the Farkas ray
-  // y = -t, which proves every solution has size >= t: the run stops there
-  // with a checked bound and is not retried.
-  SdpProblem p;
-  p.block_dims = {1};
-  p.block_obj_weight = {1.0};
-  SdpConstraint c;
-  c.entries = {{0, 0, 0, 1.0}};
-  c.rhs = -1.0;
-  p.constraints.push_back(c);
-  SdpOptions opts;
-  opts.max_iterations = 40;
-  const SdpSolution sol = solve_sdp(p, opts);
+  // y -> -infinity along the Farkas ray y = -t, which proves every solution
+  // has size >= t: the run stops there with a checked bound and is not
+  // retried.
+  const SdpProblem p = farkas_problem();
+  const SdpSolution sol = solve_sdp(p);
   ASSERT_EQ(sol.status, SdpStatus::kInfeasible);
   EXPECT_EQ(sol.restarts, 0);
   EXPECT_GT(sol.infeasibility_bound, kInfeasibilitySize);
@@ -146,20 +162,16 @@ TEST(Sdp, InfeasibleProblemDoesNotConverge) {
   EXPECT_EQ(sol.x.size(), 1u);  // the last iterate is kept
 }
 
-class SdpRandomFeasible : public ::testing::TestWithParam<int> {};
-
-TEST_P(SdpRandomFeasible, RecoversFeasiblePoint) {
-  // Construct a feasible problem: pick X0 > 0, random sparse A_i, and set
-  // b = A(X0). The solver must return a PSD X with A(X) ~ b.
-  Rng rng(GetParam());
+/// A feasible single-block problem: X0 = L L' + I and random sparse A_i,
+/// with b = A(X0). `x0` receives X0.
+SdpProblem random_feasible(Rng& rng, Mat* x0) {
   const std::size_t n = 2 + rng.index(5);
   const std::size_t m = 1 + rng.index(2 * n);
-  // X0 = L L' + I.
   Mat l(n, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j <= i; ++j) l(i, j) = rng.normal();
-  Mat x0 = matmul_a_bt(l, l);
-  for (std::size_t i = 0; i < n; ++i) x0(i, i) += 1.0;
+  *x0 = matmul_a_bt(l, l);
+  for (std::size_t i = 0; i < n; ++i) (*x0)(i, i) += 1.0;
 
   SdpProblem p;
   p.block_dims = {n};
@@ -173,11 +185,22 @@ TEST_P(SdpRandomFeasible, RecoversFeasiblePoint) {
       const std::size_t cc = r + rng.index(n - r);
       const double v = rng.uniform(-1.0, 1.0);
       c.entries.push_back({0, r, cc, v});
-      rhs += (r == cc) ? v * x0(r, r) : 2.0 * v * x0(r, cc);
+      rhs += (r == cc) ? v * (*x0)(r, r) : 2.0 * v * (*x0)(r, cc);
     }
     c.rhs = rhs;
     p.constraints.push_back(c);
   }
+  return p;
+}
+
+class SdpRandomFeasible : public ::testing::TestWithParam<int> {};
+
+TEST_P(SdpRandomFeasible, RecoversFeasiblePoint) {
+  // The solver must return a PSD X with A(X) ~ b.
+  Rng rng(GetParam());
+  Mat x0;
+  const SdpProblem p = random_feasible(rng, &x0);
+  const std::size_t m = p.constraints.size();
   const SdpSolution sol = solve_sdp(p);
   ASSERT_EQ(sol.status, SdpStatus::kConverged) << "seed " << GetParam();
   EXPECT_LT(sol.primal_infeasibility, 1e-6);
@@ -206,6 +229,101 @@ TEST(Sdp, RejectsBadInput) {
   c.entries = {{3, 0, 0, 1.0}};  // bad block index
   p.constraints.push_back(c);
   EXPECT_THROW(solve_sdp(p), PreconditionError);
+}
+
+// ---- Bit pin ----------------------------------------------------------------
+//
+// The solver's answers are pinned bit for bit over a small corpus: status,
+// iterations, restarts, the infeasibility bound and the bit patterns of X,
+// y, the free variables and the objective hash to one recorded digest. A
+// change to the interior-point step, the stopping rules or the retry ladder
+// that moves any iteration or any bit moves the digest.
+
+struct KernelGuard {
+  explicit KernelGuard(simd::Kernel k) { simd::set_kernel_override(k); }
+  ~KernelGuard() { simd::set_kernel_override(simd::Kernel::kAuto); }
+};
+
+std::vector<simd::Kernel> kernels_to_pin() {
+  std::vector<simd::Kernel> kernels{simd::Kernel::kScalar};
+  if (simd::avx2_available()) kernels.push_back(simd::Kernel::kAvx2);
+  return kernels;
+}
+
+void hash_solution(Fnv1a& h, const SdpSolution& sol) {
+  hash_append(h, static_cast<int>(sol.status));
+  hash_append(h, sol.iterations);
+  hash_append(h, sol.restarts);
+  hash_append(h, sol.infeasibility_bound);
+  for (const Mat& x : sol.x)
+    for (std::size_t i = 0; i < x.rows(); ++i)
+      for (std::size_t j = 0; j < x.cols(); ++j) hash_append(h, x(i, j));
+  hash_append(h, sol.y);
+  hash_append(h, sol.free_vars);
+  hash_append(h, sol.primal_objective);
+}
+
+/// sos_test's Putinar program: x (1 - x) + 0.3 = s0 + s1 x + s2 (1 - x)
+/// with three SOS multipliers over {1, x}.
+SdpProblem putinar_problem() {
+  const Polynomial x = Polynomial::variable(1, 0);
+  const Polynomial one = Polynomial::constant(1, 1.0);
+  const Polynomial f = x * (one - x) + Polynomial::constant(1, 0.3);
+  SosProgram prog(1);
+  const auto s0 = prog.add_sos_poly(monomials_up_to(1, 1));
+  const auto s1 = prog.add_sos_poly(monomials_up_to(1, 1));
+  const auto s2 = prog.add_sos_poly(monomials_up_to(1, 1));
+  prog.add_identity(f, {{-one, s0, {}}, {-x, s1, {}}, {-(one - x), s2, {}}});
+  return prog.compile();
+}
+
+// Recorded from the solver that took SdpOptions, before its settings
+// became constants.
+constexpr std::uint64_t kSdpCorpusDigest = 0x4aceacb0a8aeaf09ull;
+
+TEST(Sdp, PinnedCorpusIsBitIdentical) {
+  FaultInjector& fi = FaultInjector::instance();
+  fi.disarm();
+  std::vector<SdpProblem> problems;
+  for (int seed = 1; seed <= 10; ++seed) {
+    Rng rng(700 + seed);
+    Mat x0;
+    problems.push_back(random_feasible(rng, &x0));
+  }
+  problems.push_back(farkas_problem());  // ends on a certificate
+  problems.push_back(putinar_problem());
+
+  for (const simd::Kernel kernel : kernels_to_pin()) {
+    KernelGuard guard(kernel);
+    Fnv1a h;
+    int converged = 0, infeasible = 0;
+    for (const SdpProblem& p : problems) {
+      const SdpSolution sol = solve_sdp(p);
+      hash_solution(h, sol);
+      converged += sol.status == SdpStatus::kConverged;
+      infeasible += sol.status == SdpStatus::kInfeasible;
+    }
+    // Fifteen suppressed steps stall the first run at the end of its stall
+    // window; the first rescaled retry, with the injector spent, converges.
+    fi.arm(/*seed=*/5, /*rate=*/1.0, /*max_fires=*/15);
+    fi.arm_site(FaultSite::kCholeskyPivot, false);
+    fi.arm_site(FaultSite::kNanBoundary, false);
+    fi.arm_site(FaultSite::kStoreCorrupt, false);
+    const SdpSolution retried = solve_sdp(min_trace_problem());
+    const std::uint64_t fires = fi.fires(FaultSite::kSdpStall);
+    fi.disarm();
+    hash_solution(h, retried);
+
+    EXPECT_EQ(h.digest(), kSdpCorpusDigest)
+        << "kernel " << simd::active_kernel_name() << ": 0x" << std::hex
+        << h.digest();
+    // The corpus keeps covering every terminal path it was built for.
+    EXPECT_EQ(converged, 11);
+    EXPECT_EQ(infeasible, 1);
+    EXPECT_EQ(fires, 15u);
+    EXPECT_EQ(retried.status, SdpStatus::kConverged);
+    EXPECT_EQ(retried.restarts, 1);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "math/simd.hpp"
+#include "obs/metrics.hpp"
 #include "opt/simplex.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -116,20 +117,32 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexProperty, ::testing::Range(1, 26));
 TEST(Simplex, IterationLimitCountsEveryPivot) {
   // The textbook LP takes three Phase-I pivots and none in Phase II. A cap
   // counts pivots: the capped phase reports every pivot it made, and a
-  // phase whose last allowed pivot reaches the optimum is optimal.
+  // phase whose last allowed pivot reaches the optimum is optimal. Under a
+  // cap of 1 the Dantzig run makes 1 pivot, the Bland rerun from the
+  // phase's starting basis makes 1 more, and the solve stops there.
   const LpProblem lp = textbook_lp();
   LpOptions options;
-  options.bland_restart = false;
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  const Counter& restarts =
+      MetricsRegistry::instance().counter("simplex.bland_restarts");
+  const std::uint64_t before = restarts.value();
 
   options.max_iterations = 1;
   const LpSolution capped = solve_lp(lp, options);
+  const std::uint64_t capped_restarts = restarts.value() - before;
   EXPECT_EQ(capped.status, LpStatus::kIterationLimit);
-  EXPECT_EQ(capped.iterations, 1);
+  EXPECT_EQ(capped.iterations, 2);
+  EXPECT_EQ(capped_restarts, 1u);
 
   options.max_iterations = 3;
   const LpSolution exact = solve_lp(lp, options);
+  const std::uint64_t exact_restarts =
+      restarts.value() - before - capped_restarts;
+  set_metrics_enabled(was_enabled);
   EXPECT_EQ(exact.status, LpStatus::kOptimal);
   EXPECT_EQ(exact.iterations, 3);
+  EXPECT_EQ(exact_restarts, 0u);
   EXPECT_EQ(solve_lp(lp).iterations, 3);
 }
 
