@@ -1,6 +1,7 @@
 // E5 -- google-benchmark micro-benchmarks for the solver kernels backing
 // the pipeline: the scenario minimax fit (scaling in K and in the template
-// size v), the SOS/SDP stack (scaling in Gram block size), the DDPG
+// size v), the SOS/SDP stack (scaling in Gram block size, and one barrier
+// program of the size campaigns solve most), the DDPG
 // minibatch update, plus the polynomial kernels they are built on.
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "poly/basis.hpp"
 #include "poly/lie.hpp"
 #include "rl/ddpg.hpp"
+#include "sos/sos_program.hpp"
 #include "systems/benchmarks.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -180,6 +182,60 @@ BENCHMARK(BM_SdpGramBlock)
     ->Range(4, 64)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
+
+/// One B-step of the barrier program (12) at the size that dominates a
+/// campaign's SDP time: a 3-state cubic field, free B of degree 4
+/// normalized at a point, a fixed lambda = -1, and SOS multipliers on
+/// Theta, Psi and X_u. Its identities have 35, 84 and 35 monomials, so
+/// m = 155 constraints (with the normalization row), 35 free variables and
+/// six Gram blocks of sizes 4 to 20.
+SdpProblem barrier_program_3d() {
+  const std::size_t n = 3;
+  const auto var = [&](std::size_t i) { return Polynomial::variable(n, i); };
+  const auto constant = [&](double c) { return Polynomial::constant(n, c); };
+  const Polynomial one = constant(1.0);
+  const Polynomial r2 = var(0) * var(0) + var(1) * var(1) + var(2) * var(2);
+  const std::vector<Polynomial> field{
+      var(1) - var(0), var(2) - var(1) - var(0) * var(0) * var(0),
+      -var(0) - var(1) - var(2) * 2.0};
+  const Polynomial du = var(0) - constant(1.5);
+  const Polynomial unsafe =
+      constant(0.09) - du * du - var(1) * var(1) - var(2) * var(2);
+
+  SosProgram prog(n);
+  const auto b = prog.add_free_poly(monomials_up_to(n, 4));
+  prog.add_point_constraint(b, Vec{0.1, -0.05, 0.02}, 1.0);
+  const auto sigma = prog.add_sos_poly(monomials_up_to(n, 1));
+  const auto s0 = prog.add_sos_poly(monomials_up_to(n, 2));
+  prog.add_identity(Polynomial(n), {{one, b, {}},
+                                    {-(constant(0.25) - r2), sigma, {}},
+                                    {-one, s0, {}}});
+  const auto phi = prog.add_sos_poly(monomials_up_to(n, 2));
+  const auto s1 = prog.add_sos_poly(monomials_up_to(n, 3));
+  std::vector<SosProgram::Term> lie;
+  for (std::size_t i = 0; i < n; ++i) lie.push_back({field[i], b, i});
+  lie.push_back({one, b, {}});  // -lambda B with lambda = -1
+  lie.push_back({-(constant(4.0) - r2), phi, {}});
+  lie.push_back({-one, s1, {}});
+  prog.add_identity(constant(-0.01), std::move(lie));
+  const auto xi = prog.add_sos_poly(monomials_up_to(n, 1));
+  const auto s2 = prog.add_sos_poly(monomials_up_to(n, 2));
+  prog.add_identity(constant(-0.01),
+                    {{-one, b, {}}, {-unsafe, xi, {}}, {-one, s2, {}}});
+  return prog.compile();
+}
+
+void BM_SdpBarrierProgram(benchmark::State& state) {
+  const SdpProblem p = barrier_program_3d();
+  SdpSolution sol;
+  for (auto _ : state) {
+    sol = solve_sdp(p);
+    benchmark::DoNotOptimize(sol);
+  }
+  state.counters["constraints"] = static_cast<double>(p.constraints.size());
+  state.counters["iterations"] = sol.iterations;
+}
+BENCHMARK(BM_SdpBarrierProgram)->Unit(benchmark::kMillisecond);
 
 void BM_PolynomialMultiply(benchmark::State& state) {
   const int degree = static_cast<int>(state.range(0));

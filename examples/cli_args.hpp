@@ -1,6 +1,6 @@
-// Strict parsers for the numeric arguments of synthesize_cli and fuzz_cli.
-// Each takes the whole string or rejects it: no leading sign or space, no
-// trailing text, no silent wrap or clamp.
+// Strict parsers for the numeric arguments of synthesize_cli, fuzz_cli and
+// store_cli. Each takes the whole string or rejects it: no leading sign or
+// space, no trailing text, no silent wrap or clamp.
 #pragma once
 
 #include <cerrno>

@@ -10,6 +10,7 @@
 // synthesize_cli -- holds a reader lock on the store, because evicting
 // a blob mid-pipeline silently degrades that run. --force overrides.
 // The store directory defaults to $SCS_CACHE_DIR.
+#include <cstdint>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "store/stage_cache.hpp"
 #include "store/store.hpp"
 #include "util/hash.hpp"
@@ -159,9 +161,13 @@ int main(int argc, char** argv) {
     return cmd_info(store, positional[1]);
   }
   if (cmd == "gc") {
-    std::uint64_t max_bytes = 0;
-    if (positional.size() > 1)
-      max_bytes = std::strtoull(positional[1].c_str(), nullptr, 10);
+    std::uint64_t max_bytes = 0;  // no budget: drop corrupt blobs only
+    if (positional.size() > 1 &&
+        !parse_uint(positional[1].c_str(), 1, UINT64_MAX, max_bytes)) {
+      std::cerr << "gc max-bytes needs a positive integer\n";
+      print_usage(argv[0]);
+      return 2;
+    }
     return cmd_gc(store, max_bytes, force);
   }
   std::cerr << "unknown command '" << cmd << "'\n";

@@ -146,10 +146,12 @@ run_perf() {
   # support LPs of a few hundred rows, so it is the row that catches a
   # return to dense simplex pricing, which the tiny LPs of
   # SamplesSweep/1000 cannot. DdpgTrain is 94 DDPG minibatch updates on
-  # C1's shapes, so a 2x slower update fails its band.
+  # C1's shapes, so a 2x slower update fails its band. SdpBarrierProgram
+  # solves one 155-constraint barrier program, the size that dominates a
+  # campaign's SDP time, so a 2x slower interior-point step fails its band.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
   ./build/bench/bench_solvers \
-      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_DdpgTrain$' \
+      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_DdpgTrain$|BM_SdpBarrierProgram$' \
       --benchmark_format=json \
       --benchmark_out="${tmp}/BENCH_solvers.json" \
       --benchmark_out_format=json > /dev/null

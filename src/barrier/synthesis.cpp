@@ -358,6 +358,7 @@ ArmOutcome run_arm(const Ccds& system,
   // slack is not small. Coordinates here are the unit-box ones the ladder
   // solves in.
   if (outcome.feasible) {
+    TraceSpan gate_span("barrier.gate");
     ConditionPoints points;
     points.init = draw_points(system.init_set, 500, rng);
     points.unsafe = draw_points(system.unsafe_set, 500, rng);

@@ -116,11 +116,6 @@ void Mat::set_row(std::size_t i, const Vec& v) {
   for (std::size_t j = 0; j < cols_; ++j) (*this)(i, j) = v[j];
 }
 
-void Mat::set_col(std::size_t j, const Vec& v) {
-  SCS_REQUIRE(j < cols_ && v.size() == rows_, "Mat::set_col: shape mismatch");
-  for (std::size_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];
-}
-
 std::string Mat::to_string() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < rows_; ++i) {

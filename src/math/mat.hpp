@@ -67,7 +67,6 @@ class Mat {
   /// Row i as a vector.
   Vec row(std::size_t i) const;
   void set_row(std::size_t i, const Vec& v);
-  void set_col(std::size_t j, const Vec& v);
 
   std::string to_string() const;
 

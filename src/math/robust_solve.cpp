@@ -65,9 +65,10 @@ double refine_once(const Mat& a, const Vec& b, Vec& x, const Cholesky& factor,
 
 }  // namespace
 
-RobustCholesky robust_cholesky(const Mat& a) {
+RobustCholesky robust_cholesky(const Mat& a,
+                               const std::vector<std::size_t>& first) {
   RobustCholesky out;
-  out.factor = Cholesky(a);
+  out.factor = Cholesky(a, first);
   out.factor_attempts = 1;
   if (out.factor.ok()) {
     out.status = SolveStatus::kOk;
@@ -78,7 +79,7 @@ RobustCholesky robust_cholesky(const Mat& a) {
   for (int k = 0; k < kMaxRegularizeAttempts; ++k) {
     Mat shifted = a;
     for (std::size_t i = 0; i < a.rows(); ++i) shifted(i, i) += shift;
-    out.factor = Cholesky(shifted);
+    out.factor = Cholesky(shifted, first);
     ++out.factor_attempts;
     if (metrics_enabled()) {
       static Counter& retries = MetricsRegistry::instance().counter(

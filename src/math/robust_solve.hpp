@@ -34,7 +34,7 @@ struct LinearSolveReport {
 /// A Cholesky factor obtained with the same retry ladder, for callers that
 /// need the factor itself (repeated solves, e.g. the SDP Schur complement).
 struct RobustCholesky {
-  Cholesky factor{Mat(), 0.0};
+  Cholesky factor{Mat()};
   SolveStatus status = SolveStatus::kFailed;
   double regularization = 0.0;
   int factor_attempts = 0;
@@ -43,8 +43,11 @@ struct RobustCholesky {
 };
 
 /// Factor the SPD matrix `a`, escalating a diagonal shift until the
-/// factorization succeeds or the retry budget is exhausted.
-RobustCholesky robust_cholesky(const Mat& a);
+/// factorization succeeds or the retry budget is exhausted. Every attempt
+/// factors inside the envelope `first` (see Cholesky), which a diagonal
+/// shift keeps.
+RobustCholesky robust_cholesky(const Mat& a,
+                               const std::vector<std::size_t>& first = {});
 
 /// Solve the SPD system A x = b with retry + one round of refinement.
 LinearSolveReport robust_solve_spd(const Mat& a, const Vec& b);

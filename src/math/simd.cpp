@@ -1,9 +1,12 @@
 // Portable kernel implementations and the runtime dispatch switch.
 //
-// The scalar `dot` and `dot_columns` mirror the AVX2 lane structure
-// exactly (four accumulators, fixed combine order) -- see simd.hpp for the
-// contract.
+// The scalar `dot`, `dot_columns` and `dot_rows` mirror the AVX2 lane
+// structure exactly (four accumulators, fixed combine order); the MLP and Adam
+// kernels give each element the same operations in the same order -- see
+// simd.hpp for the contract.
 #include "math/simd.hpp"
+
+#include <cmath>
 
 #include "util/check.hpp"
 
@@ -20,6 +23,19 @@ void scale_avx2(double* y, double s, std::size_t n);
 double dot_avx2(const double* x, const double* y, std::size_t n);
 void dot_columns_avx2(double* out, const double* w, std::size_t rows,
                       std::size_t n, const double* x, std::size_t cols);
+void dot_rows_avx2(double* out, const double* a, std::size_t lda,
+                   std::size_t rows, const double* y, std::size_t n);
+void outer_accumulate_avx2(double* g, const double* d, std::size_t rows,
+                           const double* x, std::size_t cols,
+                           std::size_t samples);
+void combine_rows_avx2(double* out, const double* w, std::size_t n,
+                       const std::size_t* rows, const double* coef,
+                       std::size_t count);
+void bias_activate_avx2(double* pre, double* post, double bias,
+                        std::size_t n, bool relu);
+void relu_grad_avx2(double* d, const double* pre, std::size_t n);
+void adam_update_avx2(double* params, double* m, double* v,
+                      const double* grad, std::size_t n, const AdamStep& step);
 
 }  // namespace detail
 
@@ -187,6 +203,57 @@ void dot_columns_scalar(double* out, const double* w, std::size_t rows,
 
 #endif  // __ARM_NEON
 
+void dot_rows_scalar(double* out, const double* a, std::size_t lda,
+                     std::size_t rows, const double* y, std::size_t n) {
+  for (std::size_t r = 0; r < rows; ++r) out[r] = dot_scalar(a + r * lda, y, n);
+}
+
+// The MLP and Adam kernels below are plain loops on every target; each
+// element sees its operations in the order simd.hpp documents.
+
+void outer_accumulate_scalar(double* g, const double* d, std::size_t rows,
+                             const double* x, std::size_t cols,
+                             std::size_t samples) {
+  for (std::size_t r = 0; r < rows; ++r, g += cols, d += samples)
+    for (std::size_t b = 0; b < samples; ++b)
+      for (std::size_t c = 0; c < cols; ++c) g[c] += d[b] * x[b * cols + c];
+}
+
+void combine_rows_scalar(double* out, const double* w, std::size_t n,
+                         const std::size_t* rows, const double* coef,
+                         std::size_t count) {
+  for (std::size_t t = 0; t < count; ++t) {
+    const double* row = w + rows[t] * n;
+    for (std::size_t j = 0; j < n; ++j) out[j] += coef[t] * row[j];
+  }
+}
+
+void bias_activate_scalar(double* pre, double* post, double bias,
+                          std::size_t n, bool relu) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = pre[i] + bias;
+    pre[i] = p;
+    post[i] = !relu ? p : (p > 0.0 ? p : 0.0);
+  }
+}
+
+void relu_grad_scalar(double* d, const double* pre, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) d[i] *= pre[i] > 0.0 ? 1.0 : 0.0;
+}
+
+void adam_update_scalar(double* params, double* m, double* v,
+                        const double* grad, std::size_t n,
+                        const AdamStep& step) {
+  const double c1 = 1.0 - step.beta1, c2 = 1.0 - step.beta2;
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i] = step.beta1 * m[i] + c1 * grad[i];
+    v[i] = step.beta2 * v[i] + c2 * grad[i] * grad[i];
+    const double mhat = m[i] / step.bias1;
+    const double vhat = v[i] / step.bias2;
+    params[i] -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
+  }
+}
+
 }  // namespace
 
 void set_kernel_override(Kernel k) {
@@ -263,6 +330,72 @@ void dot_columns(double* out, const double* w, std::size_t rows,
   }
 #endif
   dot_columns_scalar(out, w, rows, n, x, cols);
+}
+
+void dot_rows(double* out, const double* a, std::size_t lda,
+              std::size_t rows, const double* y, std::size_t n) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::dot_rows_avx2(out, a, lda, rows, y, n);
+    return;
+  }
+#endif
+  dot_rows_scalar(out, a, lda, rows, y, n);
+}
+
+void outer_accumulate(double* g, const double* d, std::size_t rows,
+                      const double* x, std::size_t cols, std::size_t samples) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::outer_accumulate_avx2(g, d, rows, x, cols, samples);
+    return;
+  }
+#endif
+  outer_accumulate_scalar(g, d, rows, x, cols, samples);
+}
+
+void combine_rows(double* out, const double* w, std::size_t n,
+                  const std::size_t* rows, const double* coef,
+                  std::size_t count) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::combine_rows_avx2(out, w, n, rows, coef, count);
+    return;
+  }
+#endif
+  combine_rows_scalar(out, w, n, rows, coef, count);
+}
+
+void bias_activate(double* pre, double* post, double bias, std::size_t n,
+                   bool relu) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::bias_activate_avx2(pre, post, bias, n, relu);
+    return;
+  }
+#endif
+  bias_activate_scalar(pre, post, bias, n, relu);
+}
+
+void relu_grad(double* d, const double* pre, std::size_t n) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::relu_grad_avx2(d, pre, n);
+    return;
+  }
+#endif
+  relu_grad_scalar(d, pre, n);
+}
+
+void adam_update(double* params, double* m, double* v, const double* grad,
+                 std::size_t n, const AdamStep& step) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::adam_update_avx2(params, m, v, grad, n, step);
+    return;
+  }
+#endif
+  adam_update_scalar(params, m, v, grad, n, step);
 }
 
 }  // namespace scs::simd

@@ -1,14 +1,20 @@
 // Runtime-dispatched dense kernels for the solver core.
 //
 // Every hot loop in src/math, src/opt, src/poly and src/nn funnels through
-// the tiny kernel set below: elementwise updates (axpy / add / sub / scale),
-// a four-lane dot product, and the same dot blocked over the columns of a
-// matrix. The AVX2 implementations (simd_avx2.cpp, compiled
-// with -mavx2 when the SCS_SIMD CMake option is ON) are written so that
-// they are *bitwise identical* to the portable fallbacks:
+// the small kernel set below: elementwise updates (axpy / add / sub /
+// scale), a four-lane dot product, the same dot blocked over the columns of
+// a matrix or over the rows of one, the two gradient products of a batched
+// MLP pass (outer_accumulate, combine_rows), its bias/activation loops
+// (bias_activate, relu_grad) and the Adam update. The AVX2 implementations
+// (simd_avx2.cpp, compiled with -mavx2 when the SCS_SIMD CMake option is
+// ON) are written so that they are *bitwise identical* to the portable
+// fallbacks:
 //
 //  - Elementwise kernels use separate multiply and add instructions (never
 //    FMA), so each y[i] sees exactly the scalar sequence `y[i] + s * x[i]`.
+//  - outer_accumulate and combine_rows keep a tile of their output in
+//    registers, but every element still receives its terms one at a time,
+//    in the documented order, multiply then add.
 //  - `dot` accumulates in four independent lanes -- lane j sums the terms
 //    at indices congruent to j mod 4 -- and combines them in the fixed
 //    order (l0 + l1) + (l2 + l3). The scalar fallback implements the same
@@ -16,7 +22,8 @@
 //    SCS_SIMD=OFF builds produce identical bits on every machine.
 //  - `dot_columns` runs that same dot for many columns at once: it keeps
 //    the lanes of four columns in one vector each, so every output has the
-//    bits `dot` gives it.
+//    bits `dot` gives it. `dot_rows` runs it for many rows at once, one
+//    vector of lanes per row.
 //
 // Dispatch is decided once at startup (__builtin_cpu_supports) and can be
 // overridden per-thread with set_kernel_override for A/B benchmarks and the
@@ -71,5 +78,52 @@ double dot(const double* x, const double* y, std::size_t n);
 /// register.
 void dot_columns(double* out, const double* w, std::size_t rows,
                  std::size_t n, const double* x, std::size_t cols);
+
+/// out[r] = dot(a + r * lda, y, n) for r in [0, rows): `dot`, bit for bit,
+/// of each row against one vector. The AVX2 path runs four rows at a time,
+/// each in its own register of four lanes, so every row keeps dot's lanes
+/// and combine.
+void dot_rows(double* out, const double* a, std::size_t lda,
+              std::size_t rows, const double* y, std::size_t n);
+
+/// Rank-`samples` update of the row-major `rows` x `cols` matrix g, one
+/// sample after the other: for b = 0, 1, ..., samples - 1,
+///   g[r * cols + c] += d[r * samples + b] * x[b * cols + c].
+/// Each element starts from its current value and gets one product per
+/// sample, in ascending sample order: the bits of `samples` x `rows` axpy
+/// calls. The AVX2 path keeps a 4 x 8 tile of g in registers across all
+/// samples.
+void outer_accumulate(double* g, const double* d, std::size_t rows,
+                      const double* x, std::size_t cols, std::size_t samples);
+
+/// out[j] += coef[t] * w[rows[t] * n + j] for t = 0, 1, ..., count - 1 and
+/// j in [0, n): the listed rows of the row-major matrix w added to `out` in
+/// list order, multiply then add. These are the bits of calling
+/// axpy(out, coef[t], row rows[t], n) for each t in turn; rows that are not
+/// listed are never read. The AVX2 path keeps sixteen outputs in registers
+/// across the whole list.
+void combine_rows(double* out, const double* w, std::size_t n,
+                  const std::size_t* rows, const double* coef,
+                  std::size_t count);
+
+/// pre[i] += bias, then post[i] = pre[i], or with `relu`
+/// post[i] = pre[i] > 0 ? pre[i] : 0 (a NaN or -0 gives +0).
+void bias_activate(double* pre, double* post, double bias, std::size_t n,
+                   bool relu);
+
+/// d[i] *= pre[i] > 0 ? 1 : 0: the ReLU derivative, applied as a multiply.
+void relu_grad(double* d, const double* pre, std::size_t n);
+
+/// One Adam step over n parameters, elementwise with IEEE divide and square
+/// root and in this association:
+///   m = beta1 m + (1 - beta1) g,   v = beta2 v + ((1 - beta2) g) g,
+///   p -= (lr (m / bias1)) / (sqrt(v / bias2) + eps).
+struct AdamStep {
+  double beta1 = 0.0, beta2 = 0.0;
+  double bias1 = 1.0, bias2 = 1.0;  // 1 - beta^t
+  double lr = 0.0, eps = 0.0;
+};
+void adam_update(double* params, double* m, double* v, const double* grad,
+                 std::size_t n, const AdamStep& step);
 
 }  // namespace scs::simd

@@ -8,12 +8,17 @@
 // keeps four independent lanes (lane j sums indices == j mod 4) and
 // combines them with scalar adds in the fixed order (l0 + l1) + (l2 + l3),
 // matching the scalar fallback's lane structure bit for bit. `dot_columns`
-// keeps those lanes per column and vectorises across columns instead.
+// keeps those lanes per column and vectorises across columns instead. The
+// MLP kernels vectorise across independent outputs only, so each output
+// element sees the scalar fallback's operations in its order.
 #ifdef SCS_SIMD_AVX2
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstddef>
+
+#include "math/simd.hpp"
 
 namespace scs::simd::detail {
 
@@ -87,6 +92,43 @@ inline __m256d combine(__m256d l0, __m256d l1, __m256d l2, __m256d l3) {
   return _mm256_add_pd(_mm256_add_pd(l0, l1), _mm256_add_pd(l2, l3));
 }
 
+// Lanes [0, k) of a vector at the end of a row, k = 1..3: masked-off lanes
+// are neither read nor written.
+inline __m256i tail_mask(std::size_t k) {
+  return _mm256_setr_epi64x(-1, k > 1 ? -1 : 0, k > 2 ? -1 : 0, 0);
+}
+
+// One group of four columns of dot_columns, one dot lane per vector. A
+// masked group holds the last one to three columns.
+template <bool kMasked>
+inline void dot_four_columns(double* o, const double* w, std::size_t n,
+                             const double* xc, std::size_t cols,
+                             __m256i mask) {
+  const auto step = [mask](__m256d acc, double wj, const double* xj) {
+    const __m256d xv =
+        kMasked ? _mm256_maskload_pd(xj, mask) : _mm256_loadu_pd(xj);
+    return _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(wj), xv));
+  };
+  const std::size_t body = n & ~std::size_t{3};
+  __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+  std::size_t j = 0;
+  for (; j < body; j += 4) {
+    const double* xj = xc + j * cols;
+    a0 = step(a0, w[j], xj);
+    a1 = step(a1, w[j + 1], xj + cols);
+    a2 = step(a2, w[j + 2], xj + 2 * cols);
+    a3 = step(a3, w[j + 3], xj + 3 * cols);
+  }
+  // Tail indices join the lane their index selects, as in dot_avx2.
+  if (j < n) a0 = step(a0, w[j], xc + j * cols);
+  if (j + 1 < n) a1 = step(a1, w[j + 1], xc + (j + 1) * cols);
+  if (j + 2 < n) a2 = step(a2, w[j + 2], xc + (j + 2) * cols);
+  if constexpr (kMasked)
+    _mm256_maskstore_pd(o, mask, combine(a0, a1, a2, a3));
+  else
+    _mm256_storeu_pd(o, combine(a0, a1, a2, a3));
+}
+
 }  // namespace
 
 void dot_columns_avx2(double* out, const double* w, std::size_t rows,
@@ -94,6 +136,7 @@ void dot_columns_avx2(double* out, const double* w, std::size_t rows,
   // Each vector holds one dot lane of four columns, so lane j of column c
   // sees exactly the terms, order and combine of dot_avx2(w row, column c).
   const std::size_t body = n & ~std::size_t{3};
+  const __m256i full = _mm256_set1_epi64x(-1);
   for (std::size_t r = 0; r < rows; ++r, w += n) {
     double* o = out + r * cols;
     std::size_t c = 0;
@@ -136,40 +179,250 @@ void dot_columns_avx2(double* out, const double* w, std::size_t rows,
       _mm256_storeu_pd(o + c, combine(a0, a1, a2, a3));
       _mm256_storeu_pd(o + c + 4, combine(b0, b1, b2, b3));
     }
-    for (; c + 4 <= cols; c += 4) {
-      const double* xc = x + c;
-      __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
-      std::size_t j = 0;
-      for (; j < body; j += 4) {
-        const double* xj = xc + j * cols;
-        a0 = lane_step(a0, _mm256_set1_pd(w[j]), xj);
-        a1 = lane_step(a1, _mm256_set1_pd(w[j + 1]), xj + cols);
-        a2 = lane_step(a2, _mm256_set1_pd(w[j + 2]), xj + 2 * cols);
-        a3 = lane_step(a3, _mm256_set1_pd(w[j + 3]), xj + 3 * cols);
-      }
-      if (j < n) a0 = lane_step(a0, _mm256_set1_pd(w[j]), xc + j * cols);
-      if (j + 1 < n)
-        a1 = lane_step(a1, _mm256_set1_pd(w[j + 1]), xc + (j + 1) * cols);
-      if (j + 2 < n)
-        a2 = lane_step(a2, _mm256_set1_pd(w[j + 2]), xc + (j + 2) * cols);
-      _mm256_storeu_pd(o + c, combine(a0, a1, a2, a3));
+    for (; c + 4 <= cols; c += 4)
+      dot_four_columns<false>(o + c, w, n, x + c, cols, full);
+    if (c < cols)
+      dot_four_columns<true>(o + c, w, n, x + c, cols, tail_mask(cols - c));
+  }
+}
+
+void dot_rows_avx2(double* out, const double* a, std::size_t lda,
+                   std::size_t rows, const double* y, std::size_t n) {
+  // Four rows at a time, one register of dot lanes each. The tail indices
+  // join their lanes through a masked load, whose other lanes add +0 to a
+  // lane sum that is never -0; a 4 x 4 transpose then lines the lanes up
+  // so one vector combine gives each row (l0 + l1) + (l2 + l3).
+  const std::size_t body = n & ~std::size_t{3};
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const double* a0 = a + r * lda;
+    const double* a1 = a0 + lda;
+    const double* a2 = a1 + lda;
+    const double* a3 = a2 + lda;
+    __m256d s0 = _mm256_setzero_pd(), s1 = s0, s2 = s0, s3 = s0;
+    for (std::size_t k = 0; k < body; k += 4) {
+      const __m256d yv = _mm256_loadu_pd(y + k);
+      s0 = _mm256_add_pd(s0, _mm256_mul_pd(_mm256_loadu_pd(a0 + k), yv));
+      s1 = _mm256_add_pd(s1, _mm256_mul_pd(_mm256_loadu_pd(a1 + k), yv));
+      s2 = _mm256_add_pd(s2, _mm256_mul_pd(_mm256_loadu_pd(a2 + k), yv));
+      s3 = _mm256_add_pd(s3, _mm256_mul_pd(_mm256_loadu_pd(a3 + k), yv));
     }
-    // Columns past the last group of four: the scalar lane order.
-    for (; c < cols; ++c) {
-      const double* xc = x + c;
-      double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-      std::size_t j = 0;
-      for (; j < body; j += 4) {
-        l0 += w[j] * xc[j * cols];
-        l1 += w[j + 1] * xc[(j + 1) * cols];
-        l2 += w[j + 2] * xc[(j + 2) * cols];
-        l3 += w[j + 3] * xc[(j + 3) * cols];
-      }
-      if (j < n) l0 += w[j] * xc[j * cols];
-      if (j + 1 < n) l1 += w[j + 1] * xc[(j + 1) * cols];
-      if (j + 2 < n) l2 += w[j + 2] * xc[(j + 2) * cols];
-      o[c] = (l0 + l1) + (l2 + l3);
+    if (body < n) {
+      const __m256i mask = tail_mask(n - body);
+      const __m256d yv = _mm256_maskload_pd(y + body, mask);
+      const auto tail = [&](__m256d acc, const double* row) {
+        return _mm256_add_pd(
+            acc, _mm256_mul_pd(_mm256_maskload_pd(row + body, mask), yv));
+      };
+      s0 = tail(s0, a0);
+      s1 = tail(s1, a1);
+      s2 = tail(s2, a2);
+      s3 = tail(s3, a3);
     }
+    // Transpose: lane k of every row into vector k.
+    const __m256d t0 = _mm256_unpacklo_pd(s0, s1);  // s0[0] s1[0] s0[2] s1[2]
+    const __m256d t1 = _mm256_unpackhi_pd(s0, s1);  // s0[1] s1[1] s0[3] s1[3]
+    const __m256d t2 = _mm256_unpacklo_pd(s2, s3);
+    const __m256d t3 = _mm256_unpackhi_pd(s2, s3);
+    const __m256d l0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+    const __m256d l1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+    const __m256d l2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+    const __m256d l3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+    _mm256_storeu_pd(out + r, combine(l0, l1, l2, l3));
+  }
+  for (; r < rows; ++r) out[r] = dot_avx2(a + r * lda, y, n);
+}
+
+namespace {
+
+// One R x 4V tile of outer_accumulate: the tile stays in registers while
+// every sample adds its products, in ascending sample order. A masked tile
+// is one vector whose lanes past the row's end stay untouched.
+template <int R, int V, bool kMasked>
+inline void outer_tile(double* g, const double* d, const double* x,
+                       std::size_t cols, std::size_t samples, __m256i mask) {
+  static_assert(!kMasked || V == 1, "a masked tile is one vector wide");
+  const auto load = [mask](const double* p) {
+    if constexpr (kMasked) return _mm256_maskload_pd(p, mask);
+    return _mm256_loadu_pd(p);
+  };
+  __m256d acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = load(g + r * cols + 4 * v);
+  for (std::size_t b = 0; b < samples; ++b) {
+    __m256d xv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) xv[v] = load(x + b * cols + 4 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256d dr = _mm256_set1_pd(d[r * samples + b]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v)
+        acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(dr, xv[v]));
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      if constexpr (kMasked)
+        _mm256_maskstore_pd(g + r * cols + 4 * v, mask, acc[r][v]);
+      else
+        _mm256_storeu_pd(g + r * cols + 4 * v, acc[r][v]);
+    }
+}
+
+// R rows of outer_accumulate: tiles of eight columns, then four, then one
+// masked tile for the last one to three.
+template <int R>
+inline void outer_rows(double* g, const double* d, const double* x,
+                       std::size_t cols, std::size_t samples) {
+  const __m256i full = _mm256_set1_epi64x(-1);
+  std::size_t c = 0;
+  for (; c + 8 <= cols; c += 8)
+    outer_tile<R, 2, false>(g + c, d, x + c, cols, samples, full);
+  for (; c + 4 <= cols; c += 4)
+    outer_tile<R, 1, false>(g + c, d, x + c, cols, samples, full);
+  if (c < cols)
+    outer_tile<R, 1, true>(g + c, d, x + c, cols, samples,
+                           tail_mask(cols - c));
+}
+
+}  // namespace
+
+void outer_accumulate_avx2(double* g, const double* d, std::size_t rows,
+                           const double* x, std::size_t cols,
+                           std::size_t samples) {
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4)
+    outer_rows<4>(g + r * cols, d + r * samples, x, cols, samples);
+  g += r * cols;
+  d += r * samples;
+  switch (rows - r) {
+    case 3:
+      outer_rows<3>(g, d, x, cols, samples);
+      break;
+    case 2:
+      outer_rows<2>(g, d, x, cols, samples);
+      break;
+    case 1:
+      outer_rows<1>(g, d, x, cols, samples);
+      break;
+    default:
+      break;
+  }
+}
+
+void combine_rows_avx2(double* out, const double* w, std::size_t n,
+                       const std::size_t* rows, const double* coef,
+                       std::size_t count) {
+  // Sixteen outputs stay in registers while every listed row adds its
+  // product, in list order; then four at a time, then the last one to three
+  // in a masked vector.
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256d a0 = _mm256_loadu_pd(out + j), a1 = _mm256_loadu_pd(out + j + 4);
+    __m256d a2 = _mm256_loadu_pd(out + j + 8);
+    __m256d a3 = _mm256_loadu_pd(out + j + 12);
+    for (std::size_t t = 0; t < count; ++t) {
+      const __m256d s = _mm256_set1_pd(coef[t]);
+      const double* row = w + rows[t] * n + j;
+      a0 = lane_step(a0, s, row);
+      a1 = lane_step(a1, s, row + 4);
+      a2 = lane_step(a2, s, row + 8);
+      a3 = lane_step(a3, s, row + 12);
+    }
+    _mm256_storeu_pd(out + j, a0);
+    _mm256_storeu_pd(out + j + 4, a1);
+    _mm256_storeu_pd(out + j + 8, a2);
+    _mm256_storeu_pd(out + j + 12, a3);
+  }
+  for (; j + 4 <= n; j += 4) {
+    __m256d a = _mm256_loadu_pd(out + j);
+    for (std::size_t t = 0; t < count; ++t)
+      a = lane_step(a, _mm256_set1_pd(coef[t]), w + rows[t] * n + j);
+    _mm256_storeu_pd(out + j, a);
+  }
+  if (j < n) {
+    const __m256i mask = tail_mask(n - j);
+    __m256d a = _mm256_maskload_pd(out + j, mask);
+    for (std::size_t t = 0; t < count; ++t)
+      a = _mm256_add_pd(a, _mm256_mul_pd(_mm256_set1_pd(coef[t]),
+                                         _mm256_maskload_pd(
+                                             w + rows[t] * n + j, mask)));
+    _mm256_maskstore_pd(out + j, mask, a);
+  }
+}
+
+void bias_activate_avx2(double* pre, double* post, double bias,
+                        std::size_t n, bool relu) {
+  // max(p, +0) returns its second operand when p is NaN or either zero, so
+  // it is exactly `p > 0 ? p : 0`.
+  const __m256d vb = _mm256_set1_pd(bias);
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d p = _mm256_add_pd(_mm256_loadu_pd(pre + i), vb);
+    _mm256_storeu_pd(pre + i, p);
+    _mm256_storeu_pd(post + i, relu ? _mm256_max_pd(p, zero) : p);
+  }
+  for (; i < n; ++i) {
+    const double p = pre[i] + bias;
+    pre[i] = p;
+    post[i] = !relu ? p : (p > 0.0 ? p : 0.0);
+  }
+}
+
+void relu_grad_avx2(double* d, const double* pre, std::size_t n) {
+  // The ordered compare is false for NaN, like `pre > 0`; the mask selects
+  // the factor 1 or 0 that the product then applies.
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d live =
+        _mm256_cmp_pd(_mm256_loadu_pd(pre + i), zero, _CMP_GT_OQ);
+    _mm256_storeu_pd(d + i, _mm256_mul_pd(_mm256_loadu_pd(d + i),
+                                          _mm256_and_pd(live, one)));
+  }
+  for (; i < n; ++i) d[i] *= pre[i] > 0.0 ? 1.0 : 0.0;
+}
+
+void adam_update_avx2(double* params, double* m, double* v,
+                      const double* grad, std::size_t n,
+                      const AdamStep& step) {
+  const double c1 = 1.0 - step.beta1, c2 = 1.0 - step.beta2;
+  const __m256d b1 = _mm256_set1_pd(step.beta1), b2 = _mm256_set1_pd(step.beta2);
+  const __m256d vc1 = _mm256_set1_pd(c1), vc2 = _mm256_set1_pd(c2);
+  const __m256d bias1 = _mm256_set1_pd(step.bias1);
+  const __m256d bias2 = _mm256_set1_pd(step.bias2);
+  const __m256d lr = _mm256_set1_pd(step.lr), eps = _mm256_set1_pd(step.eps);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d g = _mm256_loadu_pd(grad + i);
+    const __m256d mi = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + i)),
+                                     _mm256_mul_pd(vc1, g));
+    const __m256d vi = _mm256_add_pd(
+        _mm256_mul_pd(b2, _mm256_loadu_pd(v + i)),
+        _mm256_mul_pd(_mm256_mul_pd(vc2, g), g));
+    _mm256_storeu_pd(m + i, mi);
+    _mm256_storeu_pd(v + i, vi);
+    const __m256d mhat = _mm256_div_pd(mi, bias1);
+    const __m256d vhat = _mm256_div_pd(vi, bias2);
+    const __m256d delta =
+        _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                      _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm256_storeu_pd(params + i,
+                     _mm256_sub_pd(_mm256_loadu_pd(params + i), delta));
+  }
+  for (; i < n; ++i) {
+    m[i] = step.beta1 * m[i] + c1 * grad[i];
+    v[i] = step.beta2 * v[i] + c2 * grad[i] * grad[i];
+    const double mhat = m[i] / step.bias1;
+    const double vhat = v[i] / step.bias2;
+    params[i] -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "math/simd.hpp"
 #include "nn/mlp.hpp"
 #include "util/check.hpp"
 
@@ -34,19 +35,15 @@ void Adam::step(Mlp& net, const Vec& grad) {
 
 void Adam::update(double* params, const double* grad, std::size_t offset,
                   std::size_t n) {
-  const double b1 = config_.beta1;
-  const double b2 = config_.beta2;
-  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(t_));
-  double* m = m_.begin() + offset;
-  double* v = v_.begin() + offset;
-  for (std::size_t i = 0; i < n; ++i) {
-    m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
-    v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
-    const double mhat = m[i] / bc1;
-    const double vhat = v[i] / bc2;
-    params[i] -= config_.lr * mhat / (std::sqrt(vhat) + config_.eps);
-  }
+  simd::AdamStep step;
+  step.beta1 = config_.beta1;
+  step.beta2 = config_.beta2;
+  step.bias1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
+  step.bias2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  step.lr = config_.lr;
+  step.eps = config_.eps;
+  simd::adam_update(params, m_.begin() + offset, v_.begin() + offset, grad, n,
+                    step);
 }
 
 void Adam::reset() {

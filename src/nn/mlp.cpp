@@ -9,42 +9,19 @@
 
 namespace scs {
 
-namespace {
-
-/// out[i] = act(pre[i]).
-void activate_n(Activation act, const double* pre, double* out,
-                std::size_t n) {
-  switch (act) {
-    case Activation::kIdentity:
-      std::copy(pre, pre + n, out);
-      break;
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = pre[i] > 0.0 ? pre[i] : 0.0;
-      break;
-    case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(pre[i]);
-      break;
-  }
-}
-
-}  // namespace
-
 Vec activate(Activation act, const Vec& pre) {
-  Vec out(pre.size());
-  activate_n(act, pre.begin(), out.begin(), pre.size());
-  return out;
-}
-
-double activation_grad_from_output(Activation act, double post, double pre) {
+  Vec out = pre;
   switch (act) {
     case Activation::kIdentity:
-      return 1.0;
+      break;
     case Activation::kRelu:
-      return pre > 0.0 ? 1.0 : 0.0;
+      for (double& v : out) v = v > 0.0 ? v : 0.0;
+      break;
     case Activation::kTanh:
-      return 1.0 - post * post;
+      for (double& v : out) v = std::tanh(v);
+      break;
   }
-  return 1.0;
+  return out;
 }
 
 Mlp::Mlp(std::size_t input_dim, const std::vector<std::size_t>& hidden,
@@ -112,8 +89,9 @@ Mlp::Batch Mlp::make_batch(std::size_t samples) const {
   batch.dy = Mat(output_dim(), samples);
   batch.delta.resize(samples * widest);
   batch.delta_next.resize(samples * widest);
-  batch.x_t.resize(samples * widest);
+  batch.sample_major.resize(samples * widest);
   batch.live.resize(widest);
+  batch.coef.resize(widest);
   return batch;
 }
 
@@ -136,13 +114,16 @@ void Mlp::forward(Batch& batch) const {
     const Mat& w = weights_[k];
     const Mat& input = (k == 0) ? batch.x : batch.post[k - 1];
     Mat& pre = batch.pre[k];
+    Mat& post = batch.post[k];
     simd::dot_columns(pre.row_ptr(0), w.row_ptr(0), w.rows(), w.cols(),
                       input.row_ptr(0), n);
-    for (std::size_t i = 0; i < w.rows(); ++i) {
-      double* p = pre.row_ptr(i);
-      const double bias = biases_[k][i];
-      for (std::size_t b = 0; b < n; ++b) p[b] += bias;
-      activate_n(acts_[k], p, batch.post[k].row_ptr(i), n);
+    const bool relu = acts_[k] == Activation::kRelu;
+    for (std::size_t i = 0; i < w.rows(); ++i)
+      simd::bias_activate(pre.row_ptr(i), post.row_ptr(i), biases_[k][i], n,
+                          relu);
+    if (acts_[k] == Activation::kTanh) {
+      double* y = post.row_ptr(0);
+      for (std::size_t i = 0; i < w.rows() * n; ++i) y[i] = std::tanh(y[i]);
     }
   }
 }
@@ -173,6 +154,17 @@ void Mlp::set_parameters(const Vec& flat) {
   });
 }
 
+namespace {
+
+/// dst (cols x rows) = src (rows x cols) transposed; both row-major.
+void transpose_into(const double* src, std::size_t rows, std::size_t cols,
+                    double* dst) {
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+}
+
+}  // namespace
+
 void Mlp::backward(Batch& batch, Vec* grad, Mat* dx) const {
   check_batch(batch, "Mlp::backward");
   const std::size_t n = batch.size();
@@ -183,13 +175,13 @@ void Mlp::backward(Batch& batch, Vec* grad, Mat* dx) const {
   SCS_REQUIRE(dx == nullptr || (dx->rows() == input_dim() && dx->cols() == n),
               "Mlp::backward: input gradient shape mismatch");
 
-  // delta = dL/d(output of the current layer), sample-major: row b is
-  // sample b, so each sample's sums below run over contiguous memory.
+  // delta = dL/d(output of the current layer), feature-major like pre and
+  // post: row i is unit i, column b is sample b.
   double* delta = batch.delta.data();
   double* next = batch.delta_next.data();
-  for (std::size_t i = 0; i < output_dim(); ++i)
-    for (std::size_t b = 0; b < n; ++b)
-      delta[b * output_dim() + i] = batch.dy(i, b);
+  double* sample_major = batch.sample_major.data();
+  std::copy(batch.dy.row_ptr(0), batch.dy.row_ptr(0) + output_dim() * n,
+            delta);
 
   // Layers run last to first, so layer k's flat gradient offset is found
   // by walking down from the end.
@@ -199,53 +191,58 @@ void Mlp::backward(Batch& batch, Vec* grad, Mat* dx) const {
     const std::size_t out = w.rows();
     const std::size_t in = w.cols();
     offset -= out * in + out;
-    // dL/d(pre) = delta .* act'(pre), in place.
-    for (std::size_t b = 0; b < n; ++b)
-      for (std::size_t i = 0; i < out; ++i)
-        delta[b * out + i] *= activation_grad_from_output(
-            acts_[k], batch.post[k](i, b), batch.pre[k](i, b));
+    // dL/d(pre) = delta .* act'(pre), in place. The identity's factor 1
+    // would change no bit, so it is not applied.
+    switch (acts_[k]) {
+      case Activation::kIdentity:
+        break;
+      case Activation::kRelu:
+        simd::relu_grad(delta, batch.pre[k].row_ptr(0), out * n);
+        break;
+      case Activation::kTanh: {
+        const double* y = batch.post[k].row_ptr(0);
+        for (std::size_t i = 0; i < out * n; ++i) delta[i] *= 1.0 - y[i] * y[i];
+        break;
+      }
+    }
 
     if (grad != nullptr) {
-      // dL/dW += dpre * input^T and dL/db += dpre, one sample after the
-      // other: each element gets its terms in ascending sample order.
+      // dL/dW += dpre * input^T and dL/db += dpre: every element adds its
+      // samples' terms in ascending sample order to its current value.
       const Mat& input = (k == 0) ? batch.x : batch.post[k - 1];
-      double* x_t = batch.x_t.data();
-      for (std::size_t j = 0; j < in; ++j)
-        for (std::size_t b = 0; b < n; ++b) x_t[b * in + j] = input(j, b);
+      transpose_into(input.row_ptr(0), in, n, sample_major);
       double* gw = grad->begin() + offset;
       double* gb = gw + out * in;
-      for (std::size_t b = 0; b < n; ++b) {
-        const double* d = delta + b * out;
-        for (std::size_t i = 0; i < out; ++i)
-          simd::axpy(gw + i * in, d[i], x_t + b * in, in);
-        simd::add(gb, d, out);
-      }
+      simd::outer_accumulate(gw, delta, out, sample_major, in, n);
+      for (std::size_t b = 0; b < n; ++b)
+        for (std::size_t i = 0; i < out; ++i) gb[i] += delta[i * n + b];
     }
     if (k == 0 && dx == nullptr) break;
 
     // dL/d(input) = W^T dpre per sample, as matvec_t sums it: over units in
-    // ascending order from +0, skipping exact-zero terms (dead ReLU units).
-    // The live units are listed first, without a branch per unit: which
-    // units are dead changes from sample to sample.
+    // ascending order from +0, skipping exact-zero terms (dead ReLU units,
+    // whose weights may hold an inf that 0 * inf would turn into NaN). The
+    // live units are listed first, without a branch per unit: which units
+    // are dead changes from sample to sample.
     std::size_t* live = batch.live.data();
+    double* coef = batch.coef.data();
     for (std::size_t b = 0; b < n; ++b) {
-      double* o = next + b * in;
-      std::fill(o, o + in, 0.0);
-      const double* d = delta + b * out;
       std::size_t count = 0;
       for (std::size_t i = 0; i < out; ++i) {
+        const double d = delta[i * n + b];
         live[count] = i;
-        count += (d[i] != 0.0) ? 1 : 0;
+        coef[count] = d;
+        count += (d != 0.0) ? 1 : 0;
       }
-      for (std::size_t t = 0; t < count; ++t)
-        simd::axpy(o, d[live[t]], w.row_ptr(live[t]), in);
+      double* o = sample_major + b * in;
+      std::fill(o, o + in, 0.0);
+      simd::combine_rows(o, w.row_ptr(0), in, live, coef, count);
     }
+    transpose_into(sample_major, n, in, next);
     std::swap(delta, next);
   }
   if (dx != nullptr)
-    for (std::size_t j = 0; j < input_dim(); ++j)
-      for (std::size_t b = 0; b < n; ++b)
-        (*dx)(j, b) = delta[b * input_dim() + j];
+    std::copy(delta, delta + input_dim() * n, dx->row_ptr(0));
 }
 
 void Mlp::soft_update_from(const Mlp& other, double tau) {

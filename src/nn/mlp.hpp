@@ -25,8 +25,6 @@ enum class Activation { kIdentity, kRelu, kTanh };
 
 /// Apply an activation elementwise.
 Vec activate(Activation act, const Vec& pre);
-/// Derivative of the activation given its *output* value.
-double activation_grad_from_output(Activation act, double post, double pre);
 
 class Mlp {
  public:
@@ -56,9 +54,11 @@ class Mlp {
     std::vector<Mat> pre;   // pre[k]: layer k's pre-activation, out_k x B
     std::vector<Mat> post;  // post[k]: layer k's output; post.back() is y
     Mat dy;                 // output_dim x B: dL/dy
-    // backward() scratch: sample-major (B x the widest layer) gradients and
-    // layer input, and the units with a nonzero gradient.
-    std::vector<double> delta, delta_next, x_t;
+    // backward() scratch: feature-major gradients (the widest layer x B),
+    // a sample-major (B x the widest layer) copy of a layer input or input
+    // gradient, and one sample's units with a nonzero gradient and their
+    // gradients.
+    std::vector<double> delta, delta_next, sample_major, coef;
     std::vector<std::size_t> live;
 
     std::size_t size() const { return x.cols(); }

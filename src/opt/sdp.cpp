@@ -117,15 +117,18 @@ void accumulate_at(const BlockIndex& bi, const Vec& y, Mat& out) {
 }
 
 /// Largest step alpha in (0, 1] with X + alpha * dX positive definite,
-/// found by geometric backtracking on Cholesky attempts.
+/// found by geometric backtracking on Cholesky attempts; 0 when all 120
+/// trials (down to 0.9^119 ~ 3.6e-6) fail. The trials reuse one matrix and
+/// one factor per thread.
 double psd_step_length(const Mat& x, const Mat& dx) {
+  thread_local Mat trial;
+  thread_local Cholesky factor{Mat()};
   double alpha = 1.0;
   for (int k = 0; k < 120; ++k) {
-    Mat trial = x;
+    trial = x;
     trial.axpy(alpha, dx);
-    if (Cholesky(trial).ok()) return alpha;
+    if (factor.refactor(trial)) return alpha;
     alpha *= 0.9;
-    if (alpha < 1e-10) break;
   }
   return 0.0;
 }
@@ -237,6 +240,15 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, double scale,
       if (bi.entry_begin.empty()) bi.entry_begin.push_back(0);
   }
 
+  // The Schur complement couples two constraints only through a block both
+  // touch, so row i is exactly +0 left of its envelope: the first
+  // constraint that shares a block with it (itself when it touches none).
+  std::vector<std::size_t> envelope(m);
+  for (std::size_t i = 0; i < m; ++i) envelope[i] = i;
+  for (const BlockIndex& bi : index)
+    for (const std::size_t i : bi.constraint_ids)
+      envelope[i] = std::min(envelope[i], bi.constraint_ids.front());
+
   // Objective data.
   std::vector<double> cw(num_blocks, 0.0);
   if (!problem.block_obj_weight.empty()) cw = problem.block_obj_weight;
@@ -244,9 +256,13 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, double scale,
   if (!problem.free_obj.empty()) cf = problem.free_obj;
   const double w_max = *std::max_element(cw.begin(), cw.end());
 
-  // RHS vector.
+  // RHS vector and the free-variable columns B (m x s, dense; s is small).
   Vec b(m);
   for (std::size_t i = 0; i < m; ++i) b[i] = problem.constraints[i].rhs;
+  Mat bmat(m, s);
+  for (std::size_t i = 0; i < m; ++i)
+    for (const auto& [idx, coeff] : problem.constraints[i].free_terms)
+      bmat(i, idx) += coeff;
 
   // ---- Initial iterates.
   std::vector<Mat> x(num_blocks), sm(num_blocks);
@@ -402,40 +418,53 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, double scale,
 
     // ---- Schur complement M_ij = <A_i, sym(X A_j S^{-1})> per block.
     // Columns j fan out over the pool: each constraint kj touching the
-    // block owns its W_j = X A_j S^{-1} scratch and its own Schur column,
-    // so the writes are disjoint; the block loop stays serial, preserving
-    // the per-entry accumulation order regardless of thread count. Small
-    // blocks skip the pool entirely (see kParallelSchurFlops below): the
-    // fork/join handshake costs more than the assembly, which is what made
-    // the bench_parallel sdp_schur workload a slowdown at low thread
-    // counts. The gate depends only on the problem shape, so results stay
-    // bitwise-identical either way.
+    // block builds its W_j = X A_j S^{-1} in its thread's scratch and
+    // writes only its own Schur column, so the writes are disjoint; the
+    // block loop stays serial, preserving the per-entry accumulation order
+    // regardless of thread count. Small blocks skip the pool entirely (see
+    // kParallelSchurFlops below): the fork/join handshake costs more than
+    // the assembly, which is what made the bench_parallel sdp_schur
+    // workload a slowdown at low thread counts. The gate depends only on
+    // the problem shape, so results stay bitwise-identical either way.
     Mat schur(m, m);
     for (std::size_t l = 0; l < num_blocks; ++l) {
       const BlockIndex& bi = index[l];
       const std::size_t nl = problem.block_dims[l];
       const std::size_t nc = bi.constraint_ids.size();
       const auto schur_cols = [&](std::size_t kj_begin, std::size_t kj_end) {
+        // Per-thread scratch: W_j and its rank-1 terms.
+        thread_local std::vector<double> w, u, srows;
         for (std::size_t kj = kj_begin; kj < kj_end; ++kj) {
-          // W = X A_j S^{-1} as a sum of outer products over A_j's entries.
-          Mat w(nl, nl);
-          for (std::size_t e = bi.entry_begin[kj]; e < bi.entry_begin[kj + 1];
-               ++e) {
+          // W = X A_j S^{-1}: for each of A_j's entries, in order,
+          // v (X[:,r] Sinv[c,:] + [r != c] X[:,c] Sinv[r,:]). Term t puts
+          // its X column (read as a row: X is exactly symmetric) times v in
+          // column t of u and its Sinv row in row t of srows, and one
+          // rank-T update adds the terms to each element in that order.
+          const std::size_t e_begin = bi.entry_begin[kj];
+          const std::size_t e_end = bi.entry_begin[kj + 1];
+          std::size_t terms = 0;
+          for (std::size_t e = e_begin; e < e_end; ++e)
+            terms += bi.rows[e] == bi.cols[e] ? 1 : 2;
+          u.resize(nl * terms);
+          srows.resize(terms * nl);
+          std::size_t t = 0;
+          const auto add_term = [&](std::size_t xr, double v,
+                                    std::size_t sr) {
+            const double* xrow = x[l].row_ptr(xr);
+            for (std::size_t a = 0; a < nl; ++a) u[a * terms + t] = xrow[a] * v;
+            std::copy(sinv[l].row_ptr(sr), sinv[l].row_ptr(sr) + nl,
+                      srows.begin() + t * nl);
+            ++t;
+          };
+          for (std::size_t e = e_begin; e < e_end; ++e) {
             const std::size_t r = bi.rows[e];
             const std::size_t c = bi.cols[e];
-            const double v = bi.vals[e];
-            // v * (X[:,r] Sinv[c,:] + [r != c] X[:,c] Sinv[r,:]).
-            for (std::size_t a = 0; a < nl; ++a) {
-              const double xa_r = x[l](a, r) * v;
-              simd::axpy(w.row_ptr(a), xa_r, sinv[l].row_ptr(c), nl);
-            }
-            if (r != c) {
-              for (std::size_t a = 0; a < nl; ++a) {
-                const double xa_c = x[l](a, c) * v;
-                simd::axpy(w.row_ptr(a), xa_c, sinv[l].row_ptr(r), nl);
-              }
-            }
+            add_term(r, bi.vals[e], c);
+            if (r != c) add_term(c, bi.vals[e], r);
           }
+          w.assign(nl * nl, 0.0);
+          simd::outer_accumulate(w.data(), u.data(), nl, srows.data(), nl,
+                                 terms);
           // M_ij += <A_i, sym(W_j)> down this constraint's Schur column.
           const std::size_t j = bi.constraint_ids[kj];
           for (std::size_t ki = 0; ki < nc; ++ki) {
@@ -447,9 +476,9 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, double scale,
               const std::size_t c = bi.cols[e];
               const double v = bi.vals[e];
               if (r == c)
-                acc += v * w(r, r);
+                acc += v * w[r * nl + r];
               else
-                acc += 0.5 * v * (w(r, c) + w(c, r)) * 2.0;
+                acc += 0.5 * v * (w[r * nl + c] + w[c * nl + r]) * 2.0;
             }
             schur(i, j) += acc;
           }
@@ -478,7 +507,7 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, double scale,
 
     // Robust factorization: a near-singular Schur complement (nearly
     // dependent constraints) gets an escalating ridge before giving up.
-    const RobustCholesky rchol_m = robust_cholesky(schur);
+    const RobustCholesky rchol_m = robust_cholesky(schur, envelope);
     if (!rchol_m.ok()) {
       sol.status = SdpStatus::kNumericalFailure;
       break;
@@ -486,20 +515,22 @@ SdpSolution solve_sdp_once(const SdpProblem& problem, double scale,
     const Cholesky& chol_m = rchol_m.factor;
 
     // Free-variable coupling: W = M^{-1} B, T = B' W.
-    Mat bmat;  // m x s (dense; s is small)
     Mat w_free;
     Mat t_free;
     const Cholesky* chol_t = nullptr;
     RobustCholesky rchol_t;
     if (s > 0) {
-      bmat = Mat(m, s);
-      for (std::size_t i = 0; i < m; ++i)
-        for (const auto& [idx, coeff] : problem.constraints[i].free_terms)
-          bmat(i, idx) += coeff;
-      w_free = Mat(m, s);
-      for (std::size_t j = 0; j < s; ++j)
-        w_free.set_col(j, chol_m.solve(bmat.col(j)));
-      t_free = matmul_at_b(bmat, w_free);
+      w_free = chol_m.solve(bmat);
+      // T over B's nonzeros, each element summed in ascending constraint
+      // order as matmul_at_b sums it: a zero of B would add a +-0 product
+      // to a sum that is never -0, which changes no bit.
+      t_free = Mat(s, s);
+      for (std::size_t k = 0; k < m; ++k) {
+        const double* bk = bmat.row_ptr(k);
+        for (std::size_t i = 0; i < s; ++i)
+          if (bk[i] != 0.0)
+            simd::axpy(t_free.row_ptr(i), bk[i], w_free.row_ptr(k), s);
+      }
       // Ridge for safety (B should have full column rank).
       for (std::size_t j = 0; j < s; ++j) t_free(j, j) += 1e-13;
       rchol_t = robust_cholesky(t_free);

@@ -6,6 +6,7 @@
 #include "math/eigen_sym.hpp"
 #include "math/qr.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -73,6 +74,7 @@ void SosProgram::add_point_constraint(PolyVar var, const Vec& point,
 
 SdpProblem SosProgram::compile() const {
   SCS_REQUIRE(!identities_.empty(), "compile: no identities added");
+  TraceSpan span("sos.compile");
   SdpProblem sdp;
   sdp.num_free = num_free_scalars_;
   sdp.block_dims.resize(num_blocks_);

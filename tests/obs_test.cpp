@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "barrier/synthesis.hpp"
 #include "core/pipeline.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/metrics.hpp"
@@ -326,6 +327,49 @@ TEST_F(ObsTest, TracedPipelineEmitsAllStageSpansAndStaysDeterministic) {
   EXPECT_NE(r1.metrics_json.find("sdp.iterations"), std::string::npos);
   std::remove(cfg.obs.trace_path.c_str());
   std::remove(cfg.obs.metrics_path.c_str());
+}
+
+TEST_F(ObsTest, BarrierArmSpansHoldSosCompileAndTheGate) {
+  // xdot = -x on [-2, 2] with Theta = [|x| <= 0.5] and X_u = [|x| >= 1.5]:
+  // the first arm finds B ~ 1 - x^2, so its certificate reaches the gate.
+  Ccds sys;
+  sys.name = "toy";
+  sys.num_states = 1;
+  sys.num_controls = 1;
+  const Polynomial x = Polynomial::variable(2, 0);
+  const Polynomial u = Polynomial::variable(2, 1);
+  sys.open_field = {-x + u};
+  const Box box = Box::centered(1, 2.0);
+  sys.init_set = SemialgebraicSet::ball(Vec{0.0}, 0.5);
+  sys.domain = SemialgebraicSet::from_box(box);
+  sys.unsafe_set = SemialgebraicSet::outside_ball(Vec{0.0}, 1.5, box);
+  sys.control_bound = 1.0;
+  BarrierConfig config;
+  config.degree_schedule = {2};
+
+  trace_start(temp_path("scs_obs_barrier_trace.json"));
+  const BarrierResult result =
+      synthesize_barrier(sys, {Polynomial(1)}, config);
+  const std::vector<TraceEvent> events = trace_snapshot();
+  trace_stop();
+  trace_clear();
+  ASSERT_TRUE(result.success) << result.failure_reason;
+
+  // Every SOS compile and every gate check lies inside one barrier.arm span.
+  const auto inside_an_arm = [&](const TraceEvent& e) {
+    return std::any_of(events.begin(), events.end(), [&](const TraceEvent& a) {
+      return a.name.rfind("barrier.arm:", 0) == 0 && a.tid == e.tid &&
+             a.ts_ns <= e.ts_ns && e.ts_ns + e.dur_ns <= a.ts_ns + a.dur_ns;
+    });
+  };
+  int compiles = 0, gates = 0;
+  for (const TraceEvent& e : events) {
+    if (e.name != "sos.compile" && e.name != "barrier.gate") continue;
+    (e.name == "sos.compile" ? compiles : gates) += 1;
+    EXPECT_TRUE(inside_an_arm(e)) << e.name;
+  }
+  EXPECT_EQ(compiles, result.attempts);
+  EXPECT_EQ(gates, 1);
 }
 
 TEST_F(ObsTest, FullSynthesizeTracesRlStage) {

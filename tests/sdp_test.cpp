@@ -326,5 +326,68 @@ TEST(Sdp, PinnedCorpusIsBitIdentical) {
   }
 }
 
+/// One instance of the barrier program (12), built the way the barrier
+/// ladder builds its B-step: free B of degree 2 normalized at a point, a
+/// fixed lambda = -1, and three identities with SOS multipliers on Theta,
+/// Psi and X_u, over the 2-state field (x2, -x1 - x2 - x1^3). The
+/// identities have 6, 15 and 6 monomials, so the Schur complement is block
+/// diagonal with blocks at rows 0, 6 and 21 and the normalization row last.
+SdpProblem barrier_program() {
+  const std::size_t n = 2;
+  const Polynomial x1 = Polynomial::variable(n, 0);
+  const Polynomial x2 = Polynomial::variable(n, 1);
+  const Polynomial one = Polynomial::constant(n, 1.0);
+  const std::vector<Polynomial> field{x2, -x1 - x2 - x1 * x1 * x1};
+  const Polynomial theta = Polynomial::constant(n, 0.25) - x1 * x1 - x2 * x2;
+  const Polynomial psi = Polynomial::constant(n, 4.0) - x1 * x1 - x2 * x2;
+  const Polynomial dx = x1 - Polynomial::constant(n, 1.5);
+  const Polynomial unsafe = Polynomial::constant(n, 0.09) - dx * dx - x2 * x2;
+  const Polynomial lambda = Polynomial::constant(n, -1.0);
+
+  SosProgram prog(n);
+  const auto b = prog.add_free_poly(monomials_up_to(n, 2));
+  prog.add_point_constraint(b, Vec{0.1, -0.05}, 1.0);
+  // B - sigma theta - s0 == 0.
+  const auto sigma = prog.add_sos_poly(monomials_up_to(n, 0));
+  const auto s0 = prog.add_sos_poly(monomials_up_to(n, 1));
+  prog.add_identity(Polynomial(n),
+                    {{one, b, {}}, {-theta, sigma, {}}, {-one, s0, {}}});
+  // L_f B - lambda B - phi psi - rho - s1 == 0.
+  const auto phi = prog.add_sos_poly(monomials_up_to(n, 1));
+  const auto s1 = prog.add_sos_poly(monomials_up_to(n, 2));
+  prog.add_identity(Polynomial::constant(n, -0.01),
+                    {{field[0], b, 0},
+                     {field[1], b, 1},
+                     {-lambda, b, {}},
+                     {-psi, phi, {}},
+                     {-one, s1, {}}});
+  // -B - rho' - xi unsafe - s2 == 0.
+  const auto xi = prog.add_sos_poly(monomials_up_to(n, 0));
+  const auto s2 = prog.add_sos_poly(monomials_up_to(n, 1));
+  prog.add_identity(Polynomial::constant(n, -0.01),
+                    {{-one, b, {}}, {-unsafe, xi, {}}, {-one, s2, {}}});
+  return prog.compile();
+}
+
+// Recorded before the Schur complement was factored inside its envelope.
+constexpr std::uint64_t kSosBarrierDigest = 0x2f1aeca2e8f1efa7ull;
+
+TEST(Sdp, PinnedSosBarrierProgramIsBitIdentical) {
+  FaultInjector::instance().disarm();
+  const SdpProblem p = barrier_program();
+  ASSERT_EQ(p.constraints.size(), 28u);
+  ASSERT_EQ(p.num_free, 6u);
+  for (const simd::Kernel kernel : kernels_to_pin()) {
+    KernelGuard guard(kernel);
+    const SdpSolution sol = solve_sdp(p);
+    Fnv1a h;
+    hash_solution(h, sol);
+    EXPECT_EQ(h.digest(), kSosBarrierDigest)
+        << "kernel " << simd::active_kernel_name() << ": 0x" << std::hex
+        << h.digest() << std::dec << " status " << to_string(sol.status)
+        << " iterations " << sol.iterations << " restarts " << sol.restarts;
+  }
+}
+
 }  // namespace
 }  // namespace scs

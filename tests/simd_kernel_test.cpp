@@ -4,13 +4,16 @@
 // are bitwise identical: elementwise kernels never use FMA, and `dot` uses
 // the same four-lane accumulation in both implementations. These tests pin
 // that contract directly (kernel vs kernel over ragged lengths), for the
-// sample-blocked `dot_columns` against `dot` per column, and end-to-end (a
-// dense matmul forced through each path). The AVX2 halves
-// skip themselves on machines -- or SCS_SIMD=OFF builds -- without the
-// vector kernels, so the same test binary runs everywhere.
+// sample-blocked `dot_columns` against `dot` per column, for the MLP and
+// Adam kernels against the loops they replaced, and end-to-end (a dense
+// matmul forced through each path). The AVX2 halves skip themselves on
+// machines -- or SCS_SIMD=OFF builds -- without the vector kernels, so the
+// same test binary runs everywhere.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "math/mat.hpp"
@@ -206,6 +209,225 @@ TEST_F(SimdEquivalence, DotColumnsBitwiseIdenticalAcrossKernels) {
       EXPECT_TRUE(bits_equal(avx2.blocked, avx2.per_dot))
           << "AVX2 dot_columns != dot at n = " << n << ", cols = " << cols;
     }
+}
+
+// ---- The MLP and Adam kernels against the loops they replaced --------------
+//
+// Each kernel runs on the scalar kernel and, where available, on AVX2; both
+// must give exactly the bits of the reference loop, itself run on the same
+// kernel (the loops called axpy and add).
+
+std::vector<simd::Kernel> kernels_to_check() {
+  std::vector<simd::Kernel> kernels{simd::Kernel::kScalar};
+  if (simd::avx2_available()) kernels.push_back(simd::Kernel::kAvx2);
+  return kernels;
+}
+
+// Layer widths 1-9 (every tail of the eight- and four-wide tiles), 16 and
+// 64, and batches of 1-5 and 64 samples.
+constexpr std::size_t kLayerWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64};
+constexpr std::size_t kBatches[] = {1, 2, 3, 4, 5, 64};
+
+TEST(SimdKernels, DotRowsHasTheBitsOfDotPerRow) {
+  Rng rng(12);
+  for (const simd::Kernel kernel : kernels_to_check()) {
+    KernelGuard guard(kernel);
+    for (const std::size_t rows : kLayerWidths)
+      for (const std::size_t n : kLengths) {
+        const std::size_t lda = n + 3;  // rows of a wider matrix
+        const std::vector<double> a = random_doubles(rows * lda, rng);
+        const std::vector<double> y = random_doubles(n, rng);
+        std::vector<double> expected(rows), got(rows);
+        for (std::size_t r = 0; r < rows; ++r)
+          expected[r] = simd::dot(a.data() + r * lda, y.data(), n);
+        simd::dot_rows(got.data(), a.data(), lda, rows, y.data(), n);
+        EXPECT_TRUE(bits_equal(got, expected))
+            << simd::active_kernel_name() << ": rows " << rows << ", n " << n;
+      }
+  }
+}
+
+TEST(SimdKernels, OuterAccumulateHasTheBitsOfPerSampleAxpys) {
+  Rng rng(7);
+  for (const simd::Kernel kernel : kernels_to_check()) {
+    KernelGuard guard(kernel);
+    for (const std::size_t rows : kLayerWidths)
+      for (const std::size_t cols : kLayerWidths)
+        for (const std::size_t samples : kBatches) {
+          const std::vector<double> g0 = random_doubles(rows * cols, rng);
+          const std::vector<double> d = random_doubles(rows * samples, rng);
+          const std::vector<double> x = random_doubles(samples * cols, rng);
+          // The replaced loop: one axpy per sample and row.
+          std::vector<double> expected = g0;
+          for (std::size_t b = 0; b < samples; ++b)
+            for (std::size_t r = 0; r < rows; ++r)
+              simd::axpy(expected.data() + r * cols, d[r * samples + b],
+                         x.data() + b * cols, cols);
+          std::vector<double> got = g0;
+          simd::outer_accumulate(got.data(), d.data(), rows, x.data(), cols,
+                                 samples);
+          EXPECT_TRUE(bits_equal(got, expected))
+              << simd::active_kernel_name() << ": rows " << rows << ", cols "
+              << cols << ", samples " << samples;
+        }
+  }
+}
+
+TEST(SimdKernels, CombineRowsHasTheBitsOfLiveUnitAxpys) {
+  Rng rng(8);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const simd::Kernel kernel : kernels_to_check()) {
+    KernelGuard guard(kernel);
+    for (const std::size_t units : kLayerWidths)
+      for (const std::size_t n : kLayerWidths)
+        for (const std::size_t samples : kBatches) {
+          std::vector<double> w = random_doubles(units * n, rng);
+          std::vector<double> delta = random_doubles(units * samples, rng);
+          // Every third unit is dead in every sample, and a dead unit's row
+          // holds a NaN that a product with its zero gradient would spread.
+          for (std::size_t i = 0; i < units; i += 3) {
+            for (std::size_t b = 0; b < samples; ++b)
+              delta[i * samples + b] = 0.0;
+            w[i * n + n / 2] = nan;
+          }
+          for (std::size_t b = 0; b < samples; ++b) {
+            std::vector<std::size_t> live;
+            std::vector<double> coef;
+            for (std::size_t i = 0; i < units; ++i)
+              if (delta[i * samples + b] != 0.0) {
+                live.push_back(i);
+                coef.push_back(delta[i * samples + b]);
+              }
+            // The replaced loop: zero, then one axpy per live unit.
+            std::vector<double> expected(n, 0.0);
+            for (std::size_t t = 0; t < live.size(); ++t)
+              simd::axpy(expected.data(), coef[t], w.data() + live[t] * n, n);
+            std::vector<double> got(n, 0.0);
+            simd::combine_rows(got.data(), w.data(), n, live.data(),
+                               coef.data(), live.size());
+            EXPECT_TRUE(bits_equal(got, expected))
+                << simd::active_kernel_name() << ": units " << units
+                << ", n " << n << ", sample " << b;
+            for (const double v : got) EXPECT_TRUE(std::isfinite(v));
+          }
+        }
+  }
+}
+
+TEST(SimdKernels, CombineRowsAddsOntoOutInListOrder) {
+  // The back-substitution use: a nonzero start and rows listed in
+  // descending order, against one axpy per listed row.
+  Rng rng(13);
+  for (const simd::Kernel kernel : kernels_to_check()) {
+    KernelGuard guard(kernel);
+    for (const std::size_t units : kLayerWidths)
+      for (const std::size_t n : kLayerWidths) {
+        const std::vector<double> w = random_doubles(units * n, rng);
+        const std::vector<double> start = random_doubles(n, rng);
+        std::vector<std::size_t> rows;
+        std::vector<double> coef;
+        for (std::size_t i = units; i-- > 0;) {
+          rows.push_back(i);
+          coef.push_back(rng.normal());
+        }
+        std::vector<double> expected = start;
+        for (std::size_t t = 0; t < rows.size(); ++t)
+          simd::axpy(expected.data(), coef[t], w.data() + rows[t] * n, n);
+        std::vector<double> got = start;
+        simd::combine_rows(got.data(), w.data(), n, rows.data(), coef.data(),
+                           rows.size());
+        EXPECT_TRUE(bits_equal(got, expected))
+            << simd::active_kernel_name() << ": units " << units << ", n "
+            << n;
+      }
+  }
+}
+
+/// Pre-activations with the values that tell max() from a compare apart.
+std::vector<double> awkward_values(std::size_t n, Rng& rng) {
+  std::vector<double> v = random_doubles(n, rng);
+  const double specials[] = {0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::infinity(), -1e-310};
+  for (std::size_t i = 0; i < n; i += 2) v[i] = specials[(i / 2) % 6];
+  return v;
+}
+
+TEST(SimdKernels, BiasActivateHasTheBitsOfTheCompareLoop) {
+  Rng rng(9);
+  for (const simd::Kernel kernel : kernels_to_check()) {
+    KernelGuard guard(kernel);
+    for (const std::size_t n : kLengths)
+      for (const bool relu : {false, true}) {
+        const std::vector<double> pre0 = awkward_values(n, rng);
+        const double bias = n % 2 == 0 ? 0.0 : rng.normal();
+        // The replaced loop: add the bias, then `p > 0 ? p : 0` or a copy.
+        std::vector<double> pre_expected = pre0, post_expected(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          pre_expected[i] += bias;
+          const double p = pre_expected[i];
+          post_expected[i] = relu ? (p > 0.0 ? p : 0.0) : p;
+        }
+        std::vector<double> pre = pre0, post(n, 7.0);
+        simd::bias_activate(pre.data(), post.data(), bias, n, relu);
+        EXPECT_TRUE(bits_equal(pre, pre_expected))
+            << simd::active_kernel_name() << ": n " << n;
+        EXPECT_TRUE(bits_equal(post, post_expected))
+            << simd::active_kernel_name() << ": n " << n << ", relu " << relu;
+      }
+  }
+}
+
+TEST(SimdKernels, ReluGradHasTheBitsOfTheDerivativeProduct) {
+  Rng rng(10);
+  for (const simd::Kernel kernel : kernels_to_check()) {
+    KernelGuard guard(kernel);
+    for (const std::size_t n : kLengths) {
+      const std::vector<double> pre = awkward_values(n, rng);
+      std::vector<double> d0 = awkward_values(n, rng);
+      std::vector<double> expected = d0;
+      for (std::size_t i = 0; i < n; ++i)
+        expected[i] *= pre[i] > 0.0 ? 1.0 : 0.0;
+      std::vector<double> got = d0;
+      simd::relu_grad(got.data(), pre.data(), n);
+      EXPECT_TRUE(bits_equal(got, expected))
+          << simd::active_kernel_name() << ": n " << n;
+    }
+  }
+}
+
+TEST(SimdKernels, AdamUpdateHasTheBitsOfTheScalarStep) {
+  Rng rng(11);
+  simd::AdamStep step;
+  step.beta1 = 0.9;
+  step.beta2 = 0.999;
+  step.bias1 = 1.0 - std::pow(0.9, 3.0);
+  step.bias2 = 1.0 - std::pow(0.999, 3.0);
+  step.lr = 1e-3;
+  step.eps = 1e-8;
+  for (const simd::Kernel kernel : kernels_to_check()) {
+    KernelGuard guard(kernel);
+    for (const std::size_t n : kLengths) {
+      const std::vector<double> p0 = random_doubles(n, rng);
+      const std::vector<double> g = random_doubles(n, rng);
+      std::vector<double> m0 = random_doubles(n, rng), v0(n);
+      for (double& v : v0) v = std::fabs(rng.normal());
+      // The replaced loop (Adam::update before the kernel).
+      std::vector<double> p = p0, m = m0, v = v0;
+      for (std::size_t i = 0; i < n; ++i) {
+        m[i] = step.beta1 * m[i] + (1.0 - step.beta1) * g[i];
+        v[i] = step.beta2 * v[i] + (1.0 - step.beta2) * g[i] * g[i];
+        const double mhat = m[i] / step.bias1;
+        const double vhat = v[i] / step.bias2;
+        p[i] -= step.lr * mhat / (std::sqrt(vhat) + step.eps);
+      }
+      std::vector<double> pk = p0, mk = m0, vk = v0;
+      simd::adam_update(pk.data(), mk.data(), vk.data(), g.data(), n, step);
+      EXPECT_TRUE(bits_equal(pk, p)) << simd::active_kernel_name() << " " << n;
+      EXPECT_TRUE(bits_equal(mk, m)) << simd::active_kernel_name() << " " << n;
+      EXPECT_TRUE(bits_equal(vk, v)) << simd::active_kernel_name() << " " << n;
+    }
+  }
 }
 
 }  // namespace
