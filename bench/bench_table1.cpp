@@ -4,7 +4,9 @@
 // (set SCS_T1_EPISODES to change the budget); Algorithm 1 then runs with the
 // paper's parameters: eta = 1e-6, tau = 0.05, eps schedule
 // {0.1, 0.01, 0.001, 0.0001}, max degree 4, and the full Theorem-3 sample
-// counts (SCS_FAST=1 caps K at 20000 for a quick smoke run).
+// counts (SCS_FAST=1 caps K at 20000 for a quick smoke run; SCS_T1_MAXK=N
+// caps it at N). SCS_T1_EPISODES and SCS_T1_MAXK take a whole number >= 1;
+// any other value names the variable and exits 2 before training.
 //
 // Paper's reference rows (Table 1):
 //   d=1  eps=0.0001  K=356311  e=0.150963
@@ -12,18 +14,40 @@
 //   d=3  eps=0.001   K=49632   e=0.029328
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
+#include "../examples/cli_args.hpp"
 #include "core/report.hpp"
 #include "pac/pac_fit.hpp"
 #include "rl/ddpg.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
+namespace {
+
+int bad_env(const char* name, const char* value) {
+  std::cerr << name << " must be a whole number >= 1, not '" << value
+            << "'\n";
+  return 2;
+}
+
+}  // namespace
+
 int main() {
   using namespace scs;
   const bool fast = std::getenv("SCS_FAST") != nullptr;
-  const char* ep_env = std::getenv("SCS_T1_EPISODES");
-  const int episodes = ep_env ? std::atoi(ep_env) : (fast ? 40 : 250);
+  int episodes = fast ? 40 : 250;
+  if (const char* v = std::getenv("SCS_T1_EPISODES");
+      v != nullptr &&
+      !parse_int(v, 1, std::numeric_limits<int>::max(), episodes))
+    return bad_env("SCS_T1_EPISODES", v);
+  PacFitOptions opts;
+  if (const char* v = std::getenv("SCS_T1_MAXK");
+      v != nullptr &&
+      !parse_uint(v, 1, std::numeric_limits<std::uint64_t>::max(),
+                  opts.max_samples))
+    return bad_env("SCS_T1_MAXK", v);
+  if (fast) opts.max_samples = 20000;
 
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
   std::cout << "=== Table 1: Algorithm 1 on Example 1 (pendulum) ===\n";
@@ -54,10 +78,6 @@ int main() {
     return actor.forward(x)[0];
   };
 
-  PacFitOptions opts;
-  if (const char* maxk = std::getenv("SCS_T1_MAXK"); maxk != nullptr)
-    opts.max_samples = static_cast<std::uint64_t>(std::atoll(maxk));
-  if (fast) opts.max_samples = 20000;
   Rng pac_rng(7);
   Stopwatch pac_sw;
   const PacResult pac =

@@ -14,11 +14,15 @@
 //   SCS_T2_MAXK=N      cap the scenario sample count (eps is recomputed
 //                      honestly from the capped K, Theorem 3)
 //   SCS_SKIP_BASELINE=1  skip the nncontroller column
+// N is a whole number >= 1; any other value names the variable and exits 2
+// before training.
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <vector>
 
+#include "../examples/cli_args.hpp"
 #include "baseline/nncontroller.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
@@ -27,12 +31,37 @@
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
+namespace {
+
+int bad_env(const char* name, const char* value) {
+  std::cerr << name << " must be a whole number >= 1, not '" << value
+            << "'\n";
+  return 2;
+}
+
+}  // namespace
+
 int main() {
   using namespace scs;
   const bool fast = std::getenv("SCS_FAST") != nullptr;
   const char* only = std::getenv("SCS_BENCH");
-  const char* ep_env = std::getenv("SCS_T2_EPISODES");
   const bool skip_baseline = std::getenv("SCS_SKIP_BASELINE") != nullptr;
+
+  PipelineConfig cfg;
+  cfg.seed = 2024;
+  if (const char* v = std::getenv("SCS_T2_EPISODES");
+      v != nullptr &&
+      !parse_int(v, 1, std::numeric_limits<int>::max(), cfg.rl_episodes))
+    return bad_env("SCS_T2_EPISODES", v);
+  if (const char* v = std::getenv("SCS_T2_MAXK");
+      v != nullptr &&
+      !parse_uint(v, 1, std::numeric_limits<std::uint64_t>::max(),
+                  cfg.pac_fit.max_samples))
+    return bad_env("SCS_T2_MAXK", v);
+  if (fast) {
+    cfg.rl_episodes = (cfg.rl_episodes > 0) ? cfg.rl_episodes : 60;
+    cfg.pac_fit.max_samples = 10000;
+  }
 
   std::cout << "=== Table 2: performance evaluation (Poly.controller vs "
                "nncontroller) ===\n";
@@ -45,16 +74,6 @@ int main() {
     Benchmark bench = make_benchmark(id);
     if (only != nullptr && bench.name != only) continue;
     benchmarks.push_back(std::move(bench));
-  }
-
-  PipelineConfig cfg;
-  cfg.seed = 2024;
-  if (ep_env != nullptr) cfg.rl_episodes = std::atoi(ep_env);
-  if (const char* maxk = std::getenv("SCS_T2_MAXK"); maxk != nullptr)
-    cfg.pac_fit.max_samples = static_cast<std::uint64_t>(std::atoll(maxk));
-  if (fast) {
-    cfg.rl_episodes = (cfg.rl_episodes > 0) ? cfg.rl_episodes : 60;
-    cfg.pac_fit.max_samples = 10000;
   }
 
   // All systems fan out onto the pool at once (each one's inner stages also

@@ -43,11 +43,11 @@ int main() {
   bench.hidden_layers = {30, 30, 30};
   bench.rl = {150, 200, 0.02};
   bench.pac.tau = 0.05;
-  bench.barrier_degrees = {2, 4};
 
   // ---- 4. Synthesize.
   PipelineConfig config;
   config.seed = 42;
+  config.barrier.degree_schedule = {2, 4};  // barrier degrees d_B to try
   config.pac_fit.max_samples = 20000;
   const SynthesisResult result = synthesize(bench, config);
 

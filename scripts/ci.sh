@@ -26,7 +26,9 @@
 #   scripts/ci.sh cancel     # cancellation suite: the cancel-labeled
 #                            # job_context_test under tsan (jobs cancelled
 #                            # mid-solver must be data-race free) and in
-#                            # Release
+#                            # Release, ten times over (its mid-run
+#                            # deadline test times itself, so one pass
+#                            # says little about a timing flake)
 #   scripts/ci.sh simd       # SCS_SIMD=OFF build + full tests (the scalar
 #                            # fallback must stand alone), then the
 #                            # simd-labeled suite under ubsan so the
@@ -242,10 +244,10 @@ run_cancel() {
   cmake --build --preset tsan -j "${JOBS}" --target job_context_test
   ctest --preset tsan-cancel -j "${JOBS}" --output-on-failure
 
-  echo "==> Cancel-labeled tests in the Release tree"
+  echo "==> Cancel-labeled tests in the Release tree, ten times"
   cmake --preset default
   cmake --build --preset default -j "${JOBS}" --target job_context_test
-  (cd build && ctest -L cancel --output-on-failure)
+  (cd build && ctest -L cancel --repeat until-fail:10 --output-on-failure)
 }
 
 run_simd() {

@@ -15,11 +15,13 @@ namespace {
 /// thread count.
 constexpr std::size_t kRolloutChunk = 16;
 
+/// Significance level of the Hoeffding bound.
+constexpr double kEta = 1e-6;
+static_assert(kEta > 0.0 && kEta < 1.0, "estimate_safety: bad eta");
+
 McSafetyResult run_rollouts(const Ccds& system, const VectorField& field,
                             const McSafetyConfig& config, Rng& rng) {
   SCS_REQUIRE(config.rollouts > 0, "estimate_safety: need rollouts > 0");
-  SCS_REQUIRE(config.eta > 0.0 && config.eta < 1.0,
-              "estimate_safety: bad eta");
   McSafetyResult result;
   result.rollouts = config.rollouts;
   SimulateOptions opts;
@@ -49,7 +51,7 @@ McSafetyResult run_rollouts(const Ccds& system, const VectorField& field,
   result.violation_rate = static_cast<double>(result.violations) /
                           static_cast<double>(result.rollouts);
   const double hoeffding =
-      std::sqrt(std::log(1.0 / config.eta) /
+      std::sqrt(std::log(1.0 / kEta) /
                 (2.0 * static_cast<double>(result.rollouts)));
   result.violation_upper_bound = std::min(1.0, result.violation_rate +
                                                    hoeffding);

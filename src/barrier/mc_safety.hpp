@@ -14,8 +14,6 @@ struct McSafetyConfig {
   std::size_t rollouts = 1000;
   double dt = 0.01;
   std::size_t max_steps = 2000;
-  /// Significance level for the confidence interval.
-  double eta = 1e-6;
 };
 
 struct McSafetyResult {
@@ -24,7 +22,7 @@ struct McSafetyResult {
   double violation_rate = 0.0;
   /// One-sided Hoeffding upper confidence bound on the true violation
   /// probability: P(violation) <= violation_rate + sqrt(ln(1/eta)/(2N))
-  /// with confidence 1 - eta.
+  /// with confidence 1 - eta, eta = 1e-6 (mc_safety.cpp).
   double violation_upper_bound = 1.0;
 };
 

@@ -17,23 +17,11 @@
 
 namespace scs {
 
+/// The two settings a caller sets; the network sizes, loss margins, grid
+/// and seed are constants in nncontroller.cpp.
 struct NnControllerConfig {
-  std::vector<std::size_t> controller_hidden = {30};
-  std::vector<std::size_t> barrier_hidden = {30};
   int train_iterations = 4000;
-  std::size_t batch_per_set = 32;
-  double lr = 1e-3;
-  // Condition-loss margins.
-  double margin_init = 0.1;     // B >= margin on Theta
-  double margin_unsafe = 0.1;   // B <= -margin on X_u
-  double margin_lie = 0.02;     // dB/dt >= margin near {B ~ 0}
-  double lie_band = 0.3;        // Gaussian window width on |B|
-  double lie_dt = 0.02;         // finite-difference horizon for dB/dt
-  // Verification.
-  double grid_cell = 0.05;      // target grid spacing per axis
-  double verify_margin = 0.0;   // extra slack demanded at grid points
   double verify_budget_seconds = 60.0;
-  std::uint64_t seed = 11;
 };
 
 struct NnControllerResult {

@@ -38,38 +38,38 @@ class ObsRunScope {
   ObsConfig obs_;
 };
 
-/// A job's config after benchmark-driven normalization, done once per job
+/// A job's settings, derived once per job from the benchmark and the config
 /// and shared by the run path and the config-key computation (the two must
 /// agree, or the ledger identity of a run would drift from the key its
-/// artifacts are cached under).
+/// artifacts are cached under). Fast mode shrinks every budget for unit
+/// tests.
 struct NormalizedConfig {
   PipelineConfig cfg;
   PacSettings pac;
-  int episodes = 0;  // RL episode budget
+  DdpgConfig ddpg;
+  EnvConfig env;
+  int episodes = 0;       // RL training budget
+  int eval_episodes = 0;  // noise-free RL evaluation rollouts
+  ValidationConfig validation;
 };
 
 NormalizedConfig normalize_config(const Benchmark& benchmark,
                                   const PipelineConfig& config) {
-  NormalizedConfig job{config, benchmark.pac,
-                       (config.rl_episodes >= 0) ? config.rl_episodes
-                                                 : benchmark.rl.episodes};
-  PipelineConfig& cfg = job.cfg;
-  cfg.env.dt = benchmark.rl.dt;
-  cfg.env.max_steps = benchmark.rl.steps_per_episode;
-  cfg.ddpg.actor_hidden = benchmark.hidden_layers;
-  if (cfg.fast_mode) {
-    // Shrink every budget for unit tests.
+  const bool fast = config.fast_mode;
+  const auto steps =
+      static_cast<std::size_t>(benchmark.rl.steps_per_episode);
+  NormalizedConfig job{
+      config,
+      benchmark.pac,
+      DdpgConfig{benchmark.hidden_layers, fast ? 200u : 1000u},
+      EnvConfig{benchmark.rl.dt, fast ? std::min<std::size_t>(steps, 80)
+                                      : steps},
+      (config.rl_episodes >= 0) ? config.rl_episodes : benchmark.rl.episodes,
+      fast ? 5 : 25,
+      fast ? ValidationConfig{500, 5, 500} : ValidationConfig{}};
+  if (fast) {
     job.episodes = std::min(job.episodes, 20);
-    cfg.ddpg.warmup_steps = std::min<std::size_t>(cfg.ddpg.warmup_steps, 200);
-    cfg.env.max_steps = std::min<std::size_t>(cfg.env.max_steps, 80);
-    if (cfg.pac_fit.max_samples == 0) cfg.pac_fit.max_samples = 2000;
-    cfg.eval_episodes = std::min(cfg.eval_episodes, 5);
-    cfg.validation.samples_per_set =
-        std::min<std::size_t>(cfg.validation.samples_per_set, 500);
-    cfg.validation.simulation_rollouts =
-        std::min<std::size_t>(cfg.validation.simulation_rollouts, 5);
-    cfg.validation.simulation_steps =
-        std::min<std::size_t>(cfg.validation.simulation_steps, 500);
+    if (job.cfg.pac_fit.max_samples == 0) job.cfg.pac_fit.max_samples = 2000;
     job.pac.max_degree = std::min(job.pac.max_degree, 3);
   }
   return job;
@@ -85,8 +85,8 @@ std::uint64_t config_key_of(const Benchmark& benchmark,
     hash_append(identity, job.cfg.seed);
     return identity.digest();
   }
-  return rl_stage_key(benchmark, job.cfg.seed, job.cfg.ddpg, job.cfg.env,
-                      job.episodes, job.cfg.eval_episodes);
+  return rl_stage_key(benchmark, job.cfg.seed, job.ddpg, job.env,
+                      job.episodes, job.eval_episodes);
 }
 
 /// Final verdict: VERIFIED on success; the stop reason (CANCELLED /
@@ -208,12 +208,12 @@ void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
     if (!runner.run<RlStagePayload>(
             "rl", config_key, result.cache.rl, result.rl_seconds,
             [&] {
-              ControlEnv env(sys, cfg.env);
-              DdpgAgent agent(sys.num_states, sys.num_controls, cfg.ddpg,
+              ControlEnv env(sys, job.env);
+              DdpgAgent agent(sys.num_states, sys.num_controls, job.ddpg,
                               rng);
               agent.train(env, job.episodes, rng);
               RlStagePayload p;
-              p.eval = agent.evaluate(env, cfg.eval_episodes, rng);
+              p.eval = agent.evaluate(env, job.eval_episodes, rng);
               p.actor = agent.actor();
               p.dnn_structure = p.actor.structure_string();
               log_info("pipeline: RL eval safety rate ", p.eval.safety_rate);
@@ -276,8 +276,6 @@ void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
 
   // ---- Stage 3: barrier-certificate generation over the whole ladder.
   BarrierConfig barrier_cfg = cfg.barrier;
-  if (barrier_cfg.degree_schedule.empty())
-    barrier_cfg.degree_schedule = benchmark.barrier_degrees;
   barrier_cfg.seed = cfg.seed + 2000;
   barrier_cfg.control = runner.control;  // preempts mid-interior-point
   const std::uint64_t barrier_key = barrier_stage_key(pac_key, barrier_cfg);
@@ -300,7 +298,7 @@ void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
 
   // ---- Stage 4: independent validation.
   const std::uint64_t validation_key =
-      validation_stage_key(barrier_key, cfg.seed, cfg.validation);
+      validation_stage_key(barrier_key, cfg.seed, job.validation);
   if (!runner.run<ValidationStagePayload>(
           "validation", validation_key, result.cache.validation,
           result.validation_seconds,
@@ -308,7 +306,7 @@ void run_stages(const Benchmark& benchmark, const ControlLaw* external_law,
             Rng rng(cfg.seed + 3000);
             return ValidationStagePayload{validate_barrier(
                 sys, result.controller, result.barrier.barrier,
-                result.barrier.lambda, barrier_cfg.rho, cfg.validation, rng)};
+                result.barrier.lambda, barrier_cfg.rho, job.validation, rng)};
           },
           [&](ValidationStagePayload p) {
             result.validation = std::move(p.report);

@@ -38,21 +38,17 @@ struct ObsConfig {
 struct PipelineConfig {
   std::uint64_t seed = 1;
 
-  // Stage 1: RL. Episode budgets default to the benchmark's RlBudget;
-  // override with >= 0. Network sizes come from the benchmark definition.
-  DdpgConfig ddpg;
-  EnvConfig env;
+  // Stage 1: RL. The episode budget defaults to the benchmark's RlBudget;
+  // override with >= 0. The actor's hidden layers, the time step and the
+  // episode length come from the benchmark too, and the evaluation and
+  // validation budgets from fast_mode (pipeline.cpp).
   int rl_episodes = -1;
-  int eval_episodes = 25;
 
   // Stage 2: PAC approximation (settings come from the benchmark).
   PacFitOptions pac_fit;
 
   // Stage 3: barrier certificate.
   BarrierConfig barrier;
-
-  // Stage 4: validation.
-  ValidationConfig validation;
 
   /// Shrink every budget for unit tests (small K, few episodes).
   bool fast_mode = false;

@@ -66,87 +66,6 @@ inline bool use_avx2() {
   }
 }
 
-// The portable fallback doubles as the NEON path: on aarch64 NEON is
-// baseline, so the "scalar" kernels may use 128-bit intrinsics directly
-// (vmul + vadd, never vfma) while keeping the exact lane structure of the
-// AVX2 versions.
-#if defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-
-void axpy_scalar(double* y, double s, const double* x, std::size_t n) {
-  const float64x2_t vs = vdupq_n_f64(s);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i),
-                               vmulq_f64(vs, vld1q_f64(x + i))));
-  for (; i < n; ++i) y[i] += s * x[i];
-}
-
-void add_scalar(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i), vld1q_f64(x + i)));
-  for (; i < n; ++i) y[i] += x[i];
-}
-
-void sub_scalar(double* y, const double* x, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(y + i, vsubq_f64(vld1q_f64(y + i), vld1q_f64(x + i)));
-  for (; i < n; ++i) y[i] -= x[i];
-}
-
-void scale_scalar(double* y, double s, std::size_t n) {
-  const float64x2_t vs = vdupq_n_f64(s);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(y + i, vmulq_f64(vld1q_f64(y + i), vs));
-  for (; i < n; ++i) y[i] *= s;
-}
-
-double dot_scalar(const double* x, const double* y, std::size_t n) {
-  // Two 128-bit accumulators give the same four lanes as one AVX2 vector:
-  // acc01 holds lanes 0/1, acc23 holds lanes 2/3.
-  float64x2_t acc01 = vdupq_n_f64(0.0), acc23 = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc01 = vaddq_f64(acc01, vmulq_f64(vld1q_f64(x + i), vld1q_f64(y + i)));
-    acc23 = vaddq_f64(acc23,
-                      vmulq_f64(vld1q_f64(x + i + 2), vld1q_f64(y + i + 2)));
-  }
-  double l0 = vgetq_lane_f64(acc01, 0), l1 = vgetq_lane_f64(acc01, 1);
-  double l2 = vgetq_lane_f64(acc23, 0), l3 = vgetq_lane_f64(acc23, 1);
-  if (i < n) l0 += x[i] * y[i];
-  if (i + 1 < n) l1 += x[i + 1] * y[i + 1];
-  if (i + 2 < n) l2 += x[i + 2] * y[i + 2];
-  return (l0 + l1) + (l2 + l3);
-}
-
-void dot_columns_scalar(double* out, const double* w, std::size_t rows,
-                        std::size_t n, const double* x, std::size_t cols) {
-  // Two columns per 128-bit vector, one accumulator per dot lane; a last
-  // odd column runs duplicated in both halves and keeps half 0.
-  for (std::size_t r = 0; r < rows; ++r, w += n) {
-    for (std::size_t c = 0; c < cols; c += 2) {
-      const bool pair = c + 1 < cols;
-      float64x2_t lane[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0),
-                             vdupq_n_f64(0.0), vdupq_n_f64(0.0)};
-      for (std::size_t j = 0; j < n; ++j) {
-        const double* xj = x + j * cols + c;
-        const float64x2_t xv = pair ? vld1q_f64(xj) : vdupq_n_f64(*xj);
-        lane[j % 4] =
-            vaddq_f64(lane[j % 4], vmulq_f64(vdupq_n_f64(w[j]), xv));
-      }
-      const float64x2_t sum = vaddq_f64(vaddq_f64(lane[0], lane[1]),
-                                        vaddq_f64(lane[2], lane[3]));
-      out[r * cols + c] = vgetq_lane_f64(sum, 0);
-      if (pair) out[r * cols + c + 1] = vgetq_lane_f64(sum, 1);
-    }
-  }
-}
-
-#else  // plain scalar
-
 void axpy_scalar(double* y, double s, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += s * x[i];
 }
@@ -200,8 +119,6 @@ void dot_columns_scalar(double* out, const double* w, std::size_t rows,
     }
   }
 }
-
-#endif  // __ARM_NEON
 
 void dot_rows_scalar(double* out, const double* a, std::size_t lda,
                      std::size_t rows, const double* y, std::size_t n) {

@@ -8,11 +8,21 @@
 
 namespace scs {
 
-Adam::Adam(std::size_t parameter_count, const AdamConfig& config)
-    : config_(config), m_(parameter_count, 0.0), v_(parameter_count, 0.0) {
-  SCS_REQUIRE(config.lr > 0.0, "Adam: learning rate must be positive");
-  SCS_REQUIRE(config.beta1 >= 0.0 && config.beta1 < 1.0, "Adam: bad beta1");
-  SCS_REQUIRE(config.beta2 >= 0.0 && config.beta2 < 1.0, "Adam: bad beta2");
+namespace {
+
+// Kingma & Ba's defaults.
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+static_assert(kBeta1 >= 0.0 && kBeta1 < 1.0, "Adam: bad beta1");
+static_assert(kBeta2 >= 0.0 && kBeta2 < 1.0, "Adam: bad beta2");
+
+}  // namespace
+
+Adam::Adam(std::size_t parameter_count, double lr)
+    : lr_(lr), m_(parameter_count, 0.0), v_(parameter_count, 0.0) {
+  SCS_REQUIRE(lr > 0.0, "Adam: learning rate must be positive");
 }
 
 void Adam::step(Vec& params, const Vec& grad) {
@@ -36,12 +46,12 @@ void Adam::step(Mlp& net, const Vec& grad) {
 void Adam::update(double* params, const double* grad, std::size_t offset,
                   std::size_t n) {
   simd::AdamStep step;
-  step.beta1 = config_.beta1;
-  step.beta2 = config_.beta2;
-  step.bias1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  step.bias2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  step.lr = config_.lr;
-  step.eps = config_.eps;
+  step.beta1 = kBeta1;
+  step.beta2 = kBeta2;
+  step.bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  step.bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
+  step.lr = lr_;
+  step.eps = kEps;
   simd::adam_update(params, m_.begin() + offset, v_.begin() + offset, grad, n,
                     step);
 }

@@ -8,17 +8,11 @@ namespace scs {
 
 class Mlp;
 
-struct AdamConfig {
-  double lr = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
-};
-
-/// Stateful Adam on a fixed-size parameter vector.
+/// Stateful Adam on a fixed-size parameter vector. The learning rate is the
+/// one setting; beta1, beta2 and eps are Kingma & Ba's defaults (adam.cpp).
 class Adam {
  public:
-  Adam(std::size_t parameter_count, const AdamConfig& config = {});
+  Adam(std::size_t parameter_count, double lr);
 
   /// One update: params -= lr * mhat / (sqrt(vhat) + eps).
   void step(Vec& params, const Vec& grad);
@@ -28,14 +22,13 @@ class Adam {
   void step(Mlp& net, const Vec& grad);
 
   void reset();
-  const AdamConfig& config() const { return config_; }
 
  private:
   /// Steps params[0, n) with moment slots [offset, offset + n).
   void update(double* params, const double* grad, std::size_t offset,
               std::size_t n);
 
-  AdamConfig config_;
+  double lr_;
   Vec m_;
   Vec v_;
   long t_ = 0;

@@ -7,6 +7,10 @@
 namespace scs {
 
 namespace {
+
+/// A state whose norm passes this counts as diverged.
+constexpr double kDivergenceNorm = 1e6;
+
 bool is_finite(const Vec& x) {
   for (double v : x)
     if (!std::isfinite(v)) return false;
@@ -27,7 +31,7 @@ Trajectory simulate(const VectorField& field, const Vec& x0,
     x = rk4_step(field, x, options.dt);
     t += options.dt;
 
-    if (!is_finite(x) || x.norm() > options.divergence_norm) {
+    if (!is_finite(x) || x.norm() > kDivergenceNorm) {
       traj.stop = StopReason::kDiverged;
       break;
     }

@@ -14,7 +14,7 @@ namespace scs {
 enum class StopReason {
   kHorizonReached,  // simulated all requested steps
   kPredicate,       // user stop predicate fired (e.g. entered X_u)
-  kDiverged,        // state blew up (non-finite or norm overflow)
+  kDiverged,        // state blew up (non-finite, or ||x|| > 1e6)
 };
 
 struct Trajectory {
@@ -32,8 +32,7 @@ using StopPredicate = std::function<bool(const Vec&)>;
 struct SimulateOptions {
   double dt = 0.01;
   std::size_t max_steps = 1000;
-  double divergence_norm = 1e6;  // treat ||x|| beyond this as divergence
-  bool record = true;            // keep every state (else only first/last)
+  bool record = true;  // keep every state (else only first/last)
 };
 
 /// Fixed-step RK4 simulation of an autonomous field.

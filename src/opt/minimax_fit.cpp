@@ -262,4 +262,41 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
   return result;
 }
 
+MinimaxFitResult least_squares_fit(const Mat& design, const Vec& targets) {
+  SCS_REQUIRE(design.rows() >= 1 && design.cols() >= 1,
+              "least_squares_fit: empty problem");
+  SCS_REQUIRE(targets.size() == design.rows(),
+              "least_squares_fit: target size mismatch");
+  MinimaxFitResult out;
+  out.ok = false;
+  const std::size_t v = design.cols();
+  Mat g(v, v);
+  Vec rhs(v, 0.0);
+  for (std::size_t i = 0; i < design.rows(); ++i) {
+    const double* row = design.row_ptr(i);
+    for (std::size_t a = 0; a < v; ++a) {
+      rhs[a] += row[a] * targets[i];
+      for (std::size_t b = a; b < v; ++b) g(a, b) += row[a] * row[b];
+    }
+  }
+  for (std::size_t a = 0; a < v; ++a) {
+    g(a, a) += 1e-10;
+    for (std::size_t b = a + 1; b < v; ++b) g(b, a) = g(a, b);
+  }
+  const LinearSolveReport report = robust_solve_spd(g, rhs);
+  if (!report.ok()) {
+    out.coefficients = Vec(v, 0.0);
+    out.error = std::numeric_limits<double>::infinity();
+    out.note = "least-squares solve failed";
+    return out;
+  }
+  out.ok = true;
+  out.coefficients = report.x;
+  Vec r = targets;
+  r -= matvec(design, out.coefficients);
+  out.error = r.max_abs();
+  out.note = "least squares (no PAC guarantee)";
+  return out;
+}
+
 }  // namespace scs

@@ -48,4 +48,12 @@ struct MinimaxFitResult {
 MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
                              const JobControl* control = nullptr);
 
+/// Plain least squares on the same inputs: the normal equations with a
+/// 1e-10 ridge, solved by robust_solve_spd. `error` is the max |residual|
+/// over all samples; `ok` is false (error infinite) when even the robust
+/// solve fails. It minimizes the squared error, not the max error, so it
+/// carries no PAC guarantee: pac_fit falls back to it when the scenario
+/// program fails, and the Section 3.2 ablation compares against it.
+MinimaxFitResult least_squares_fit(const Mat& design, const Vec& targets);
+
 }  // namespace scs

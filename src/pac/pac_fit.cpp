@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "math/robust_solve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "opt/minimax_fit.hpp"
@@ -55,42 +54,6 @@ std::size_t drop_nonfinite_samples(Mat& design, Vec& targets) {
   return dropped;
 }
 
-/// Plain least-squares fallback for a failed scenario program: the
-/// degradation ladder's last rung before giving up on this (d, eps) attempt.
-MinimaxFitResult least_squares_fallback(const Mat& design,
-                                        const Vec& targets) {
-  MinimaxFitResult out;
-  out.ok = false;
-  const std::size_t v = design.cols();
-  Mat g(v, v);
-  Vec rhs(v, 0.0);
-  for (std::size_t i = 0; i < design.rows(); ++i) {
-    const double* row = design.row_ptr(i);
-    for (std::size_t a = 0; a < v; ++a) {
-      rhs[a] += row[a] * targets[i];
-      for (std::size_t b = a; b < v; ++b) g(a, b) += row[a] * row[b];
-    }
-  }
-  for (std::size_t a = 0; a < v; ++a) {
-    g(a, a) += 1e-10;
-    for (std::size_t b = a + 1; b < v; ++b) g(b, a) = g(a, b);
-  }
-  const LinearSolveReport report = robust_solve_spd(g, rhs);
-  if (!report.ok()) {
-    out.coefficients = Vec(v, 0.0);
-    out.error = std::numeric_limits<double>::infinity();
-    out.note = "least-squares fallback failed too";
-    return out;
-  }
-  out.ok = true;
-  out.coefficients = report.x;
-  Vec r = targets;
-  r -= matvec(design, out.coefficients);
-  out.error = r.max_abs();
-  out.note = "least-squares fallback (no PAC guarantee)";
-  return out;
-}
-
 }  // namespace
 
 PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
@@ -136,9 +99,9 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
       Stopwatch sw;
       PacTraceRow row;
       row.degree = d;
-      row.eta = settings.eta;
+      row.eta = kPacEta;
       row.eps = eps;
-      row.samples = scenario_sample_count(eps, settings.eta, kappa);
+      row.samples = scenario_sample_count(eps, kPacEta, kappa);
       row.samples_used = row.samples;
       row.eps_requested = eps;
       const char* cap_reason = nullptr;
@@ -159,8 +122,7 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
         // Recompute the honest error rate achievable with the capped count;
         // silently keeping the requested eps would invalidate the Theorem-3
         // PAC bound.
-        row.eps = scenario_eps_for_samples(row.samples_used, settings.eta,
-                                           kappa);
+        row.eps = scenario_eps_for_samples(row.samples_used, kPacEta, kappa);
         log_info("pac: d=", d, " truncated K ", row.samples, " -> ",
                  row.samples_used, " (", cap_reason, "); effective eps ",
                  row.eps, " vs requested ", row.eps_requested);
@@ -232,7 +194,7 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
           error_list.push_back(row.error);
           continue;
         }
-        row.eps = scenario_eps_for_samples(survived, settings.eta, kappa);
+        row.eps = scenario_eps_for_samples(survived, kPacEta, kappa);
       }
       MinimaxFitResult fit = minimax_fit(design, targets, options.control);
       if (!fit.ok && stop_requested(options.control)) {
@@ -249,7 +211,7 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
         // does not hold for this model.
         log_info("pac: d=", d, " minimax fit failed (", fit.note,
                  "); degrading to least-squares, PAC guarantee withdrawn");
-        fit = least_squares_fallback(design, targets);
+        fit = least_squares_fit(design, targets);
         row.degraded = true;
         row.eps = 1.0;
         if (metrics_enabled()) {
@@ -266,7 +228,7 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
                         : std::numeric_limits<double>::quiet_NaN();
       // check(error_list): |delta e| small => e has converged for this d.
       row.converged = error_list.size() >= 2 &&
-                      row.delta_e <= settings.delta_e_tol;
+                      row.delta_e <= kPacDeltaETol;
       // A degraded (least-squares) row can never be *accepted*: acceptance
       // is the PAC claim of Theorem 3, which the fallback does not carry.
       row.accepted =
@@ -285,7 +247,7 @@ PacResult pac_approximate(const ScalarFn& fn, const SemialgebraicSet& domain,
               .scale_vars(s_inv);  // back to x-coordinates
       degree_best.error = fit.error;
       degree_best.eps = row.eps;
-      degree_best.eta = settings.eta;
+      degree_best.eta = kPacEta;
       degree_best.samples = row.samples_used;
       degree_best.degree = d;
       degree_best.pac_valid = !row.degraded;

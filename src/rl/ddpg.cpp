@@ -12,27 +12,57 @@
 
 namespace scs {
 
+namespace {
+
+// Hyperparameters (Lillicrap et al. unless noted). hash_append below folds
+// each into the RL stage key, so changing one re-keys that stage.
+const std::vector<std::size_t> kCriticHidden = {64, 64};
+/// Hidden activation of the actor. The paper's Table 2 uses ReLU; tanh
+/// hidden layers give a C-infinity policy surface, which markedly lowers
+/// Algorithm 1's minimax error for the same control performance.
+constexpr Activation kActorHiddenActivation = Activation::kTanh;
+constexpr double kActorLr = 2e-4;
+constexpr double kCriticLr = 1e-3;
+/// L2 weight decay on the actor: biases the policy toward smooth, small-
+/// weight functions -- the kind a low-degree polynomial can PAC-model.
+constexpr double kActorWeightDecay = 1e-4;
+/// Max-norm constraint on each actor layer's Frobenius norm. Bounds the
+/// policy's global Lipschitz constant by the product of layer norms, which
+/// is what keeps Algorithm 1's minimax error small: a single sharp crease
+/// anywhere in Psi would dominate e.
+constexpr double kActorWeightNormCap = 0.9;
+constexpr double kGamma = 0.99;     // reward decay factor
+constexpr double kSoftTau = 0.005;  // target-network tracking rate
+constexpr std::size_t kBatchSize = 64;
+constexpr std::size_t kBufferCapacity = 100000;
+// Exploration: Ornstein-Uhlenbeck noise whose sigma decays per episode.
+constexpr double kNoiseSigma = 0.25;
+constexpr double kNoiseTheta = 0.15;
+constexpr double kNoiseDecayPerEpisode = 0.995;
+constexpr double kNoiseSigmaMin = 0.02;
+
+static_assert(kGamma > 0.0 && kGamma < 1.0, "gamma must be in (0, 1)");
+static_assert(kSoftTau > 0.0 && kSoftTau <= 1.0, "soft_tau must be in (0, 1]");
+static_assert(kBatchSize > 0, "an empty minibatch divides by zero");
+
+}  // namespace
+
 DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
                      const DdpgConfig& config, Rng& rng)
     : config_(config),
       state_dim_(state_dim),
       action_dim_(action_dim),
       actor_(state_dim, config.actor_hidden, action_dim,
-             config.actor_hidden_activation, Activation::kTanh, rng),
-      critic_(state_dim + action_dim, config.critic_hidden, 1,
-              Activation::kRelu, Activation::kIdentity, rng),
+             kActorHiddenActivation, Activation::kTanh, rng),
+      critic_(state_dim + action_dim, kCriticHidden, 1, Activation::kRelu,
+              Activation::kIdentity, rng),
       actor_target_(actor_),
       critic_target_(critic_),
-      actor_opt_(actor_.parameter_count(), {.lr = config.actor_lr}),
-      critic_opt_(critic_.parameter_count(), {.lr = config.critic_lr}),
-      buffer_(config.buffer_capacity),
-      noise_(action_dim, config.noise_theta, config.noise_sigma) {
+      actor_opt_(actor_.parameter_count(), kActorLr),
+      critic_opt_(critic_.parameter_count(), kCriticLr),
+      buffer_(kBufferCapacity),
+      noise_(action_dim, kNoiseTheta, kNoiseSigma) {
   SCS_REQUIRE(state_dim > 0 && action_dim > 0, "DdpgAgent: bad dimensions");
-  SCS_REQUIRE(config.gamma > 0.0 && config.gamma < 1.0,
-              "DdpgAgent: gamma must be in (0,1)");
-  SCS_REQUIRE(config.soft_tau > 0.0 && config.soft_tau <= 1.0,
-              "DdpgAgent: soft_tau must be in (0,1]");
-  SCS_REQUIRE(config.batch_size > 0, "DdpgAgent: batch_size must be positive");
   // Small final-layer initialization (Lillicrap et al.): keeps the tanh
   // actor out of saturation early, which otherwise collapses the policy to
   // a constant +-1 for hundreds of episodes.
@@ -40,18 +70,18 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
   critic_.scale_output_layer(0.1);
   actor_target_ = actor_;
   critic_target_ = critic_;
-  actor_batch_ = actor_.make_batch(config.batch_size);
-  critic_batch_ = critic_.make_batch(config.batch_size);
+  actor_batch_ = actor_.make_batch(kBatchSize);
+  critic_batch_ = critic_.make_batch(kBatchSize);
   actor_grad_ = Vec(actor_.parameter_count());
   critic_grad_ = Vec(critic_.parameter_count());
-  td_target_ = Vec(config.batch_size);
-  critic_dx_ = Mat(state_dim + action_dim, config.batch_size);
+  td_target_ = Vec(kBatchSize);
+  critic_dx_ = Mat(state_dim + action_dim, kBatchSize);
 }
 
 Vec DdpgAgent::act(const Vec& state) const { return actor_.forward(state); }
 
 void DdpgAgent::update_networks(Rng& rng) {
-  const std::size_t n = config_.batch_size;
+  const std::size_t n = kBatchSize;
   if (buffer_.size() < n) return;
   if (metrics_enabled()) {
     static Counter& updates = MetricsRegistry::instance().counter("rl.updates");
@@ -78,7 +108,7 @@ void DdpgAgent::update_networks(Rng& rng) {
   critic_target_.forward(critic_batch_);
   for (std::size_t b = 0; b < n; ++b) {
     double y = batch[b]->reward;
-    if (!batch[b]->done) y += config_.gamma * q(0, b);
+    if (!batch[b]->done) y += kGamma * q(0, b);
     td_target_[b] = y;
   }
   for (std::size_t b = 0; b < n; ++b) {
@@ -123,28 +153,22 @@ void DdpgAgent::update_networks(Rng& rng) {
   }
   actor_grad_.fill(0.0);
   actor_.backward(actor_batch_, &actor_grad_, nullptr);
-  if (config_.actor_weight_decay > 0.0) {
-    std::size_t offset = 0;
-    actor_.for_each_block([&](const double* params, std::size_t len) {
-      simd::axpy(actor_grad_.begin() + offset, config_.actor_weight_decay,
-                 params, len);
-      offset += len;
-    });
-  }
+  std::size_t offset = 0;
+  actor_.for_each_block([&](const double* params, std::size_t len) {
+    simd::axpy(actor_grad_.begin() + offset, kActorWeightDecay, params, len);
+    offset += len;
+  });
   actor_opt_.step(actor_, actor_grad_);
-  if (config_.actor_weight_norm_cap > 0.0) {
-    // Project each layer back into the Frobenius ball (max-norm constraint).
-    for (std::size_t k = 0; k < actor_.layer_count(); ++k) {
-      Mat& w = actor_.mutable_weight(k);
-      const double norm = w.frobenius_norm();
-      if (norm > config_.actor_weight_norm_cap)
-        w *= config_.actor_weight_norm_cap / norm;
-    }
+  // Project each layer back into the Frobenius ball (max-norm constraint).
+  for (std::size_t k = 0; k < actor_.layer_count(); ++k) {
+    Mat& w = actor_.mutable_weight(k);
+    const double norm = w.frobenius_norm();
+    if (norm > kActorWeightNormCap) w *= kActorWeightNormCap / norm;
   }
 
   // ---- Soft target tracking.
-  actor_target_.soft_update_from(actor_, config_.soft_tau);
-  critic_target_.soft_update_from(critic_, config_.soft_tau);
+  actor_target_.soft_update_from(actor_, kSoftTau);
+  critic_target_.soft_update_from(critic_, kSoftTau);
 }
 
 TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng) {
@@ -152,7 +176,7 @@ TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng) {
               "DdpgAgent::train: environment dimensions mismatch");
   TrainResult result;
   std::size_t global_step = 0;
-  double sigma = config_.noise_sigma;
+  double sigma = kNoiseSigma;
 
   for (int ep = 0; ep < episodes; ++ep) {
     TraceSpan episode_span("rl.episode");
@@ -176,17 +200,13 @@ TrainResult DdpgAgent::train(ControlEnv& env, int episodes, Rng& rng) {
       ++stats.steps;
       ++global_step;
 
-      if (global_step >= config_.warmup_steps) {
-        for (int k = 0; k < config_.updates_per_step; ++k)
-          update_networks(rng);
-      }
+      if (global_step >= config_.warmup_steps) update_networks(rng);
 
       if (sr.done) break;
       x = sr.next_state;
     }
     result.episodes.push_back(stats);
-    sigma = std::max(config_.noise_sigma_min,
-                     sigma * config_.noise_decay_per_episode);
+    sigma = std::max(kNoiseSigmaMin, sigma * kNoiseDecayPerEpisode);
     if ((ep + 1) % 50 == 0)
       log_info("ddpg: episode ", ep + 1, "/", episodes, " return ",
                stats.total_reward, (stats.violated ? " (violated)" : ""));
@@ -249,24 +269,26 @@ ControlLaw DdpgAgent::control_law(double control_bound) const {
 }
 
 
+// The constants keep their places and types from when they were config
+// fields, so stores written then still serve this build.
 void hash_append(Fnv1a& h, const DdpgConfig& c) {
   hash_append(h, c.actor_hidden);
-  hash_append(h, c.critic_hidden);
-  hash_append(h, static_cast<int>(c.actor_hidden_activation));
-  hash_append(h, c.actor_lr);
-  hash_append(h, c.critic_lr);
-  hash_append(h, c.actor_weight_decay);
-  hash_append(h, c.actor_weight_norm_cap);
-  hash_append(h, c.gamma);
-  hash_append(h, c.soft_tau);
-  hash_append(h, static_cast<std::uint64_t>(c.batch_size));
-  hash_append(h, static_cast<std::uint64_t>(c.buffer_capacity));
+  hash_append(h, kCriticHidden);
+  hash_append(h, static_cast<int>(kActorHiddenActivation));
+  hash_append(h, kActorLr);
+  hash_append(h, kCriticLr);
+  hash_append(h, kActorWeightDecay);
+  hash_append(h, kActorWeightNormCap);
+  hash_append(h, kGamma);
+  hash_append(h, kSoftTau);
+  hash_append(h, static_cast<std::uint64_t>(kBatchSize));
+  hash_append(h, static_cast<std::uint64_t>(kBufferCapacity));
   hash_append(h, static_cast<std::uint64_t>(c.warmup_steps));
-  hash_append(h, c.updates_per_step);
-  hash_append(h, c.noise_sigma);
-  hash_append(h, c.noise_theta);
-  hash_append(h, c.noise_decay_per_episode);
-  hash_append(h, c.noise_sigma_min);
+  hash_append(h, 1);  // updates per environment step
+  hash_append(h, kNoiseSigma);
+  hash_append(h, kNoiseTheta);
+  hash_append(h, kNoiseDecayPerEpisode);
+  hash_append(h, kNoiseSigmaMin);
 }
 
 }  // namespace scs

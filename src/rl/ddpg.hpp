@@ -2,11 +2,12 @@
 // Section 3.1 to train the auxiliary DNN controller u_RL.
 //
 // Actor: x -> tanh output in [-1,1]^m (scaled by the actuator bound at the
-// environment boundary), ReLU hidden layers -- the "n-30(5)-1" structures of
-// Table 2. Critic: (x, a) -> Q value, updated by the TD loss (5); actor
-// updated by the deterministic policy gradient (6); target networks follow
-// with soft updates. Each minibatch update runs as batched matrix math on
-// the calling thread (Mlp::Batch), with the bits of a per-sample loop.
+// environment boundary), tanh hidden layers in the "n-30(5)-1" structures
+// of Table 2, which uses ReLU (see ddpg.cpp). Critic: (x, a) -> Q value,
+// updated by the TD loss (5); actor updated by the deterministic policy
+// gradient (6); target networks follow with soft updates. Each minibatch
+// update runs as batched matrix math on the calling thread (Mlp::Batch),
+// with the bits of a per-sample loop.
 #pragma once
 
 #include <vector>
@@ -22,34 +23,11 @@ namespace scs {
 
 class Fnv1a;
 
+/// The two DDPG settings a caller sets; every other hyperparameter is a
+/// constant in ddpg.cpp.
 struct DdpgConfig {
   std::vector<std::size_t> actor_hidden = {30, 30, 30, 30, 30};
-  std::vector<std::size_t> critic_hidden = {64, 64};
-  /// Hidden activation of the actor. The paper's Table 2 uses ReLU; tanh
-  /// hidden layers give a C-infinity policy surface, which markedly lowers
-  /// Algorithm 1's minimax error for the same control performance.
-  Activation actor_hidden_activation = Activation::kTanh;
-  double actor_lr = 2e-4;
-  double critic_lr = 1e-3;
-  /// L2 weight decay on the actor: biases the policy toward smooth, small-
-  /// weight functions -- the kind a low-degree polynomial can PAC-model.
-  double actor_weight_decay = 1e-4;
-  /// Max-norm constraint on each actor layer's Frobenius norm (0 = off).
-  /// Bounds the policy's global Lipschitz constant by the product of layer
-  /// norms, which is what keeps Algorithm 1's minimax error small: a single
-  /// sharp ReLU crease anywhere in Psi would dominate e.
-  double actor_weight_norm_cap = 0.9;
-  double gamma = 0.99;       // reward decay factor, in (0, 1)
-  double soft_tau = 0.005;   // target-network tracking rate, in (0, 1]
-  std::size_t batch_size = 64;  // > 0
-  std::size_t buffer_capacity = 100000;
   std::size_t warmup_steps = 1000;  // uniform random actions before learning
-  int updates_per_step = 1;
-  // Exploration.
-  double noise_sigma = 0.25;
-  double noise_theta = 0.15;
-  double noise_decay_per_episode = 0.995;
-  double noise_sigma_min = 0.02;
 };
 
 void hash_append(Fnv1a& h, const DdpgConfig& c);
@@ -97,7 +75,6 @@ class DdpgAgent {
 
   const Mlp& actor() const { return actor_; }
   const Mlp& critic() const { return critic_; }
-  const DdpgConfig& config() const { return config_; }
 
  private:
   void update_networks(Rng& rng);
@@ -109,7 +86,7 @@ class DdpgAgent {
   Adam actor_opt_, critic_opt_;
   ReplayBuffer buffer_;
   OuNoise noise_;
-  // Minibatch workspaces, sized once for batch_size rows. The targets share
+  // Minibatch workspaces, sized once for the minibatch. The targets share
   // them with the nets they track: their results are read before the
   // learners' passes overwrite them.
   Mlp::Batch actor_batch_, critic_batch_;

@@ -17,8 +17,7 @@ ControlEnv::ControlEnv(const Ccds& system, const EnvConfig& config)
 }
 
 Vec ControlEnv::reset(Rng& rng) {
-  if (config_.restart_domain_fraction > 0.0 &&
-      rng.uniform01() < config_.restart_domain_fraction) {
+  if (rng.uniform01() < kRestartDomainFraction) {
     // Domain restart: anywhere in Psi (including the unsafe part -- the
     // policy must be well defined wherever the PAC stage will sample).
     state_ = system_.domain.sample(rng);
@@ -36,13 +35,12 @@ Vec ControlEnv::reset_from_init(Rng& rng) {
 
 double ControlEnv::reward_at(const Vec& x) const {
   const double dist = system_.unsafe_set.distance_to(x);
-  const double rhat = config_.beta1 * dist;
+  const double rhat = kRewardBeta1 * dist;
   if (!config_.use_belt_penalty) return rhat;
-  if (dist < config_.belt_delta) {
+  if (dist < kBeltDelta) {
     const double penalty =
-        (dist > 0.0)
-            ? std::min(config_.beta2 / dist, config_.penalty_cap)
-            : config_.penalty_cap;
+        (dist > 0.0) ? std::min(kRewardBeta2 / dist, kPenaltyCap)
+                     : kPenaltyCap;
     return rhat - penalty;
   }
   return rhat;
@@ -73,48 +71,40 @@ StepResult ControlEnv::step(const Vec& normalized_action) {
     // Outside the modeled domain: nothing sensible to learn there.
     out.violated = true;
     out.done = true;
-    out.reward = -config_.terminal_penalty;
+    out.reward = -kTerminalPenalty;
     if (finite) state_ = out.next_state;
     return out;
   }
-  if (in_unsafe) {
-    out.violated = true;
-    if (config_.terminate_on_violation) {
-      out.done = true;
-      out.reward = -config_.terminal_penalty;
-      state_ = out.next_state;
-      return out;
-    }
-    // Non-terminal violation: Eq. (4) already caps the reward at
-    // -Delta r_min here (dist = 0 lands in the belt branch).
-  }
+  // Entering X_u is a non-terminal violation: Eq. (4) already caps the
+  // reward at -Delta r_min there (dist = 0 lands in the belt branch).
+  out.violated = in_unsafe;
 
   out.reward = reward_at(out.next_state);
-  if (config_.action_penalty > 0.0) {
-    double a2 = 0.0;
-    for (double v : normalized_action)
-      a2 += std::clamp(v, -1.0, 1.0) * std::clamp(v, -1.0, 1.0);
-    out.reward -= config_.action_penalty * a2 /
-                  static_cast<double>(system_.num_controls);
-  }
+  double a2 = 0.0;
+  for (double v : normalized_action)
+    a2 += std::clamp(v, -1.0, 1.0) * std::clamp(v, -1.0, 1.0);
+  out.reward -=
+      kActionPenalty * a2 / static_cast<double>(system_.num_controls);
   out.done = steps_ >= config_.max_steps;
   state_ = out.next_state;
   return out;
 }
 
 
+// The constants keep their places and types from when they were config
+// fields, so stores written then still serve this build.
 void hash_append(Fnv1a& h, const EnvConfig& c) {
   hash_append(h, c.dt);
   hash_append(h, static_cast<std::uint64_t>(c.max_steps));
-  hash_append(h, c.beta1);
-  hash_append(h, c.beta2);
-  hash_append(h, c.belt_delta);
-  hash_append(h, c.penalty_cap);
+  hash_append(h, kRewardBeta1);
+  hash_append(h, kRewardBeta2);
+  hash_append(h, kBeltDelta);
+  hash_append(h, kPenaltyCap);
   hash_append(h, c.use_belt_penalty);
-  hash_append(h, c.action_penalty);
-  hash_append(h, c.restart_domain_fraction);
-  hash_append(h, c.terminal_penalty);
-  hash_append(h, c.terminate_on_violation);
+  hash_append(h, kActionPenalty);
+  hash_append(h, kRestartDomainFraction);
+  hash_append(h, kTerminalPenalty);
+  hash_append(h, false);  // unsafe entry never ends an episode
 }
 
 }  // namespace scs

@@ -7,9 +7,9 @@
 //   r_t = beta1 * dist(X_u, x_t)                       outside the belt
 //   r_t = rhat - min(beta2 / dist(X_u, x_t), dr_min)   inside the belt,
 //
-// with the paper's constants beta1 = 1, beta2 = 5, delta = 0.1. Episodes
-// additionally terminate (with a penalty) on entering X_u or leaving Psi --
-// a standard practical detail the paper leaves implicit.
+// with the paper's constants beta1 = 1, beta2 = 5, delta = 0.1 and
+// Delta r_min = 5. Episodes additionally terminate (with a penalty) on
+// leaving Psi -- a standard practical detail the paper leaves implicit.
 #pragma once
 
 #include "systems/ccds.hpp"
@@ -19,33 +19,33 @@ namespace scs {
 
 class Fnv1a;
 
+// Reward shaping, Eq. (4).
+inline constexpr double kRewardBeta1 = 1.0;
+inline constexpr double kRewardBeta2 = 5.0;
+inline constexpr double kBeltDelta = 0.1;
+inline constexpr double kPenaltyCap = 5.0;  // Delta r_min
+/// Quadratic action cost on the *normalized* action (standard practice in
+/// continuous control; keeps the learned policy smooth instead of
+/// bang-bang, which is what makes the PAC surrogate's error small).
+inline constexpr double kActionPenalty = 0.3;
+/// Fraction of episode restarts drawn uniformly from Psi instead of Theta
+/// (random-restart exploration). Algorithm 1 approximates the DNN over
+/// all of Psi, so the policy must be trained -- not just extrapolated --
+/// there. The paper's literal restarts are Theta-only.
+inline constexpr double kRestartDomainFraction = 0.5;
+/// Reward of the step that leaves Psi (or diverges), which ends the
+/// episode. Entering X_u *inside* Psi does not: the policy also learns
+/// meaningful (penalized, Eq. (4) caps the reward at -Delta r_min there)
+/// behaviour on the unsafe part of Psi -- which is what makes the DNN
+/// PAC-approximable over the whole domain that the scenario program (8)
+/// samples. Safety evaluation (DdpgAgent::evaluate) ends at the first
+/// violation on its own.
+inline constexpr double kTerminalPenalty = 10.0;
+
 struct EnvConfig {
   double dt = 0.02;
   std::size_t max_steps = 200;
-  // Reward shaping (Eq. 4).
-  double beta1 = 1.0;
-  double beta2 = 5.0;
-  double belt_delta = 0.1;
-  double penalty_cap = 5.0;  // Delta r_min
   bool use_belt_penalty = true;  // disabled by the reward-shaping ablation
-  /// Quadratic action cost on the *normalized* action (standard practice in
-  /// continuous control; keeps the learned policy smooth instead of
-  /// bang-bang, which is what makes the PAC surrogate's error small).
-  double action_penalty = 0.3;
-  /// Fraction of episode restarts drawn uniformly from Psi instead of Theta
-  /// (random-restart exploration). Algorithm 1 approximates the DNN over
-  /// all of Psi, so the policy must be trained -- not just extrapolated --
-  /// there. Set to 0 for the paper's literal Theta-only restarts.
-  double restart_domain_fraction = 0.5;
-  // Terminal handling. Leaving Psi (or diverging) always terminates with
-  // `terminal_penalty`. Entering X_u *inside* Psi is terminal only when
-  // `terminate_on_violation` is set: during training it is left off so the
-  // policy also learns meaningful (penalized, Eq. (4) caps the reward at
-  // -Delta r_min there) behaviour on the unsafe part of Psi -- which is what
-  // makes the DNN PAC-approximable over the whole domain that the scenario
-  // program (8) samples. Safety evaluation always ends at first violation.
-  double terminal_penalty = 10.0;
-  bool terminate_on_violation = false;
 };
 
 void hash_append(Fnv1a& h, const EnvConfig& c);
@@ -65,7 +65,7 @@ class ControlEnv {
   std::size_t action_dim() const { return system_.num_controls; }
 
   /// Reset for training: samples Theta, or Psi with probability
-  /// `restart_domain_fraction` (random-restart exploration).
+  /// kRestartDomainFraction (random-restart exploration).
   Vec reset(Rng& rng);
 
   /// Reset strictly from Theta (used for safety evaluation, Definition 1).
@@ -79,7 +79,6 @@ class ControlEnv {
   double reward_at(const Vec& x) const;
 
   const Ccds& system() const { return system_; }
-  const EnvConfig& config() const { return config_; }
   const Vec& state() const { return state_; }
 
  private:

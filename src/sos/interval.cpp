@@ -65,7 +65,8 @@ Interval interval_enclosure(const Polynomial& p, const Box& box) {
 }
 
 BoundResult prove_lower_bound(const Polynomial& p, const Box& box,
-                              double threshold, const BoundOptions& options) {
+                              double threshold) {
+  constexpr std::uint64_t kMaxBoxes = 100000;  // subdivision budget
   SCS_REQUIRE(p.num_vars() == box.dim(),
               "prove_lower_bound: dimension mismatch");
   BoundResult result;
@@ -73,7 +74,7 @@ BoundResult prove_lower_bound(const Polynomial& p, const Box& box,
 
   std::deque<Box> queue = {box};
   while (!queue.empty()) {
-    if (result.boxes_processed >= options.max_boxes) {
+    if (result.boxes_processed >= kMaxBoxes) {
       result.budget_exhausted = true;
       result.counterexample_region = queue.front();
       return result;
@@ -83,7 +84,7 @@ BoundResult prove_lower_bound(const Polynomial& p, const Box& box,
     queue.pop_front();
 
     const Interval range = interval_enclosure(p, cur);
-    if (range.lo >= threshold + options.slack) {
+    if (range.lo >= threshold) {
       result.certified_lower_bound =
           std::min(result.certified_lower_bound, range.lo);
       continue;  // this leaf is proven

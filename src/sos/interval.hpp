@@ -52,17 +52,11 @@ struct BoundResult {
   bool budget_exhausted = false;
 };
 
-struct BoundOptions {
-  std::uint64_t max_boxes = 100000;  // subdivision budget
-  double slack = 0.0;                // prove p >= threshold + slack strictly
-};
-
 /// Branch-and-bound proof that p >= threshold everywhere on the box.
 /// Subdivides along the widest axis until every leaf's interval enclosure
 /// clears the threshold, a leaf's midpoint refutes the claim, or the budget
-/// runs out.
+/// of 100000 boxes runs out.
 BoundResult prove_lower_bound(const Polynomial& p, const Box& box,
-                              double threshold,
-                              const BoundOptions& options = {});
+                              double threshold);
 
 }  // namespace scs

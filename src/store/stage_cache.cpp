@@ -42,7 +42,10 @@ void trace_store_event(const char* name) {
 /// SOS Gram tolerance (sos/sos_program.hpp) and the barrier program's rho',
 /// BMI rounds and identity tolerance (barrier/synthesis.hpp, .cpp) are
 /// constants that no key hashes: changing one changes answers, so it needs
-/// a bump here.
+/// a bump here. The RL and PAC stages need no revision for their constants:
+/// the DDPG, reward and Algorithm-1 constants (rl/ddpg.cpp, rl/env.hpp,
+/// systems/benchmarks.hpp) are hashed by hash_append of DdpgConfig,
+/// EnvConfig and PacSettings, so changing one re-keys its stage by itself.
 constexpr std::uint64_t kBarrierStageRevision = 3;
 
 /// Seed every stage key with the serialization format version and a stage
@@ -134,8 +137,8 @@ std::uint64_t rl_stage_key(const Benchmark& benchmark, std::uint64_t seed,
   Fnv1a h = stage_hasher(RlStagePayload::kKind);
   // Only what the RL stage consumes: the system content plus the resolved
   // ddpg/env/budget arguments below. Benchmark fields that feed later
-  // stages (pac settings, barrier degrees) are keyed by those stages, so
-  // tuning them does not needlessly invalidate trained actors.
+  // stages (the PAC settings) are keyed by those stages, so tuning them
+  // does not needlessly invalidate trained actors.
   hash_append(h, benchmark.name);
   hash_append(h, benchmark.ccds);
   hash_append(h, seed);

@@ -310,12 +310,14 @@ std::string benchmark_name(BenchmarkId id) {
 }
 
 
+// The constants keep their places from when they were settings, so stores
+// written then still serve this build.
 void hash_append(Fnv1a& h, const PacSettings& s) {
-  hash_append(h, s.eta);
+  hash_append(h, kPacEta);
   hash_append(h, s.tau);
   hash_append(h, s.max_degree);
   hash_append(h, s.eps_list);
-  hash_append(h, s.delta_e_tol);
+  hash_append(h, kPacDeltaETol);
 }
 
 void hash_append(Fnv1a& h, const RlBudget& b) {
@@ -330,7 +332,6 @@ void hash_append(Fnv1a& h, const Benchmark& b) {
   hash_append(h, b.ccds);
   hash_append(h, b.hidden_layers);
   hash_append(h, b.pac);
-  hash_append(h, b.barrier_degrees);
   hash_append(h, b.rl);
 }
 

@@ -31,13 +31,16 @@ enum class BenchmarkId {
   kGenerated,
 };
 
+/// Algorithm 1's significance level eta (paper: 1e-6 throughout).
+inline constexpr double kPacEta = 1e-6;
+/// Algorithm 1's |delta e| convergence criterion (paper: 1e-3).
+inline constexpr double kPacDeltaETol = 1e-3;
+
 /// PAC approximation settings (Algorithm 1 inputs) tuned per benchmark.
 struct PacSettings {
-  double eta = 1e-6;    // significance level (paper: 1e-6 throughout)
   double tau = 0.05;    // tolerable error threshold (paper: 0.05)
   int max_degree = 4;   // paper: 4
   std::vector<double> eps_list = {0.1, 0.01, 0.001, 0.0001};
-  double delta_e_tol = 0.001;  // |delta e| convergence criterion (paper)
 };
 
 /// RL training budget per benchmark (scaled down by fast mode).
@@ -53,7 +56,6 @@ struct Benchmark {
   Ccds ccds;
   std::vector<std::size_t> hidden_layers;  // e.g. {30,30,30,30,30}
   PacSettings pac;
-  std::vector<int> barrier_degrees = {2, 4};  // d_B schedule to attempt
   RlBudget rl;
 };
 

@@ -220,7 +220,6 @@ GeneratedSystem generate_with(const FamilyConfig& config, std::size_t index,
 
   bench.hidden_layers = config.hidden_layers;
   bench.pac.max_degree = config.pac_max_degree;
-  bench.barrier_degrees = config.barrier_degrees;
   bench.rl.episodes = config.rl_episodes;
   bench.rl.steps_per_episode = 150;
   bench.rl.dt = 0.02;
@@ -261,30 +260,6 @@ std::uint64_t generated_system_digest(const GeneratedSystem& sys) {
   hash_append(h, sys.benchmark);
   hash_append(h, sys.descriptor);
   return h.digest();
-}
-
-void hash_append(Fnv1a& h, const FamilyConfig& c) {
-  hash_append(h, c.seed);
-  hash_append(h, c.state_dims);
-  hash_append(h, static_cast<std::uint64_t>(c.num_controls));
-  hash_append(h, c.min_degree);
-  hash_append(h, c.max_degree);
-  hash_append(h, c.min_spectral_radius);
-  hash_append(h, c.max_spectral_radius);
-  hash_append(h, c.unstable_fraction);
-  hash_append(h, c.nonlinear_scale);
-  hash_append(h, c.nonlinear_density);
-  hash_append(h, c.theta_radius_lo);
-  hash_append(h, c.theta_radius_hi);
-  hash_append(h, c.shell_gap_lo);
-  hash_append(h, c.shell_gap_hi);
-  hash_append(h, c.box_margin);
-  hash_append(h, c.obstacle_fraction);
-  hash_append(h, c.control_bound);
-  hash_append(h, c.rl_episodes);
-  hash_append(h, c.pac_max_degree);
-  hash_append(h, c.barrier_degrees);
-  hash_append(h, c.hidden_layers);
 }
 
 void hash_append(Fnv1a& h, const FamilyDescriptor& d) {

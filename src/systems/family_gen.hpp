@@ -71,7 +71,6 @@ struct FamilyConfig {
   // Pipeline budgets for the generated benchmarks (fuzzing wants small).
   int rl_episodes = 60;
   int pac_max_degree = 3;
-  std::vector<int> barrier_degrees = {2, 4};
   std::vector<std::size_t> hidden_layers = {16, 16};
 };
 
@@ -115,7 +114,6 @@ std::vector<GeneratedSystem> generate_family(const FamilyConfig& config,
 /// the cross-process seed-stability fingerprint in the tests.
 std::uint64_t generated_system_digest(const GeneratedSystem& sys);
 
-void hash_append(Fnv1a& h, const FamilyConfig& c);
 void hash_append(Fnv1a& h, const FamilyDescriptor& d);
 
 }  // namespace scs

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -160,14 +161,24 @@ std::size_t g_pool_override = 0;  // parallel_threads() override; 0 = env
 
 std::size_t default_parallel_threads() {
   if (const char* env = std::getenv("SCS_THREADS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<std::size_t>(v);
+    if (const std::size_t width = parse_pool_width(env)) return width;
+    log_info("thread_pool: ignoring SCS_THREADS='", env,
+             "' (not a whole number in 1..256)");
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
 
 }  // namespace
+
+std::size_t parse_pool_width(const char* text) {
+  if (*text < '0' || *text > '9') return 0;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < 1 || v > 256) return 0;
+  return static_cast<std::size_t>(v);
+}
 
 ThreadPool& ThreadPool::global() {
   std::lock_guard<std::mutex> lk(g_pool_mu);

@@ -9,8 +9,9 @@
 // result bitwise-identical for 1, 2, or 16 threads.
 //
 // The global pool is created lazily; its size comes from the SCS_THREADS
-// environment variable (default: hardware concurrency). SCS_THREADS=1 runs
-// everything inline on the calling thread.
+// environment variable, a whole number in 1..256 (default, and for any
+// other value: hardware concurrency). SCS_THREADS=1 runs everything inline
+// on the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +52,11 @@ class ThreadPool {
 /// Total execution width of the global pool: workers + the calling thread
 /// (>= 1; 1 means serial execution).
 std::size_t parallel_threads();
+
+/// SCS_THREADS's pool width: the whole of `text` as a decimal integer in
+/// 1..256, else 0 (the caller keeps the hardware default). Every width gives
+/// the same bits, so the bound only guards against typos.
+std::size_t parse_pool_width(const char* text);
 
 /// Rebuild the global pool so that `parallel_threads()` == num_threads
 /// (0 restores the SCS_THREADS / hardware default). Joins the old workers;

@@ -29,9 +29,7 @@ Ccds integrator_system() {
 DdpgConfig small_config() {
   DdpgConfig cfg;
   cfg.actor_hidden = {16, 16};
-  cfg.critic_hidden = {16, 16};
   cfg.warmup_steps = 100;
-  cfg.batch_size = 32;
   return cfg;
 }
 
@@ -91,9 +89,7 @@ TEST(Ddpg, LearnsToStaySafeOnIntegrator) {
   env_cfg.dt = 0.05;
   env_cfg.max_steps = 100;
   ControlEnv env(sys, env_cfg);
-  DdpgConfig cfg = small_config();
-  cfg.noise_sigma = 0.3;
-  DdpgAgent agent(1, 1, cfg, rng);
+  DdpgAgent agent(1, 1, small_config(), rng);
   agent.train(env, 60, rng);
   const EvalResult eval = agent.evaluate(env, 20, rng);
   EXPECT_GE(eval.safety_rate, 0.9) << "mean return " << eval.mean_return;
@@ -111,24 +107,9 @@ TEST(Ddpg, EvaluateIsDeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(r1.safety_rate, r2.safety_rate);
 }
 
-TEST(Ddpg, RejectsBadConfig) {
+TEST(Ddpg, RejectsBadDimensions) {
   Rng rng(7);
-  DdpgConfig cfg = small_config();
-  cfg.gamma = 1.5;
-  EXPECT_THROW(DdpgAgent(1, 1, cfg, rng), PreconditionError);
   EXPECT_THROW(DdpgAgent(0, 1, small_config(), rng), PreconditionError);
-  // An empty minibatch would divide by zero in every update.
-  cfg = small_config();
-  cfg.batch_size = 0;
-  EXPECT_THROW(DdpgAgent(1, 1, cfg, rng), PreconditionError);
-  for (const double tau : {0.0, -0.1, 1.5, std::nan("")}) {
-    cfg = small_config();
-    cfg.soft_tau = tau;
-    EXPECT_THROW(DdpgAgent(1, 1, cfg, rng), PreconditionError) << tau;
-  }
-  cfg = small_config();
-  cfg.soft_tau = 1.0;  // hard target copy: allowed
-  EXPECT_NO_THROW(DdpgAgent(1, 1, cfg, rng));
 }
 
 // 2-D double integrator (x0' = x1, x1' = u): the actor's input is two wide
@@ -148,7 +129,7 @@ Ccds double_integrator_system() {
 }
 
 /// FNV digest of every actor and critic parameter after a short run: tanh
-/// actor, ReLU critic, batch 64, 312 minibatch updates. The 25-step
+/// actor, the 64-64 ReLU critic, batch 64, 312 minibatch updates. The 25-step
 /// episodes with coarse steps often leave Psi early (11 of 20 do), so
 /// many minibatches hold terminal rows.
 std::uint64_t trained_parameter_digest() {
@@ -159,8 +140,6 @@ std::uint64_t trained_parameter_digest() {
   ControlEnv env(double_integrator_system(), env_cfg);
   DdpgConfig cfg;
   cfg.actor_hidden = {9, 7};
-  cfg.critic_hidden = {13, 16};
-  cfg.batch_size = 64;
   cfg.warmup_steps = 64;
   DdpgAgent agent(2, 1, cfg, rng);
   agent.train(env, 20, rng);
@@ -170,10 +149,13 @@ std::uint64_t trained_parameter_digest() {
   return h.digest();
 }
 
-// Recorded with the per-sample update the batched one replaced: every
+// Recorded before the critic's shape, the batch size and the exploration
+// noise became constants, with them set to the values they now have: every
 // trained bit is pinned, on both kernel paths (and in SCS_SIMD=OFF builds,
-// where the default path is the scalar one).
-constexpr std::uint64_t kTrainedDigest = 0x3497e0f00bf52357ULL;
+// where the default path is the scalar one). The same build gave
+// 0x3497e0f00bf52357 with a 13-16 critic, the digest the per-sample update
+// the batched one replaced was pinned at.
+constexpr std::uint64_t kTrainedDigest = 0x7dd3cda547bec651ULL;
 
 TEST(Ddpg, TrainedParametersAreBitPinned) {
   EXPECT_EQ(trained_parameter_digest(), kTrainedDigest);

@@ -35,9 +35,8 @@ TEST(ControlEnv, ResetFromInitSamplesTheta) {
 }
 
 TEST(ControlEnv, TrainingResetMixesThetaAndDomain) {
-  EnvConfig cfg;
-  cfg.restart_domain_fraction = 0.5;
-  ControlEnv env(simple_system(), cfg);
+  // Half the training restarts come from Psi (kRestartDomainFraction).
+  ControlEnv env(simple_system(), {});
   Rng rng(1);
   int outside_theta = 0;
   for (int i = 0; i < 100; ++i)
@@ -94,32 +93,12 @@ TEST(ControlEnv, ActionClampedToUnitBox) {
   EXPECT_NEAR(sr.next_state[0] - x0[0], 0.1, 1e-9);
 }
 
-TEST(ControlEnv, TerminatesOnUnsafeEntryWhenConfigured) {
+TEST(ControlEnv, UnsafeEntryIsNonTerminal) {
+  // Entering X_u flags the violation but the episode continues with the
+  // Eq. (4) capped penalty (-Delta r_min), less the action cost at |a| = 1.
   EnvConfig cfg;
   cfg.dt = 0.5;
   cfg.max_steps = 1000;
-  cfg.terminate_on_violation = true;
-  ControlEnv env(simple_system(), cfg);
-  Rng rng(4);
-  env.reset(rng);
-  // Drive hard right until the trajectory crosses |x| = 2.
-  StepResult sr;
-  for (int i = 0; i < 20; ++i) {
-    sr = env.step(Vec{1.0});
-    if (sr.done) break;
-  }
-  EXPECT_TRUE(sr.done);
-  EXPECT_TRUE(sr.violated);
-  EXPECT_DOUBLE_EQ(sr.reward, -cfg.terminal_penalty);
-}
-
-TEST(ControlEnv, UnsafeEntryNonTerminalByDefault) {
-  // Training default: entering X_u flags the violation but the episode
-  // continues with the Eq. (4) capped penalty (-Delta r_min).
-  EnvConfig cfg;
-  cfg.dt = 0.5;
-  cfg.max_steps = 1000;
-  cfg.action_penalty = 0.0;  // keep the asserted rewards exact
   ControlEnv env(simple_system(), cfg);
   Rng rng(4);
   env.reset(rng);
@@ -130,17 +109,15 @@ TEST(ControlEnv, UnsafeEntryNonTerminalByDefault) {
   }
   EXPECT_TRUE(sr.violated);
   EXPECT_FALSE(sr.done);
-  EXPECT_DOUBLE_EQ(sr.reward, -cfg.penalty_cap);
+  EXPECT_DOUBLE_EQ(sr.reward, -kPenaltyCap - kActionPenalty);
   // Leaving Psi (|x| > 4) *is* terminal.
   for (int i = 0; i < 20 && !sr.done; ++i) sr = env.step(Vec{1.0});
   EXPECT_TRUE(sr.done);
-  EXPECT_DOUBLE_EQ(sr.reward, -cfg.terminal_penalty);
+  EXPECT_DOUBLE_EQ(sr.reward, -kTerminalPenalty);
 }
 
 TEST(ControlEnv, DomainRestartsCoverPsi) {
-  EnvConfig cfg;
-  cfg.restart_domain_fraction = 1.0;
-  ControlEnv env(simple_system(), cfg);
+  ControlEnv env(simple_system(), {});
   Rng rng(11);
   bool saw_outside_theta = false;
   for (int i = 0; i < 50; ++i) {
@@ -166,10 +143,10 @@ TEST(ControlEnv, TerminatesAtHorizon) {
 }
 
 TEST(ControlEnv, PaperConstantsAreDefaults) {
-  const EnvConfig cfg;
-  EXPECT_DOUBLE_EQ(cfg.beta1, 1.0);
-  EXPECT_DOUBLE_EQ(cfg.beta2, 5.0);
-  EXPECT_DOUBLE_EQ(cfg.belt_delta, 0.1);
+  EXPECT_DOUBLE_EQ(kRewardBeta1, 1.0);
+  EXPECT_DOUBLE_EQ(kRewardBeta2, 5.0);
+  EXPECT_DOUBLE_EQ(kBeltDelta, 0.1);
+  EXPECT_DOUBLE_EQ(kPenaltyCap, 5.0);
 }
 
 TEST(ControlEnv, RejectsWrongActionSize) {

@@ -75,9 +75,12 @@ TEST(FamilyGen, BitwiseIdenticalAcrossThreadCounts) {
 // and machines: any change to the draw order, the knob set, or the
 // numeric construction shows up here. Update the constant ONLY alongside a
 // deliberate format change (which orphans previously generated families).
+// Re-pinned once when Benchmark lost its unused barrier-degree schedule (was
+// e4cc1f48f8246ba5): the digest hashes the whole Benchmark, while each
+// system's dynamics, sets and descriptor are unchanged.
 TEST(FamilyGen, CrossProcessFingerprintIsStable) {
   const std::uint64_t digest = family_digest(generate_family(test_config(), 8));
-  EXPECT_EQ(hash_to_hex(digest), "e4cc1f48f8246ba5");
+  EXPECT_EQ(hash_to_hex(digest), "29b4fc06927a9201");
 }
 
 TEST(FamilyGen, DescriptorMatchesRealizedSystem) {
@@ -156,13 +159,11 @@ TEST(FamilyGen, TwoByTwoLinearizationHitsSpectralRadiusExactly) {
 // hash of the dynamics each suffice alone; this checks the end product --
 // pairwise-distinct RL stage keys (every downstream key folds the RL key).
 TEST(FamilyGen, StageKeysDisjointFromBuiltinBenchmarks) {
-  PipelineConfig config;
-  config.fast_mode = true;
+  const PipelineConfig config;
   std::set<std::uint64_t> keys;
   const auto add_key = [&](const Benchmark& bench) {
-    const std::uint64_t key =
-        rl_stage_key(bench, config.seed, config.ddpg, config.env,
-                     bench.rl.episodes, config.eval_episodes);
+    const std::uint64_t key = rl_stage_key(bench, config.seed, DdpgConfig{},
+                                           EnvConfig{}, bench.rl.episodes, 25);
     EXPECT_TRUE(keys.insert(key).second)
         << "stage-key collision for " << bench.name;
   };

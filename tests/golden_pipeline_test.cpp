@@ -55,7 +55,6 @@ Benchmark unstable_benchmark() {
   bench.ccds.unsafe_set = SemialgebraicSet::outside_ball(Vec{0.0}, 2.0, box);
   bench.ccds.control_bound = 3.0;
   bench.pac.max_degree = 2;
-  bench.barrier_degrees = {2};
   return bench;
 }
 

@@ -83,16 +83,15 @@ TEST(ProveLowerBound, NeedsSubdivisionForIndefiniteTerms) {
 TEST(ProveLowerBound, BudgetExhaustionIsReported) {
   // A claim whose infimum equals the threshold on a whole curve (the
   // diagonal) cannot close: enclosures of (x1 - x2)^2 on diagonal boxes
-  // never clear 0 strictly, and midpoints never refute.
+  // never clear 0 strictly, and midpoints never refute, so the subdivision
+  // runs through its whole 100000-box budget.
   const auto x1 = Polynomial::variable(2, 0);
   const auto x2 = Polynomial::variable(2, 1);
   const Polynomial p = (x1 - x2).pow(2);
-  BoundOptions opts;
-  opts.max_boxes = 8;
-  const BoundResult r = prove_lower_bound(p, Box::centered(2, 1.0), 0.0,
-                                          opts);
+  const BoundResult r = prove_lower_bound(p, Box::centered(2, 1.0), 0.0);
   EXPECT_FALSE(r.proven);
   EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_EQ(r.boxes_processed, 100000u);
 }
 
 TEST(ProveLowerBound, BarrierConditionUseCase) {

@@ -228,19 +228,29 @@ TEST(JobContextPipeline, MidRunDeadlinePreemptsBeforeCompletion) {
   // A deadline at a third of the job's own undisturbed run time must stop
   // it early at a stage or solver boundary with the DEADLINE verdict. The
   // job is timed first, so the premise holds however fast it gets; the
-  // store stays off so the timed run cannot warm the second one.
+  // store stays off so the timed run cannot warm the second one. When
+  // other processes slow the timed run, the rerun can return before its
+  // deadline passes: that attempt tested no mid-run deadline, so the job is
+  // timed again, up to three attempts. An attempt whose deadline passed
+  // during the run must end DEADLINE.
   PipelineConfig config = fast_config();
   config.store.mode = StoreConfig::Mode::kOff;
   const SynthesisJob job(make_benchmark(BenchmarkId::kC1), config);
-  Stopwatch full;
-  job.run();
-  JobControl control;
-  control.set_deadline_after(full.seconds() / 3.0);
-  JobContext ctx;
-  ctx.control = &control;
-  const SynthesisResult result = job.run(ctx);
-  EXPECT_FALSE(result.success);
-  EXPECT_EQ(result.verdict, "DEADLINE");
+  bool tested = false;
+  for (int attempt = 0; attempt < 3 && !tested; ++attempt) {
+    Stopwatch full;
+    job.run();
+    JobControl control;
+    control.set_deadline_after(full.seconds() / 3.0);
+    JobContext ctx;
+    ctx.control = &control;
+    const SynthesisResult result = job.run(ctx);
+    if (!control.deadline_expired()) continue;  // returned before it passed
+    tested = true;
+    EXPECT_FALSE(result.success);
+    EXPECT_EQ(result.verdict, "DEADLINE") << "attempt " << attempt;
+  }
+  EXPECT_TRUE(tested) << "every rerun returned before its deadline passed";
 }
 
 TEST(JobContextPipeline, IdleControlIsBitwiseNeutral) {

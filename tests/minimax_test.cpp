@@ -1,5 +1,6 @@
 // Tests for the discrete Chebyshev (minimax) fitter: exactness against
-// brute-force LP solutions and classical equioscillation cases.
+// brute-force LP solutions and classical equioscillation cases; and for the
+// least-squares fit beside it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "util/check.hpp"
 #include "opt/simplex.hpp"
 #include "poly/basis.hpp"
+#include "poly/polynomial.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -179,6 +181,70 @@ TEST(Minimax, SeededCubicFitIsBitIdentical) {
 
 TEST(Minimax, RejectsEmptyProblem) {
   EXPECT_THROW(minimax_fit(Mat(), Vec()), PreconditionError);
+}
+
+// ---- least_squares_fit: pac_fit's fallback and the Section 3.2 baseline.
+
+/// Design matrix of the monomials up to `degree` at `points`.
+Mat basis_design(const std::vector<Vec>& points, int degree) {
+  const auto basis = monomials_up_to(points.front().size(), degree);
+  Mat design(points.size(), basis.size());
+  for (std::size_t i = 0; i < points.size(); ++i)
+    design.set_row(i, evaluate_basis(basis, points[i]));
+  return design;
+}
+
+TEST(LeastSquares, RecoversExactPolynomial) {
+  Rng rng(1);
+  std::vector<Vec> pts;
+  Vec vals(100);
+  for (std::size_t i = 0; i < 100; ++i) {
+    Vec x(rng.uniform_vector(2, -1.0, 1.0));
+    vals[i] = 1.0 - 2.0 * x[0] + 0.5 * x[0] * x[1];
+    pts.push_back(std::move(x));
+  }
+  const MinimaxFitResult fit = least_squares_fit(basis_design(pts, 2), vals);
+  ASSERT_TRUE(fit.ok);
+  EXPECT_LT(fit.error, 1e-9);
+  const Polynomial p = Polynomial::from_coefficients(
+      monomials_up_to(2, 2), fit.coefficients);
+  EXPECT_NEAR(p.evaluate(Vec{0.5, 0.5}), 1.0 - 1.0 + 0.125, 1e-9);
+}
+
+TEST(LeastSquares, MinimizesSquaredErrorNotMaxError) {
+  // For a step-like target, least squares picks the mean behaviour; its max
+  // error is well above its RMSE -- the weakness Section 3.2 attributes to
+  // least-squares baselines, and why the fallback carries no PAC guarantee.
+  Rng rng(2);
+  std::vector<Vec> pts;
+  Vec vals(400);
+  for (std::size_t i = 0; i < 400; ++i) {
+    Vec x(rng.uniform_vector(1, -1.0, 1.0));
+    vals[i] = x[0] > 0.9 ? 1.0 : 0.0;  // rare spike
+    pts.push_back(std::move(x));
+  }
+  const Mat design = basis_design(pts, 1);
+  const MinimaxFitResult fit = least_squares_fit(design, vals);
+  ASSERT_TRUE(fit.ok);
+  Vec r = vals;
+  r -= matvec(design, fit.coefficients);
+  const double rmse = std::sqrt(dot(r, r) / 400.0);
+  EXPECT_GT(fit.error, 2.5 * rmse);
+}
+
+TEST(LeastSquares, DegreeZeroIsMean) {
+  const std::vector<Vec> pts = {Vec{0.0}, Vec{1.0}, Vec{2.0}};
+  const MinimaxFitResult fit =
+      least_squares_fit(basis_design(pts, 0), Vec{1.0, 2.0, 6.0});
+  ASSERT_TRUE(fit.ok);
+  EXPECT_NEAR(fit.coefficients[0], 3.0, 1e-9);
+  EXPECT_NEAR(fit.error, 3.0, 1e-9);
+}
+
+TEST(LeastSquares, RejectsBadInput) {
+  EXPECT_THROW(least_squares_fit(Mat(), Vec()), PreconditionError);
+  EXPECT_THROW(least_squares_fit(Mat(2, 1, 1.0), Vec{1.0}),
+               PreconditionError);
 }
 
 }  // namespace

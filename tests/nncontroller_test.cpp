@@ -12,8 +12,6 @@ namespace {
 NnControllerConfig fast_config() {
   NnControllerConfig cfg;
   cfg.train_iterations = 600;
-  cfg.batch_per_set = 16;
-  cfg.grid_cell = 0.2;
   cfg.verify_budget_seconds = 20.0;
   return cfg;
 }
@@ -60,32 +58,8 @@ TEST(NnController, FourDimensionsAlreadyTooExpensive) {
   const Benchmark bench = make_benchmark(BenchmarkId::kC4);
   NnControllerConfig cfg = fast_config();
   cfg.train_iterations = 50;
-  cfg.grid_cell = 0.05;  // Table-2-style resolution
   const NnControllerResult result = run_nncontroller(bench.ccds, cfg);
   EXPECT_FALSE(result.verified);
-}
-
-TEST(NnController, GridPointsScaleWithResolution) {
-  Ccds sys;
-  sys.name = "nn-1d";
-  sys.num_states = 1;
-  sys.num_controls = 1;
-  sys.open_field = {Polynomial::variable(2, 1) -
-                    Polynomial::variable(2, 0)};
-  const Box box = Box::centered(1, 1.0);
-  sys.init_set = SemialgebraicSet::ball(Vec{0.0}, 0.2);
-  sys.domain = SemialgebraicSet::from_box(box);
-  sys.unsafe_set = SemialgebraicSet::outside_ball(Vec{0.0}, 0.8, box);
-  sys.control_bound = 1.0;
-
-  NnControllerConfig coarse = fast_config();
-  coarse.train_iterations = 100;
-  coarse.grid_cell = 0.1;
-  NnControllerConfig fine = coarse;
-  fine.grid_cell = 0.01;
-  const auto r_coarse = run_nncontroller(sys, coarse);
-  const auto r_fine = run_nncontroller(sys, fine);
-  EXPECT_GT(r_fine.grid_points, 5 * r_coarse.grid_points);
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(Simulate, DetectsDivergence) {
   SimulateOptions opts;
   opts.dt = 0.5;
   opts.max_steps = 200;
-  opts.divergence_norm = 1e3;
+  // Past ||x|| = 1e6 on the second RK4 step.
   const Trajectory traj = simulate(f, Vec{2.0}, opts);
   EXPECT_EQ(traj.stop, StopReason::kDiverged);
 }

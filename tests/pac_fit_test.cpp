@@ -1,4 +1,9 @@
 // Tests for Algorithm 1: PAC polynomial approximation of a control law.
+//
+// PacFitOptions::max_design_bytes stays settable for one reason: the
+// design-matrix memory guard is a production path (a full Theorem-3 count
+// at eps = 1e-4 trips it), and a unit test reaches it only by lowering the
+// limit -- the same exception as BarrierConfig::max_sdp_constraints.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -73,7 +78,7 @@ TEST(PacFit, SampleCountsFollowTheorem3) {
   ASSERT_FALSE(result.trace.empty());
   const PacTraceRow& row = result.trace.front();
   EXPECT_EQ(row.samples,
-            scenario_sample_count(0.1, s.eta, pac_template_kappa(2, 1)));
+            scenario_sample_count(0.1, kPacEta, pac_template_kappa(2, 1)));
   EXPECT_EQ(row.samples, row.samples_used);
 }
 

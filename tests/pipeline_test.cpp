@@ -79,7 +79,6 @@ TEST(Pipeline, FullRlPipelineOnToyIntegrator) {
   bench.hidden_layers = {16, 16};
   bench.rl = {40, 80, 0.05};
   bench.pac.eps_list = {0.1, 0.05};
-  bench.barrier_degrees = {2};
 
   PipelineConfig cfg;
   cfg.fast_mode = true;

@@ -330,25 +330,25 @@ TEST(ArtifactStoreTest, GcReapsStaleLocksAndIgnoresOwnProcess) {
 
 TEST(StageKeys, ConfigAndSeedChangesRekey) {
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
-  PipelineConfig cfg;
-  const std::uint64_t base =
-      rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 100, 25);
-  EXPECT_NE(base, rl_stage_key(bench, 2, cfg.ddpg, cfg.env, 100, 25));
-  EXPECT_NE(base, rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 101, 25));
-  DdpgConfig ddpg2 = cfg.ddpg;
-  ddpg2.actor_lr *= 2.0;
-  EXPECT_NE(base, rl_stage_key(bench, 1, ddpg2, cfg.env, 100, 25));
+  const DdpgConfig ddpg;
+  const EnvConfig env;
+  const std::uint64_t base = rl_stage_key(bench, 1, ddpg, env, 100, 25);
+  EXPECT_NE(base, rl_stage_key(bench, 2, ddpg, env, 100, 25));
+  EXPECT_NE(base, rl_stage_key(bench, 1, ddpg, env, 101, 25));
+  DdpgConfig ddpg2 = ddpg;
+  ddpg2.warmup_steps /= 2;
+  EXPECT_NE(base, rl_stage_key(bench, 1, ddpg2, env, 100, 25));
   const Benchmark other = make_benchmark(BenchmarkId::kC2);
-  EXPECT_NE(base, rl_stage_key(other, 1, cfg.ddpg, cfg.env, 100, 25));
+  EXPECT_NE(base, rl_stage_key(other, 1, ddpg, env, 100, 25));
   // Same inputs -> same key (pure function of content).
-  EXPECT_EQ(base, rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 100, 25));
+  EXPECT_EQ(base, rl_stage_key(bench, 1, ddpg, env, 100, 25));
 }
 
 TEST(StageKeys, UpstreamChangePropagatesDownstream) {
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
   PipelineConfig cfg;
-  const std::uint64_t rl1 = rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 100, 25);
-  const std::uint64_t rl2 = rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 200, 25);
+  const std::uint64_t rl1 = rl_stage_key(bench, 1, {}, {}, 100, 25);
+  const std::uint64_t rl2 = rl_stage_key(bench, 1, {}, {}, 200, 25);
   const std::uint64_t pac1 = pac_stage_key(rl1, 1, bench.pac, cfg.pac_fit,
                                            bench.ccds.control_bound, 1);
   const std::uint64_t pac2 = pac_stage_key(rl2, 1, bench.pac, cfg.pac_fit,
@@ -357,8 +357,8 @@ TEST(StageKeys, UpstreamChangePropagatesDownstream) {
   const std::uint64_t bar1 = barrier_stage_key(pac1, cfg.barrier);
   const std::uint64_t bar2 = barrier_stage_key(pac2, cfg.barrier);
   EXPECT_NE(bar1, bar2);  // ... and the barrier stage
-  EXPECT_NE(validation_stage_key(bar1, 1, cfg.validation),
-            validation_stage_key(bar2, 1, cfg.validation));
+  EXPECT_NE(validation_stage_key(bar1, 1, {}),
+            validation_stage_key(bar2, 1, {}));
   // Stages with the same upstream and config agree.
   EXPECT_EQ(bar1, barrier_stage_key(pac1, cfg.barrier));
 }
@@ -372,10 +372,12 @@ TEST(StageKeys, BarrierRevisionMovesOnlyBarrierAndValidationKeys) {
   // barrier key moves again at every revision: 0x9e877907e22f6031 is the
   // revision-1 key, before SDP runs stopped at an infeasibility
   // certificate, and 0x2ad7e95dedbae30a the revision-2 key, whose payload
-  // still carried the portfolio-race fields.
+  // still carried the portfolio-race fields. The RL and PAC keys also hash
+  // the DDPG, reward and Algorithm-1 constants that were settings when
+  // they were pinned, in their old places.
   const Benchmark bench = make_benchmark(BenchmarkId::kC1);
   PipelineConfig cfg;
-  const std::uint64_t rl = rl_stage_key(bench, 1, cfg.ddpg, cfg.env, 100, 25);
+  const std::uint64_t rl = rl_stage_key(bench, 1, {}, {}, 100, 25);
   const std::uint64_t pac = pac_stage_key(rl, 1, bench.pac, cfg.pac_fit,
                                           bench.ccds.control_bound, 1);
   EXPECT_EQ(rl, 0x9f3f6b86b4aff4dbull);

@@ -140,5 +140,17 @@ TEST_F(ThreadPoolTest, ForkStreamsMatchesSequentialForks) {
   }
 }
 
+// SCS_THREADS takes a whole decimal number in 1..256; anything else means
+// the hardware default. Only the parse runs here: no pool is built from a
+// rejected value (100000 once started 99,999 workers).
+TEST(PoolWidth, ParsesWholeNumbersInRangeOnly) {
+  for (const char* bad : {"4x", "2.5", "1e3", "0", "-1", "", "257", "100000",
+                          "18446744073709551616", " 4", "+4"})
+    EXPECT_EQ(parse_pool_width(bad), 0u) << "'" << bad << "'";
+  EXPECT_EQ(parse_pool_width("1"), 1u);
+  EXPECT_EQ(parse_pool_width("4"), 4u);
+  EXPECT_EQ(parse_pool_width("256"), 256u);
+}
+
 }  // namespace
 }  // namespace scs
