@@ -1,11 +1,12 @@
 // E5 -- google-benchmark micro-benchmarks for the solver kernels backing
 // the pipeline: the scenario minimax fit (scaling in K and in the template
-// size v), the SOS/SDP stack (scaling in Gram block size, and one barrier
-// program of the size campaigns solve most), the DDPG
-// minibatch update, plus the polynomial kernels they are built on.
+// size v) and one of its exchange LPs, the SOS/SDP stack (scaling in Gram
+// block size, and one barrier program of the size campaigns solve most),
+// the DDPG minibatch update, plus the polynomial kernels they are built on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <limits>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "obs/ledger.hpp"
 #include "opt/minimax_fit.hpp"
 #include "opt/sdp.hpp"
+#include "opt/simplex.hpp"
 #include "poly/basis.hpp"
 #include "poly/lie.hpp"
 #include "rl/ddpg.hpp"
@@ -23,6 +25,7 @@
 #include "systems/benchmarks.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scs {
 namespace {
@@ -127,6 +130,49 @@ void BM_MinimaxFit_TemplateSweep(benchmark::State& state) {
 BENCHMARK(BM_MinimaxFit_TemplateSweep)
     ->DenseRange(1, 4)
     ->Unit(benchmark::kMillisecond);
+
+/// One support LP of the minimax exchange, solved cold in two phases as the
+/// exchange solves it: fast C1's template (v = 10 monomials of degree <= 3
+/// in two variables) at s uniform points, so 2s rows by 21 + 2s columns. The
+/// exchange's last rounds on fast C1 solve s = 270 (540 rows). `pivots` is
+/// the LP's pivot count, which the CI gate pins exactly, so the timing row
+/// measures the cost per pivot.
+void BM_SupportLp(benchmark::State& state) {
+  const std::size_t s = static_cast<std::size_t>(state.range(0));
+  const auto basis = monomials_up_to(2, 3);
+  const std::size_t v = basis.size();
+  Rng rng(31);
+  LpProblem lp;
+  lp.a = Mat(2 * s, 2 * v + 1 + 2 * s);
+  lp.b = Vec(2 * s);
+  lp.c = Vec(2 * v + 1 + 2 * s, 0.0);
+  lp.c[2 * v] = 1.0;
+  for (std::size_t k = 0; k < s; ++k) {
+    const Vec x(rng.uniform_vector(2, -1.0, 1.0));
+    const Vec phi = evaluate_basis(basis, x);
+    const double u = std::tanh(1.5 * x[0] - x[1]) + 0.3 * std::sin(3.0 * x[1]);
+    for (std::size_t j = 0; j < v; ++j) {
+      lp.a(2 * k, j) = phi[j];
+      lp.a(2 * k, v + j) = -phi[j];
+      lp.a(2 * k + 1, j) = -phi[j];
+      lp.a(2 * k + 1, v + j) = phi[j];
+    }
+    lp.a(2 * k, 2 * v) = -1.0;
+    lp.a(2 * k + 1, 2 * v) = -1.0;
+    lp.a(2 * k, 2 * v + 1 + 2 * k) = 1.0;
+    lp.a(2 * k + 1, 2 * v + 2 + 2 * k) = 1.0;
+    lp.b[2 * k] = u;
+    lp.b[2 * k + 1] = -u;
+  }
+  int pivots = 0;
+  for (auto _ : state) {
+    const LpSolution sol = solve_lp(lp);
+    pivots = sol.iterations;
+    benchmark::DoNotOptimize(sol.objective);
+  }
+  state.counters["pivots"] = pivots;
+}
+BENCHMARK(BM_SupportLp)->Arg(30)->Arg(270)->Unit(benchmark::kMillisecond);
 
 /// DDPG on C1's shapes (2-30x5-1 tanh actor, 3-64-64-1 ReLU critic, batch
 /// 64, warmup 64) for two episodes of at most 80 steps. From seed 8 they run
@@ -333,11 +379,15 @@ void BM_KernelMatmul(benchmark::State& state, simd::Kernel kernel) {
   Rng rng(22);
   const Mat a = random_mat(n, n, rng);
   const Mat b = random_mat(n, n, rng);
+  // The override is per thread, and a matmul this size hands row chunks to
+  // the pool's workers, which would run their default kernel: run serially.
+  set_parallel_threads(1);
   simd::set_kernel_override(kernel);
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul(a, b));
   }
   simd::set_kernel_override(simd::Kernel::kAuto);
+  set_parallel_threads(0);
 }
 BENCHMARK_CAPTURE(BM_KernelMatmul, scalar, simd::Kernel::kScalar)
     ->Arg(128)
@@ -362,6 +412,8 @@ void BM_KernelSpeedup_Matmul(benchmark::State& state) {
   const Mat b = random_mat(n, n, rng);
   double scalar_best = std::numeric_limits<double>::infinity();
   double avx2_best = std::numeric_limits<double>::infinity();
+  // Serial, so that both arms run on this thread under its kernel override.
+  set_parallel_threads(1);
   for (auto _ : state) {
     simd::set_kernel_override(simd::Kernel::kScalar);
     {
@@ -377,6 +429,7 @@ void BM_KernelSpeedup_Matmul(benchmark::State& state) {
     }
   }
   simd::set_kernel_override(simd::Kernel::kAuto);
+  set_parallel_threads(0);
   state.counters["speedup"] = scalar_best / avx2_best;
 }
 BENCHMARK(BM_KernelSpeedup_Matmul)->Unit(benchmark::kMicrosecond);

@@ -144,16 +144,17 @@ run_perf() {
   # determinism; bench_solvers emits google-benchmark JSON for a small,
   # stable subset (full sweeps stay in the manual bench workflow). The
   # kernel row carries the counter the baseline pins: SIMD matmul
-  # speedup >= 1.5. TemplateSweep/2 (K = 20,000, 15 basis terms) runs
-  # support LPs of a few hundred rows, so it is the row that catches a
-  # return to dense simplex pricing, which the tiny LPs of
-  # SamplesSweep/1000 cannot. DdpgTrain is 94 DDPG minibatch updates on
+  # speedup >= 1.5. SupportLp/270 solves one 540-row exchange LP with its
+  # pivot count pinned exactly, so a return to an O(m^2) pivot (about 6x
+  # slower there) fails its band; TemplateSweep/2 (K = 20,000, 15 basis
+  # terms) times the whole fit around smaller LPs, and SamplesSweep/1000
+  # the small-K fit. DdpgTrain is 94 DDPG minibatch updates on
   # C1's shapes, so a 2x slower update fails its band. SdpBarrierProgram
   # solves one 155-constraint barrier program, the size that dominates a
   # campaign's SDP time, so a 2x slower interior-point step fails its band.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
   ./build/bench/bench_solvers \
-      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_DdpgTrain$|BM_SdpBarrierProgram$' \
+      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_DdpgTrain$|BM_SdpBarrierProgram$|BM_SupportLp/270$' \
       --benchmark_format=json \
       --benchmark_out="${tmp}/BENCH_solvers.json" \
       --benchmark_out_format=json > /dev/null

@@ -267,14 +267,4 @@ double frob_inner(const Mat& a, const Mat& b) {
   return simd::dot(a.row_ptr(0), b.row_ptr(0), a.rows() * a.cols());
 }
 
-double max_abs_diff(const Mat& a, const Mat& b) {
-  SCS_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
-              "max_abs_diff: shape mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j)
-      m = std::max(m, std::fabs(a(i, j) - b(i, j)));
-  return m;
-}
-
 }  // namespace scs

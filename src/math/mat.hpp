@@ -99,7 +99,4 @@ Mat outer(const Vec& a, const Vec& b);
 /// <A, B> = sum_ij A_ij B_ij (Frobenius inner product).
 double frob_inner(const Mat& a, const Mat& b);
 
-/// Maximum absolute difference between two equally shaped matrices.
-double max_abs_diff(const Mat& a, const Mat& b);
-
 }  // namespace scs

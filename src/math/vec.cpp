@@ -111,14 +111,6 @@ Vec concat(const Vec& a, const Vec& b) {
   return out;
 }
 
-double max_abs_diff(const Vec& a, const Vec& b) {
-  SCS_REQUIRE(a.size() == b.size(), "max_abs_diff: size mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::fabs(a[i] - b[i]));
-  return m;
-}
-
 void hash_append(Fnv1a& h, const Vec& v) {
   hash_append(h, static_cast<std::uint64_t>(v.size()));
   for (std::size_t i = 0; i < v.size(); ++i) hash_append(h, v[i]);

@@ -79,9 +79,6 @@ Vec hadamard(const Vec& a, const Vec& b);
 /// Concatenate two vectors (used to feed [state; action] into the critic).
 Vec concat(const Vec& a, const Vec& b);
 
-/// Maximum absolute difference between two equally sized vectors.
-double max_abs_diff(const Vec& a, const Vec& b);
-
 /// Fold a vector into a cache-key digest (size, then raw IEEE-754 bits).
 void hash_append(Fnv1a& h, const Vec& v);
 

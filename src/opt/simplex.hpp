@@ -8,15 +8,30 @@
 // the C1 benchmark. The scenario programs themselves never reach this
 // solver directly.
 //
-// The basis inverse is dense and updated by elementary pivots. Everything
-// else follows the nonzeros of A: [A | I] is held column-compressed once
-// per solve, reduced costs sum y_i * a_ij over each column's nonzeros in
-// increasing row order, a unit entering column (slack or artificial) reads
-// its direction straight off B^{-1}, and basis membership is a flag per
-// column. Contract: on finite data this chooses the same entering and
-// leaving variable at every pivot and returns bit-identical x, dual, basis
-// and iterations as dense Dantzig pricing over the full matrix -- skipping
-// a structural zero only drops a +-0 term.
+// Everything follows the nonzeros of A and of B^{-1}: [A | I] is held
+// column-compressed once per solve, reduced costs sum y_i * a_ij over each
+// column's nonzeros in increasing row order, a single-nonzero entering
+// column (slack or artificial) reads its direction straight off B^{-1}, and
+// basis membership is a flag per column. The basis inverse is updated by
+// elementary pivots and kept as a scaled permutation plus its few dense
+// columns: a column of B^{-1} with one nonzero (column r while a e_r is
+// basic, a = +-1 for a slack or an artificial) is kept as that row and
+// value, the rest in an m x (dense columns) block, and the duals, the
+// direction, x_B and the update visit only the dense columns and each
+// row's one unit entry. The support LP has at most 2v + 1 dense columns,
+// so a pivot costs O(m (2v + 1)) rather than O(m^2). A column is counted
+// as unit only after a check that it has one nonzero: for a = +-1 that
+// always holds in floating point, for other a it need not.
+//
+// Contract: on finite data this chooses the same entering and leaving
+// variable at every pivot and returns bit-identical x, dual, basis and
+// iterations as dense Dantzig pricing over the full matrix with a dense
+// inverse. Skipping a structural zero of A or a zero of a unit column only
+// drops a +-0 term, and the dot products keep simd::dot's four lanes (lane
+// j sums the columns j mod 4 in ascending order, combined as
+// (l0 + l1) + (l2 + l3)), so every value matches on either kernel and in
+// the SCS_SIMD=OFF build. Signs of zeros inside B^{-1} may differ; no
+// comparison and no output reads them.
 #pragma once
 
 #include <vector>

@@ -301,28 +301,6 @@ PacVectorResult pac_approximate_vector(
   return out;
 }
 
-double empirical_violation_rate(const PacModel& model, const ScalarFn& fn,
-                                const SemialgebraicSet& domain,
-                                std::size_t samples, Rng& rng) {
-  SCS_REQUIRE(samples > 0, "empirical_violation_rate: need samples > 0");
-  std::vector<Rng> streams = rng.fork_streams(
-      (samples + kScenarioChunk - 1) / kScenarioChunk);
-  const std::size_t violations = parallel_reduce(
-      samples, kScenarioChunk, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        Rng& chunk_rng = streams[begin / kScenarioChunk];
-        std::size_t count = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vec x = domain.sample(chunk_rng);
-          if (std::fabs(model.poly.evaluate(x) - fn(x)) > model.error)
-            ++count;
-        }
-        return count;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; });
-  return static_cast<double>(violations) / static_cast<double>(samples);
-}
-
 
 void hash_append(Fnv1a& h, const PacFitOptions& o) {
   hash_append(h, o.max_samples);

@@ -111,11 +111,4 @@ PacVectorResult pac_approximate_vector(
     const SemialgebraicSet& domain, const PacSettings& settings, Rng& rng,
     const PacFitOptions& options = {});
 
-/// Empirical violation-rate estimate of a PAC model on held-out samples:
-/// fraction of fresh draws with |p(x) - u(x)| > model.error. By Theorem 3
-/// this should not significantly exceed model.eps.
-double empirical_violation_rate(const PacModel& model, const ScalarFn& fn,
-                                const SemialgebraicSet& domain,
-                                std::size_t samples, Rng& rng);
-
 }  // namespace scs

@@ -9,6 +9,8 @@
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
+#include "test_helpers.hpp"
+
 namespace scs {
 namespace {
 

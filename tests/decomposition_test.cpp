@@ -13,6 +13,8 @@
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
+#include "test_helpers.hpp"
+
 namespace scs {
 namespace {
 

@@ -9,6 +9,8 @@
 #include "nn/mlp.hpp"
 #include "util/check.hpp"
 
+#include "test_helpers.hpp"
+
 namespace scs {
 namespace {
 

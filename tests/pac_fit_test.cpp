@@ -12,6 +12,8 @@
 #include "pac/scenario.hpp"
 #include "util/check.hpp"
 
+#include "test_helpers.hpp"
+
 namespace scs {
 namespace {
 

@@ -15,6 +15,8 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
+#include "test_helpers.hpp"
+
 namespace scs {
 namespace {
 

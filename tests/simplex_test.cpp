@@ -8,6 +8,7 @@
 #include "math/simd.hpp"
 #include "obs/metrics.hpp"
 #include "opt/simplex.hpp"
+#include "poly/basis.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
@@ -222,9 +223,11 @@ void append_sum_row(LpProblem& lp, std::size_t src0, std::size_t src1) {
   lp.b = b;
 }
 
-/// The minimax exchange's support LP on s random samples of a v-term basis:
-/// dense coefficient columns, one unit slack per row.
-LpProblem support_lp(Rng& rng, std::size_t s, std::size_t v) {
+/// The minimax exchange's support LP (as `minimax_fit` builds it) over the
+/// rows of `design`: dense coefficient columns c+ and c-, the error column
+/// e, and one unit slack per row.
+LpProblem support_lp(const Mat& design, const Vec& targets) {
+  const std::size_t s = design.rows(), v = design.cols();
   LpProblem lp;
   const std::size_t ncols = 2 * v + 1 + 2 * s;
   lp.a = Mat(2 * s, ncols);
@@ -232,9 +235,8 @@ LpProblem support_lp(Rng& rng, std::size_t s, std::size_t v) {
   lp.c = Vec(ncols, 0.0);
   lp.c[2 * v] = 1.0;
   for (std::size_t k = 0; k < s; ++k) {
-    const double u = rng.uniform(-1.0, 1.0);
     for (std::size_t j = 0; j < v; ++j) {
-      const double phi = j == 0 ? 1.0 : rng.uniform(-1.0, 1.0);
+      const double phi = design(k, j);
       lp.a(2 * k, j) = phi;
       lp.a(2 * k, v + j) = -phi;
       lp.a(2 * k + 1, j) = -phi;
@@ -244,10 +246,22 @@ LpProblem support_lp(Rng& rng, std::size_t s, std::size_t v) {
     lp.a(2 * k + 1, 2 * v) = -1.0;
     lp.a(2 * k, 2 * v + 1 + 2 * k) = 1.0;
     lp.a(2 * k + 1, 2 * v + 2 + 2 * k) = 1.0;
-    lp.b[2 * k] = u;
-    lp.b[2 * k + 1] = -u;
+    lp.b[2 * k] = targets[k];
+    lp.b[2 * k + 1] = -targets[k];
   }
   return lp;
+}
+
+/// Support LP on s random samples of a v-term basis whose first term is 1.
+LpProblem support_lp(Rng& rng, std::size_t s, std::size_t v) {
+  Mat design(s, v);
+  Vec targets(s);
+  for (std::size_t k = 0; k < s; ++k) {
+    targets[k] = rng.uniform(-1.0, 1.0);
+    for (std::size_t j = 0; j < v; ++j)
+      design(k, j) = j == 0 ? 1.0 : rng.uniform(-1.0, 1.0);
+  }
+  return support_lp(design, targets);
 }
 
 /// Fifty seeded LPs: feasible sparse ones, minimax support LPs, degenerate
@@ -346,6 +360,163 @@ TEST(Simplex, PinnedCorpusIsBitIdentical) {
     EXPECT_EQ(unbounded, 6);
     EXPECT_GE(artificial_basic, 1);
   }
+}
+
+/// The support LP at the exchange's real size: fast C1's template (v = 10
+/// monomials of degree <= 3 in two variables) at s uniform points of
+/// [-1, 1]^2 with a smooth target, so 2s rows and 21 + 2s columns.
+LpProblem exchange_lp(std::uint64_t seed, std::size_t s) {
+  Rng rng(seed);
+  const auto basis = monomials_up_to(2, 3);
+  Mat design(s, basis.size());
+  Vec targets(s);
+  for (std::size_t k = 0; k < s; ++k) {
+    const Vec x(rng.uniform_vector(2, -1.0, 1.0));
+    design.set_row(k, evaluate_basis(basis, x));
+    targets[k] = std::tanh(1.5 * x[0] - x[1]) + 0.3 * std::sin(3.0 * x[1]);
+  }
+  return support_lp(design, targets);
+}
+
+/// A 10-row LP whose Phase I makes 11 pivots and ends with structural
+/// columns basic. Capped at 16 pivots per phase, its Phase II reaches the cap
+/// after 16 Dantzig pivots and is rerun under Bland's rule from the phase's
+/// starting basis, a B^{-1} that is not the identity; the rerun reaches the
+/// optimum in 16 more (43 pivots in all, 28 uncapped).
+LpProblem bland_rerun_lp() {
+  Rng rng(10189);
+  const std::size_t m = 6 + rng.index(10);
+  return feasible_lp(rng, m, 3 * m + rng.index(20), 0.5, false, true);
+}
+
+/// `base` with one single-nonzero column a e_r appended per value a, each in
+/// a random row r and priced at -1.
+LpProblem with_single_nonzero_columns(Rng& rng, const LpProblem& base,
+                                      const std::vector<double>& values) {
+  const std::size_t rows = base.a.rows(), cols = base.a.cols();
+  LpProblem lp;
+  lp.a = Mat(rows, cols + values.size());
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) lp.a(i, j) = base.a(i, j);
+  for (std::size_t e = 0; e < values.size(); ++e)
+    lp.a(rng.index(rows), cols + e) = values[e];
+  lp.b = base.b;
+  lp.c = Vec(cols + values.size());
+  for (std::size_t j = 0; j < cols; ++j) lp.c[j] = base.c[j];
+  for (std::size_t e = 0; e < values.size(); ++e) lp.c[cols + e] = -1.0;
+  return lp;
+}
+
+/// An integer LP with columns 2 e_r and 3 e_r' appended. The 2 column enters
+/// twice while its row's column of B^{-1} is dense; after each pivot that
+/// column of B^{-1} is -0.5 e_leave: one nonzero, but not a signed unit
+/// vector, so its value cannot be assumed to be +-1.
+LpProblem scaled_unit_lp() {
+  Rng rng(9002);
+  const std::size_t m = 4 + rng.index(4);
+  const LpProblem base =
+      feasible_lp(rng, m, m + 3 + rng.index(5), 0.6, true, true);
+  return with_single_nonzero_columns(rng, base, {2.0, 3.0});
+}
+
+/// An LP with columns 3 e_r, 0.7 e_r' and -1.3 e_r'' appended. When such a
+/// column enters, its row's column of B^{-1} is (1/a) e_leave only up to
+/// rounding residues in other rows, which here reach the answer's bits: a
+/// solver that took the column for a unit one without checking every row
+/// moves this digest.
+LpProblem residue_lp() {
+  Rng rng(20001);
+  const std::size_t m = 4 + rng.index(8);
+  const LpProblem base =
+      feasible_lp(rng, m, m + 3 + rng.index(8), 0.6, false, true);
+  return with_single_nonzero_columns(rng, base, {3.0, 0.7, -1.3});
+}
+
+TEST(Simplex, DenseColumnsCountTheNonUnitColumnsOfTheInverse) {
+  // Every column of this LP is a unit column (x_i and the slack s_i both
+  // e_i), so every basis it visits keeps B^{-1} a signed permutation: the
+  // counter stays 0 while pivots are made. On the support LP the 2v + 1
+  // coefficient and error columns enter, and each pivot treats at most
+  // that many columns of B^{-1} as dense.
+  LpProblem unit;
+  unit.a = Mat(3, 6);
+  for (std::size_t i = 0; i < 3; ++i) {
+    unit.a(i, i) = 1.0;
+    unit.a(i, 3 + i) = 1.0;
+  }
+  unit.b = Vec{1.0, 2.0, 3.0};
+  unit.c = Vec{-1.0, -2.0, -3.0, 0.0, 0.0, 0.0};
+  const LpProblem support = exchange_lp(7001, 30);
+
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  const Counter& pivots = MetricsRegistry::instance().counter("simplex.pivots");
+  const Counter& dense =
+      MetricsRegistry::instance().counter("simplex.dense_columns");
+  const std::uint64_t pivots0 = pivots.value(), dense0 = dense.value();
+  const LpSolution unit_sol = solve_lp(unit);
+  const std::uint64_t pivots1 = pivots.value(), dense1 = dense.value();
+  const LpSolution support_sol = solve_lp(support);
+  const std::uint64_t pivots2 = pivots.value(), dense2 = dense.value();
+  set_metrics_enabled(was_enabled);
+
+  ASSERT_EQ(unit_sol.status, LpStatus::kOptimal);
+  EXPECT_NEAR(unit_sol.objective, -14.0, 1e-12);
+  EXPECT_GT(pivots1 - pivots0, 0u);
+  EXPECT_EQ(dense1 - dense0, 0u);
+
+  ASSERT_EQ(support_sol.status, LpStatus::kOptimal);
+  const std::uint64_t support_pivots = pivots2 - pivots1;
+  EXPECT_EQ(support_pivots, 116u);
+  EXPECT_GT(dense2 - dense1, 0u);
+  EXPECT_LE(dense2 - dense1, 21 * support_pivots);
+}
+
+// Recorded from the dense-inverse solver, under both kernels.
+constexpr std::uint64_t kExchangeDigest = 0xedf19c30544d55efull;
+
+TEST(Simplex, PinnedExchangeSizedLpsAreBitIdentical) {
+  // Support LPs of 60, 220 and 540 rows reach what the 24-row corpus above
+  // cannot: dozens of dense columns in B^{-1} and unit columns that re-enter
+  // after leaving. The other cases rerun Phase II from a B^{-1} that is not
+  // the identity, and enter single-nonzero columns that are not +-1.
+  struct Case {
+    LpProblem lp;
+    int max_iterations;
+    std::uint64_t bland_restarts;
+  };
+  const Case cases[] = {{exchange_lp(7001, 30), 20000, 0},
+                        {exchange_lp(7002, 110), 20000, 0},
+                        {exchange_lp(7003, 270), 20000, 0},
+                        {bland_rerun_lp(), 16, 1},
+                        {scaled_unit_lp(), 20000, 0},
+                        {residue_lp(), 20000, 0}};
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  const Counter& restarts =
+      MetricsRegistry::instance().counter("simplex.bland_restarts");
+  for (const simd::Kernel kernel : kernels_to_pin()) {
+    KernelGuard guard(kernel);
+    Fnv1a h;
+    for (const Case& c : cases) {
+      LpOptions options;
+      options.max_iterations = c.max_iterations;
+      const std::uint64_t before = restarts.value();
+      const LpSolution sol = solve_lp(c.lp, options);
+      hash_append(h, static_cast<int>(sol.status));
+      hash_append(h, sol.iterations);
+      hash_append(h, sol.basis);
+      hash_append(h, sol.x);
+      hash_append(h, sol.dual);
+      hash_append(h, sol.objective);
+      EXPECT_EQ(sol.status, LpStatus::kOptimal);
+      EXPECT_EQ(restarts.value() - before, c.bland_restarts);
+    }
+    EXPECT_EQ(h.digest(), kExchangeDigest)
+        << "kernel " << simd::active_kernel_name() << ": 0x" << std::hex
+        << h.digest();
+  }
+  set_metrics_enabled(was_enabled);
 }
 
 }  // namespace
