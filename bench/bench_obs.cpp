@@ -46,7 +46,10 @@ double work_step(double acc, int i) {
 }
 
 // `start` is read from a volatile before every call so the compiler cannot
-// CSE repeated invocations into one (loop_plain is otherwise pure).
+// CSE repeated invocations into one (loop_plain is otherwise pure). Every
+// timed loop starts from the same value: std::sin's argument reduction
+// slows with magnitude, so loops started from a growing running sum would
+// time different work.
 double loop_plain(int iters, double start) {
   double acc = start;
   for (int i = 0; i < iters; ++i) acc = work_step(acc, i);
@@ -82,7 +85,7 @@ double loop_trace_guarded(int iters, double start) {
 /// micro per-site cost into an end-to-end disabled-overhead bound.
 std::uint64_t total_counter_hits() {
   static const char* kNames[] = {
-      "pool.steals",       "pool.tasks_submitted",
+      "pool.tasks_submitted",
       "sdp.solves",        "sdp.iterations",
       "sdp.stalls",        "sdp.restarts",
       "simplex.pivots",    "simplex.bland_restarts",
@@ -120,16 +123,17 @@ int main() {
   // guarded metrics site, observability off.
   set_metrics_enabled(false);
   const int kIters = 20'000'000;
-  volatile double sink = 1.0;
-  sink = sink + loop_plain(kIters, sink);    // warm
-  sink = sink + loop_guarded(kIters, sink);  // warm
+  volatile double start = 1.0;
+  volatile double sink = 0.0;
+  sink = sink + loop_plain(kIters, start);    // warm
+  sink = sink + loop_guarded(kIters, start);  // warm
   std::vector<double> plain_s, guarded_s;
   for (int rep = 0; rep < 5; ++rep) {
     Stopwatch sw1;
-    sink = sink + loop_plain(kIters, sink);
+    sink = sink + loop_plain(kIters, start);
     plain_s.push_back(sw1.seconds());
     Stopwatch sw2;
-    sink = sink + loop_guarded(kIters, sink);
+    sink = sink + loop_guarded(kIters, start);
     guarded_s.push_back(sw2.seconds());
   }
   const double plain_med = median_seconds(plain_s);
@@ -147,11 +151,11 @@ int main() {
   // Same micro measurement for a trace site (tracing off).
   trace_stop();
   trace_clear();
-  sink = sink + loop_trace_guarded(kIters, sink);  // warm
+  sink = sink + loop_trace_guarded(kIters, start);  // warm
   std::vector<double> trace_guarded_s;
   for (int rep = 0; rep < 5; ++rep) {
     Stopwatch sw;
-    sink = sink + loop_trace_guarded(kIters, sink);
+    sink = sink + loop_trace_guarded(kIters, start);
     trace_guarded_s.push_back(sw.seconds());
   }
   const double trace_guarded_med = median_seconds(trace_guarded_s);

@@ -252,9 +252,9 @@ int main(int argc, char** argv) {
   if (max_seconds > 0.0) campaign_control.set_deadline_after(max_seconds);
   std::vector<FuzzOutcome> outcomes(count);
   std::mutex io_mutex;
-  // One task per system (chunk 1), same sharding as synthesize_many; each
-  // run derives all randomness from base.seed + the system's own content,
-  // so the campaign is reproducible at any thread count.
+  // One chunk per system, as bench_table2 and perfbench shard; each run
+  // derives all randomness from base.seed + the system's own content, so
+  // the campaign is reproducible at any thread count.
   parallel_for(count, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const GeneratedSystem& gs = systems[i];

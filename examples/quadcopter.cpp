@@ -3,14 +3,23 @@
 // surrogate controller and a degree-2 barrier certificate, exactly the
 // (d_p, d_B) = (1, 2) row of Table 2.
 //
-// Run:  ./quadcopter [episodes]
-#include <cstdlib>
+// Run:  ./quadcopter [episodes]     (default 150)
+// [episodes] is a whole number >= 1; anything else exits 2 with the usage.
+#include <climits>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "core/pipeline.hpp"
 
 int main(int argc, char** argv) {
   using namespace scs;
+
+  int episodes = 150;
+  if (argc > 2 || (argc == 2 && !parse_int(argv[1], 1, INT_MAX, episodes))) {
+    std::cerr << "[episodes] needs a positive integer\n"
+              << "usage: " << argv[0] << " [episodes]\n";
+    return 2;
+  }
 
   const Benchmark quad = make_benchmark(BenchmarkId::kC10);
   std::cout << "System: 12-state linearized quadrotor (single collective-"
@@ -19,7 +28,7 @@ int main(int argc, char** argv) {
 
   PipelineConfig config;
   config.seed = 10;
-  config.rl_episodes = (argc > 1) ? std::atoi(argv[1]) : 150;
+  config.rl_episodes = episodes;
   config.pac_fit.max_samples = 20000;  // drop for paper-exact K
 
   const SynthesisResult result = synthesize(quad, config);

@@ -9,14 +9,23 @@
 //      relaxation and independently validated (Section 4).
 //
 // Run:  ./quickstart [episodes]     (default 150; SCS_LOG=1 for progress)
-#include <cstdlib>
+// [episodes] is a whole number >= 1; anything else exits 2 with the usage.
+#include <climits>
 #include <iostream>
 
+#include "cli_args.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace scs;
+
+  int episodes = 150;
+  if (argc > 2 || (argc == 2 && !parse_int(argv[1], 1, INT_MAX, episodes))) {
+    std::cerr << "[episodes] needs a positive integer\n"
+              << "usage: " << argv[0] << " [episodes]\n";
+    return 2;
+  }
 
   const Benchmark pendulum = make_benchmark(BenchmarkId::kC1);
   std::cout << "System: " << pendulum.name << " (n = "
@@ -26,7 +35,7 @@ int main(int argc, char** argv) {
 
   PipelineConfig config;
   config.seed = 2024;
-  config.rl_episodes = (argc > 1) ? std::atoi(argv[1]) : 150;
+  config.rl_episodes = episodes;
   // Keep the quickstart snappy: cap the scenario sample counts (the honest
   // eps for the capped K is recomputed automatically; drop the cap to get
   // the paper-exact Theorem-3 counts).

@@ -33,6 +33,8 @@
 #                            # fallback must stand alone), then the
 #                            # simd-labeled suite under ubsan so the
 #                            # intrinsics paths run sanitized
+#   scripts/ci.sh parallel   # thread-pool + 1-vs-4-thread determinism
+#                            # tests under tsan (the tsan-parallel preset)
 #
 # Label shortcuts (run from any built tree):
 # ctest -L property|fault|golden|store|cancel.
@@ -265,6 +267,16 @@ run_simd() {
   ctest --preset ubsan-simd -j "${JOBS}" --output-on-failure
 }
 
+run_parallel() {
+  echo "==> Thread-pool + determinism suite under ThreadSanitizer"
+  # Nested regions, exceptions leaving a region and workers joining and
+  # withdrawing regions must all be data-race free.
+  cmake --preset tsan
+  cmake --build --preset tsan -j "${JOBS}" \
+      --target thread_pool_test parallel_determinism_test
+  ctest --preset tsan-parallel -j "${JOBS}" --output-on-failure
+}
+
 case "${1:-all}" in
   release) run_release ;;
   asan)    run_asan ;;
@@ -276,8 +288,9 @@ case "${1:-all}" in
   fuzz)    run_fuzz ;;
   cancel)  run_cancel ;;
   simd)    run_simd ;;
-  all)     run_release; run_asan; run_ubsan; run_store; run_obs; run_perf; run_fuzz; run_cancel; run_simd ;;
-  *) echo "unknown configuration: $1 (want release|asan|ubsan|fault|store|obs|perf|fuzz|cancel|simd|all)" >&2
+  parallel) run_parallel ;;
+  all)     run_release; run_asan; run_ubsan; run_store; run_obs; run_perf; run_fuzz; run_cancel; run_simd; run_parallel ;;
+  *) echo "unknown configuration: $1 (want release|asan|ubsan|fault|store|obs|perf|fuzz|cancel|simd|parallel|all)" >&2
      exit 2 ;;
 esac
 

@@ -408,17 +408,4 @@ SynthesisResult synthesize_from_law(const Benchmark& benchmark,
   return detail::run_synthesis_job(benchmark, &law, config, ctx);
 }
 
-std::vector<SynthesisResult> synthesize_many(
-    const std::vector<Benchmark>& benchmarks, const PipelineConfig& config) {
-  std::vector<SynthesisResult> results(benchmarks.size());
-  // One task per system; each synthesize() seeds its own Rng chain from
-  // config.seed, so the fan-out is embarrassingly parallel and the output
-  // matches a sequential loop bitwise at any thread count.
-  parallel_for(benchmarks.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      results[i] = synthesize(benchmarks[i], config);
-  });
-  return results;
-}
-
 }  // namespace scs

@@ -126,13 +126,4 @@ SynthesisResult synthesize_from_law(const Benchmark& benchmark,
                                     const ControlLaw& law,
                                     const PipelineConfig& config = {});
 
-/// Run the full pipeline on several benchmarks concurrently (one task per
-/// system on the global thread pool, inner stages parallel too). Every
-/// system derives all of its randomness from config.seed alone, so results
-/// are positionally aligned with `benchmarks` and bitwise-identical to
-/// sequential `synthesize` calls at any thread count.
-std::vector<SynthesisResult> synthesize_many(
-    const std::vector<Benchmark>& benchmarks,
-    const PipelineConfig& config = {});
-
 }  // namespace scs

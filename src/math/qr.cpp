@@ -81,13 +81,6 @@ Vec Qr::solve_least_squares(const Vec& b) const {
   return x;
 }
 
-Mat Qr::r() const {
-  Mat out(n_, n_);
-  for (std::size_t i = 0; i < n_; ++i)
-    for (std::size_t j = i; j < n_; ++j) out(i, j) = qr_(i, j);
-  return out;
-}
-
 Vec least_squares(const Mat& a, const Vec& b) {
   return Qr(a).solve_least_squares(b);
 }

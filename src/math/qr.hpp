@@ -27,9 +27,6 @@ class Qr {
   /// Apply Q^T to a length-m vector.
   Vec apply_qt(const Vec& b) const;
 
-  /// The upper-triangular factor R (n x n leading block).
-  Mat r() const;
-
  private:
   std::size_t m_ = 0, n_ = 0;
   Mat qr_;                       // Householder vectors below diagonal, R above

@@ -11,7 +11,7 @@
 //
 // Write discipline mirrors log_line: the full record (one line, trailing
 // newline included) is formatted first and lands in a single locked
-// append, so concurrent synthesize_many workers -- or several processes
+// append, so concurrent pipeline runs -- or several processes
 // appending to the same file via O_APPEND -- never interleave mid-record.
 // A reader that finds a torn or truncated trailing line (crash mid-write)
 // rejects that line and keeps every intact record before it.

@@ -1,7 +1,7 @@
 // Process-wide metrics registry: named counters capturing solver and
 // pipeline behavior (SDP iterations/restarts/stalls, simplex pivots,
 // factorization regularization retries, PAC samples drawn/dropped,
-// artifact-store hits/misses/corruptions, thread-pool steals).
+// artifact-store hits/misses/corruptions, thread-pool regions).
 //
 // Design constraints, in order:
 //   1. Near-zero overhead when disabled. Every instrumentation site guards

@@ -129,10 +129,6 @@ std::vector<TraceEvent> trace_snapshot() {
   return s.events;
 }
 
-std::uint64_t trace_dropped() {
-  return state().dropped.load(std::memory_order_relaxed);
-}
-
 std::uint32_t trace_thread_id() {
   thread_local std::uint32_t id =
       state().next_tid.fetch_add(1, std::memory_order_relaxed);

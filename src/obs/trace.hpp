@@ -35,8 +35,8 @@ struct TraceEvent {
 bool trace_enabled();
 
 /// Enable collection and remember `path` as the default export target. A
-/// second call while already collecting keeps the first path (the
-/// synthesize_many fan-out may race several identical configs).
+/// second call while already collecting keeps the first path (a
+/// per-system parallel_for fan-out may race several identical configs).
 void trace_start(const std::string& path);
 
 /// Disable collection (buffered events are kept until cleared/written).
@@ -52,9 +52,6 @@ void trace_clear();
 
 /// Copy of the buffered events (tests; order = completion order).
 std::vector<TraceEvent> trace_snapshot();
-
-/// Number of events dropped after the buffer cap was hit.
-std::uint64_t trace_dropped();
 
 /// Stable small id of the calling thread (assigned on first use).
 std::uint32_t trace_thread_id();

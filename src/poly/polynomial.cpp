@@ -147,13 +147,6 @@ Polynomial Polynomial::derivative(std::size_t var) const {
   return out;
 }
 
-std::vector<Polynomial> Polynomial::gradient() const {
-  std::vector<Polynomial> out;
-  out.reserve(num_vars_);
-  for (std::size_t i = 0; i < num_vars_; ++i) out.push_back(derivative(i));
-  return out;
-}
-
 double Polynomial::evaluate(const Vec& x) const {
   SCS_REQUIRE(x.size() == num_vars_, "Polynomial::evaluate: size mismatch");
   double acc = 0.0;

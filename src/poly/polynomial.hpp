@@ -58,8 +58,6 @@ class Polynomial {
 
   /// Partial derivative with respect to variable `var`.
   Polynomial derivative(std::size_t var) const;
-  /// Gradient as a vector of polynomials.
-  std::vector<Polynomial> gradient() const;
 
   double evaluate(const Vec& x) const;
 

@@ -70,7 +70,6 @@ void FaultInjector::arm(std::uint64_t seed, double rate,
   for (int i = 0; i < kNumSites; ++i) {
     site_on_[i].store(true, std::memory_order_relaxed);
     fires_[i].store(0, std::memory_order_relaxed);
-    probes_[i].store(0, std::memory_order_relaxed);
   }
   enabled_.store(true, std::memory_order_relaxed);
 }
@@ -84,7 +83,6 @@ void FaultInjector::disarm() {
   for (int i = 0; i < kNumSites; ++i) {
     site_on_[i].store(false, std::memory_order_relaxed);
     fires_[i].store(0, std::memory_order_relaxed);
-    probes_[i].store(0, std::memory_order_relaxed);
   }
 }
 
@@ -92,7 +90,6 @@ bool FaultInjector::should_fire(FaultSite site) {
   if (!enabled()) return false;
   const int s = static_cast<int>(site);
   if (!site_on_[s].load(std::memory_order_relaxed)) return false;
-  probes_[s].fetch_add(1, std::memory_order_relaxed);
   if (fires_[s].load(std::memory_order_relaxed) >= max_fires_) return false;
   double draw;
   {
@@ -117,10 +114,6 @@ double FaultInjector::corrupt(FaultSite site, double value) {
 
 std::uint64_t FaultInjector::fires(FaultSite site) const {
   return fires_[static_cast<int>(site)].load(std::memory_order_relaxed);
-}
-
-std::uint64_t FaultInjector::probes(FaultSite site) const {
-  return probes_[static_cast<int>(site)].load(std::memory_order_relaxed);
 }
 
 }  // namespace scs

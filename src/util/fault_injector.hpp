@@ -75,7 +75,6 @@ class FaultInjector {
 
   /// Telemetry for tests and postmortems.
   std::uint64_t fires(FaultSite site) const;
-  std::uint64_t probes(FaultSite site) const;
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -89,7 +88,6 @@ class FaultInjector {
   std::atomic<bool> enabled_{false};
   std::array<std::atomic<bool>, kNumSites> site_on_{};
   std::array<std::atomic<std::uint64_t>, kNumSites> fires_{};
-  std::array<std::atomic<std::uint64_t>, kNumSites> probes_{};
   std::uint64_t max_fires_ = 0;
   double rate_ = 0.0;
   std::mutex mu_;  // guards engine_

@@ -44,8 +44,8 @@ void set_log_level(LogLevel level) { override_level() = level; }
 void log_line(LogLevel level, const std::string& message) {
   if (log_level() < level) return;
   // Format the complete line first, then emit it with one locked write:
-  // three separate stream insertions tear under the synthesize_many
-  // fan-out, interleaving fragments of concurrent lines.
+  // three separate stream insertions tear under a per-system fan-out,
+  // interleaving fragments of concurrent lines.
   std::string line = "[scs]";
   const std::string& tag = tls_log_tag();
   if (!tag.empty()) {

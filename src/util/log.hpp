@@ -6,10 +6,10 @@
 //
 // Concurrency: log_line formats the whole line (prefix, tag, message,
 // newline) into one string and performs a single locked write, so lines
-// from the synthesize_many fan-out never interleave mid-line. Each line is
-// prefixed with the calling thread's tag -- the benchmark name inside a
-// pipeline run (LogTagScope), or "w<N>" on pool workers -- so concurrent
-// output stays attributable.
+// from a per-system parallel_for fan-out never interleave mid-line. Each
+// line is prefixed with the calling thread's tag -- the benchmark name
+// inside a pipeline run (LogTagScope), or "w<N>" on pool workers -- so
+// concurrent output stays attributable.
 #pragma once
 
 #include <sstream>

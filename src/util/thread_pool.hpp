@@ -1,53 +1,26 @@
 // Deterministic parallel execution.
 //
-// A small work-stealing thread pool plus chunked `parallel_for` /
-// `parallel_reduce` helpers. Determinism is the design constraint: work is
-// partitioned into fixed-size chunks that depend only on the problem size
-// (never on the worker count), every chunk writes to its own output slot,
-// and reductions combine per-chunk results in chunk order. Together with
-// per-chunk Rng substreams (Rng::fork_streams) this makes every parallel
-// result bitwise-identical for 1, 2, or 16 threads.
+// Chunked `parallel_for` / `parallel_reduce` over a lazily created set of
+// worker threads. Determinism is the design constraint: work is partitioned
+// into fixed-size chunks that depend only on the problem size (never on the
+// worker count), every chunk writes to its own output slot, and reductions
+// combine per-chunk results in chunk order. Together with per-chunk Rng
+// substreams (Rng::fork_streams) this makes every parallel result
+// bitwise-identical for 1, 2, or 16 threads.
 //
-// The global pool is created lazily; its size comes from the SCS_THREADS
-// environment variable, a whole number in 1..256 (default, and for any
-// other value: hardware concurrency). SCS_THREADS=1 runs everything inline
-// on the calling thread.
+// Each parallel_for opens a region (a shared chunk cursor) that idle
+// workers join; the pool has no task queue. Its width comes from the
+// SCS_THREADS environment variable, a whole number in 1..256 (default, and
+// for any other value: hardware concurrency). SCS_THREADS=1 runs everything
+// inline on the calling thread.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
 namespace scs {
-
-/// Work-stealing pool: each worker owns a deque (LIFO for its own tasks,
-/// FIFO for thieves) plus a shared injection queue for external submitters.
-class ThreadPool {
- public:
-  /// Spawns exactly `num_threads` worker threads (0 = no workers; submit()
-  /// then runs tasks inline on the caller).
-  explicit ThreadPool(std::size_t num_threads);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Number of worker threads.
-  std::size_t size() const;
-
-  /// Enqueue a task. From a worker thread of this pool the task lands on
-  /// that worker's own deque (depth-first, cache-friendly); otherwise on
-  /// the shared injection queue. With no workers the task runs inline.
-  void submit(std::function<void()> task);
-
-  /// The lazily created process-wide pool (sized by SCS_THREADS).
-  static ThreadPool& global();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 /// Total execution width of the global pool: workers + the calling thread
 /// (>= 1; 1 means serial execution).

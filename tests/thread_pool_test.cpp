@@ -1,11 +1,14 @@
-// Tests for the deterministic work-stealing thread pool: chunk coverage,
-// exception propagation, nested parallelism, submit routing, and bitwise
-// reproducibility of reductions across thread counts.
+// Tests for the deterministic thread pool: chunk coverage, exception
+// propagation, nested regions and the workers that join them, serial
+// execution at width 1, and bitwise reproducibility of reductions across
+// thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -74,27 +77,66 @@ TEST_F(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(inner_calls.load(), 8 * 8);
 }
 
-TEST_F(ThreadPoolTest, SubmitFromWorkerRunsTask) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.size(), 2u);
-  std::atomic<int> done{0};
-  pool.submit([&pool, &done] {
-    pool.submit([&done] { ++done; });  // nested submit from a worker
-    ++done;
-  });
+// One outer chunk opens an inner region and the other three return at
+// once, so the workers that ran them are idle while the inner region is
+// open. Every inner chunk waits until a second thread has run one, which
+// only an idle worker joining the inner region can bring about; the
+// deadline turns a missing join into a failure instead of a hang.
+TEST_F(ThreadPoolTest, IdleWorkerJoinsNestedRegion) {
+  set_parallel_threads(4);
+  std::mutex mu;
+  std::set<std::thread::id> inner_threads;
+  std::atomic<int> inner_calls{0};
+  const auto distinct_threads = [&] {
+    std::lock_guard<std::mutex> lk(mu);
+    return inner_threads.size();
+  };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (done.load() < 2 && std::chrono::steady_clock::now() < deadline)
-    std::this_thread::yield();
-  EXPECT_EQ(done.load(), 2);
+  parallel_for(4, 1, [&](std::size_t outer, std::size_t) {
+    if (outer != 0) return;
+    parallel_for(64, 1, [&](std::size_t, std::size_t) {
+      ++inner_calls;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        inner_threads.insert(std::this_thread::get_id());
+      }
+      while (distinct_threads() < 2 &&
+             std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    });
+  });
+  EXPECT_EQ(inner_calls.load(), 64);
+  EXPECT_GE(distinct_threads(), 2u);
 }
 
-TEST_F(ThreadPoolTest, ZeroWorkerPoolRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  int calls = 0;
-  pool.submit([&calls] { ++calls; });
-  EXPECT_EQ(calls, 1);  // ran synchronously on this thread
+TEST_F(ThreadPoolTest, NestedExceptionReachesOuterCaller) {
+  set_parallel_threads(4);
+  EXPECT_THROW(parallel_for(8, 1,
+                            [](std::size_t outer, std::size_t) {
+                              parallel_for(32, 4, [&](std::size_t inner,
+                                                      std::size_t) {
+                                if (outer == 5 && inner == 16)
+                                  throw std::runtime_error("inner");
+                              });
+                            }),
+               std::runtime_error);
+  // The pool must stay usable after an exception left a nested region.
+  std::atomic<int> calls{0};
+  parallel_for(8, 1, [&](std::size_t, std::size_t) {
+    parallel_for(32, 4, [&](std::size_t, std::size_t) { ++calls; });
+  });
+  EXPECT_EQ(calls.load(), 8 * 8);
+}
+
+TEST_F(ThreadPoolTest, WidthOneRunsEveryChunkOnTheCaller) {
+  set_parallel_threads(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(16);
+  parallel_for(16, 1, [&](std::size_t begin, std::size_t) {
+    ran[begin] = std::this_thread::get_id();
+  });
+  for (const std::thread::id& id : ran) EXPECT_EQ(id, caller);
 }
 
 TEST_F(ThreadPoolTest, ReduceBitwiseIdenticalAcrossThreadCounts) {
