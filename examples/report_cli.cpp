@@ -6,6 +6,7 @@
 //                --baseline baselines/bench_obs.json
 //                --baseline baselines/table2_fast.json
 //                [--markdown report.md] [--json report.json] [--no-dashboard]
+//   ./report_cli profile trace.json
 //
 // Inputs:
 //   --ledger <file>       JSONL run ledger (obs/ledger.hpp). Synthesis
@@ -27,6 +28,11 @@
 // the per-baseline delta tables; --json writes the machine-readable
 // equivalent for CI artifacts.
 //
+// `profile` reads one Chrome trace (SCS_TRACE, synthesize_cli --trace, a
+// perfbench trace) and prints, per span name cut at its first ':', the
+// span count, inclusive seconds and self seconds (child spans on the same
+// thread subtracted), sorted by self time.
+//
 // Exit code: 0 when every baseline check passes (improvements included);
 // 1 when any check regressed or a baselined metric is missing from the
 // current run; 2 on usage/load errors (a gate that cannot load must fail
@@ -38,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "core/report.hpp"
 #include "obs/baseline.hpp"
 #include "obs/json_reader.hpp"
 #include "obs/ledger.hpp"
@@ -52,7 +59,8 @@ void print_usage(const char* argv0) {
       << "usage: " << argv0
       << " [--ledger <file>]... [--bench <name>=<json-file>]...\n"
       << "       [--baseline <json-file>]... [--markdown <file>]\n"
-      << "       [--json <file>] [--no-dashboard]\n";
+      << "       [--json <file>] [--no-dashboard]\n"
+      << "       " << argv0 << " profile <trace.json>\n";
 }
 
 std::string read_file(const std::string& path, bool& ok) {
@@ -223,9 +231,32 @@ std::string fuzz_markdown(const std::vector<LedgerRecord>& records) {
   return os.str();
 }
 
+/// `report_cli profile <trace.json>`: the per-span-name time table.
+int profile_main(int argc, char** argv) {
+  if (argc != 3) {
+    print_usage(argv[0]);
+    return 2;
+  }
+  bool ok = false;
+  const std::string text = read_file(argv[2], ok);
+  if (!ok) {
+    std::cerr << "error: cannot read trace '" << argv[2] << "'\n";
+    return 2;
+  }
+  try {
+    std::cout << format_trace_profile(trace_profile(json_parse(text)));
+  } catch (const JsonParseError& e) {
+    std::cerr << "error: trace '" << argv[2] << "': " << e.what() << "\n";
+    return 2;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc >= 2 && std::string(argv[1]) == "profile")
+    return profile_main(argc, argv);
   std::vector<std::string> ledger_paths;
   std::vector<std::pair<std::string, std::string>> bench_inputs;
   std::vector<std::string> baseline_paths;

@@ -14,7 +14,8 @@
 #   scripts/ci.sh obs        # observability + report-JSON tests under tsan,
 #                            # then a traced synthesize_cli smoke whose
 #                            # trace/metrics output must parse as JSON
-#   scripts/ci.sh perf       # regression gate: fresh C1 ledger + bench_obs
+#   scripts/ci.sh perf       # regression gate: fresh C1 ledger (traced,
+#                            # its span profile printed) + bench_obs
 #                            # + bench_solvers vs baselines/*.json via
 #                            # report_cli, plus a negative check that a
 #                            # violated baseline exits nonzero
@@ -34,7 +35,8 @@
 #                            # simd-labeled suite under ubsan so the
 #                            # intrinsics paths run sanitized
 #   scripts/ci.sh parallel   # thread-pool + 1-vs-4-thread determinism
-#                            # tests under tsan (the tsan-parallel preset)
+#                            # tests and the PAC/minimax fit tests under
+#                            # tsan (the tsan-parallel preset)
 #
 # Label shortcuts (run from any built tree):
 # ctest -L property|fault|golden|store|cancel.
@@ -134,13 +136,17 @@ run_perf() {
   # facts, timings and solver counters, never the fast-mode verdict. Exit
   # 2+ still fails. --metrics turns the registry on, so the ledger record
   # carries the counters (C1.metrics.counters.*) that table2_fast.json pins.
+  # The run is traced and its per-span profile printed, so a timing gate
+  # that trips names the layer that slowed.
   rc=0
   ./build/examples/synthesize_cli --fast --no-cache \
-      --metrics "${tmp}/metrics.json" \
+      --metrics "${tmp}/metrics.json" --trace "${tmp}/trace.json" \
       --ledger "${tmp}/ledger.jsonl" C1 "${tmp}/out.txt" 5 || rc=$?
   if [ "${rc}" -gt 1 ]; then
     echo "synthesize_cli exited with ${rc}" >&2; exit "${rc}"
   fi
+  echo "==> Fast C1 profile (self time per span name)"
+  ./build/examples/report_cli profile "${tmp}/trace.json"
 
   # bench_obs writes BENCH_obs.json into its cwd and self-checks traced
   # determinism; bench_solvers emits google-benchmark JSON for a small,
@@ -149,14 +155,16 @@ run_perf() {
   # speedup >= 1.5. SupportLp/270 solves one 540-row exchange LP with its
   # pivot count pinned exactly, so a return to an O(m^2) pivot (about 6x
   # slower there) fails its band; TemplateSweep/2 (K = 20,000, 15 basis
-  # terms) times the whole fit around smaller LPs, and SamplesSweep/1000
-  # the small-K fit. DdpgTrain is 94 DDPG minibatch updates on
+  # terms) times the whole fit around smaller LPs, SamplesSweep/1000
+  # the small-K fit, and SamplesSweep/65536 a fit whose Lawson sweeps
+  # dominate, so a return to the scalar normal-equation loop fails it.
+  # DdpgTrain is 94 DDPG minibatch updates on
   # C1's shapes, so a 2x slower update fails its band. SdpBarrierProgram
   # solves one 155-constraint barrier program, the size that dominates a
   # campaign's SDP time, so a 2x slower interior-point step fails its band.
   (cd "${tmp}" && "${OLDPWD}/build/bench/bench_obs")
   ./build/bench/bench_solvers \
-      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_DdpgTrain$|BM_SdpBarrierProgram$|BM_SupportLp/270$' \
+      --benchmark_filter='BM_Matmul/64/100$|BM_MinimaxFit_SamplesSweep/1000$|BM_MinimaxFit_SamplesSweep/65536$|BM_MinimaxFit_TemplateSweep/2$|BM_KernelSpeedup_Matmul$|BM_DdpgTrain$|BM_SdpBarrierProgram$|BM_SupportLp/270$' \
       --benchmark_format=json \
       --benchmark_out="${tmp}/BENCH_solvers.json" \
       --benchmark_out_format=json > /dev/null
@@ -270,10 +278,13 @@ run_simd() {
 run_parallel() {
   echo "==> Thread-pool + determinism suite under ThreadSanitizer"
   # Nested regions, exceptions leaving a region and workers joining and
-  # withdrawing regions must all be data-race free.
+  # withdrawing regions must all be data-race free, and so must the PAC
+  # fit's pooled scenario draw (pac_fit_test) and the fits it feeds
+  # (minimax_test).
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" \
-      --target thread_pool_test parallel_determinism_test
+      --target thread_pool_test parallel_determinism_test minimax_test \
+      pac_fit_test
   ctest --preset tsan-parallel -j "${JOBS}" --output-on-failure
 }
 

@@ -1,7 +1,9 @@
 #include "core/report.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <iomanip>
+#include <map>
 #include <sstream>
 
 #include "obs/json_writer.hpp"
@@ -169,6 +171,83 @@ LedgerRecord ledger_record(const SynthesisResult& result,
   r.json_dropped = json_nonfinite_dropped();
   r.metrics_json = result.metrics_json;
   return r;
+}
+
+std::vector<SpanProfileRow> trace_profile(const JsonValue& trace) {
+  const JsonValue* events = trace.find("traceEvents");
+  if (events == nullptr || !events->is_array())
+    throw JsonParseError("trace has no traceEvents array", 0);
+  struct Span {
+    double begin, end;  // microseconds
+    std::string name;
+    double children = 0.0;
+  };
+  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<Span>> threads;
+  for (const JsonValue& e : events->items) {
+    const JsonValue* ph = e.find("ph");
+    if (ph == nullptr || ph->string_or("") != "X") continue;
+    const auto num = [&e](const char* key) {
+      const JsonValue* v = e.find(key);
+      return v != nullptr ? v->number_or(0.0) : 0.0;
+    };
+    const JsonValue* name = e.find("name");
+    std::string key = name != nullptr ? name->string_or("?") : "?";
+    key = key.substr(0, key.find(':'));
+    const double ts = num("ts");
+    threads[{static_cast<std::int64_t>(num("pid")),
+             static_cast<std::int64_t>(num("tid"))}]
+        .push_back({ts, ts + num("dur"), std::move(key)});
+  }
+  // Timestamps are microseconds with nanosecond fractions; a child may end
+  // a rounding step after its parent.
+  constexpr double kSlackUs = 1e-3;
+  std::map<std::string, SpanProfileRow> by_name;
+  for (auto& [thread, spans] : threads) {
+    // Parents first: by start, and the longer of two spans that start
+    // together.
+    std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+      return a.begin != b.begin ? a.begin < b.begin : a.end > b.end;
+    });
+    std::vector<Span*> open;
+    for (Span& span : spans) {
+      while (!open.empty() && open.back()->end <= span.begin + kSlackUs)
+        open.pop_back();
+      if (!open.empty() && span.end <= open.back()->end + kSlackUs)
+        open.back()->children += span.end - span.begin;
+      open.push_back(&span);
+    }
+    for (const Span& span : spans) {
+      SpanProfileRow& row = by_name[span.name];
+      row.name = span.name;
+      row.count += 1;
+      row.inclusive_s += (span.end - span.begin) * 1e-6;
+      row.self_s +=
+          std::max(0.0, span.end - span.begin - span.children) * 1e-6;
+    }
+  }
+  std::vector<SpanProfileRow> rows;
+  for (auto& [name, row] : by_name) rows.push_back(std::move(row));
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const SpanProfileRow& a, const SpanProfileRow& b) {
+                     return a.self_s > b.self_s;
+                   });
+  return rows;
+}
+
+std::string format_trace_profile(const std::vector<SpanProfileRow>& rows) {
+  std::size_t width = 4;
+  for (const SpanProfileRow& row : rows)
+    width = std::max(width, row.name.size());
+  std::ostringstream os;
+  os << std::left << std::setw(static_cast<int>(width)) << "span" << std::right
+     << std::setw(9) << "count" << std::setw(14) << "inclusive_s"
+     << std::setw(12) << "self_s" << "\n"
+     << std::fixed << std::setprecision(4);
+  for (const SpanProfileRow& row : rows)
+    os << std::left << std::setw(static_cast<int>(width)) << row.name
+       << std::right << std::setw(9) << row.count << std::setw(14)
+       << row.inclusive_s << std::setw(12) << row.self_s << "\n";
+  return os.str();
 }
 
 }  // namespace scs

@@ -3,9 +3,11 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "baseline/nncontroller.hpp"
 #include "core/pipeline.hpp"
+#include "obs/json_reader.hpp"
 #include "obs/ledger.hpp"
 
 namespace scs {
@@ -46,5 +48,25 @@ std::string cache_stats_json(const CacheStats& stats);
 LedgerRecord ledger_record(const SynthesisResult& result,
                            std::uint64_t config_key, std::uint64_t seed,
                            const std::string& source);
+
+/// One span name of a trace profile. Names are cut at their first ':', so
+/// the "barrier.arm:<arm>" spans of a ladder share one row.
+struct SpanProfileRow {
+  std::string name;
+  std::size_t count = 0;
+  double inclusive_s = 0.0;  // summed span durations
+  double self_s = 0.0;       // minus the direct child spans on its thread
+};
+
+/// Per-name profile of a Chrome trace as trace_write exports it, sorted by
+/// self time, largest first. A span's children are the spans that nest in
+/// it on the same thread; instants and spans on other threads (a pooled
+/// region's workers) are never subtracted. Throws JsonParseError when
+/// `trace` has no traceEvents array.
+std::vector<SpanProfileRow> trace_profile(const JsonValue& trace);
+
+/// The profile as a fixed-width text table: span, count, inclusive_s,
+/// self_s.
+std::string format_trace_profile(const std::vector<SpanProfileRow>& rows);
 
 }  // namespace scs

@@ -28,6 +28,10 @@ void dot_rows_avx2(double* out, const double* a, std::size_t lda,
 void outer_accumulate_avx2(double* g, const double* d, std::size_t rows,
                            const double* x, std::size_t cols,
                            std::size_t samples);
+void weighted_gram_avx2(double* g, double* gy, const double* x,
+                        std::size_t n, const double* w, const double* y,
+                        std::size_t samples, std::size_t a0, std::size_t a1,
+                        std::size_t b0, std::size_t b1);
 void combine_rows_avx2(double* out, const double* w, std::size_t n,
                        const std::size_t* rows, const double* coef,
                        std::size_t count);
@@ -134,6 +138,19 @@ void outer_accumulate_scalar(double* g, const double* d, std::size_t rows,
   for (std::size_t r = 0; r < rows; ++r, g += cols, d += samples)
     for (std::size_t b = 0; b < samples; ++b)
       for (std::size_t c = 0; c < cols; ++c) g[c] += d[b] * x[b * cols + c];
+}
+
+void weighted_gram_scalar(double* g, double* gy, const double* x,
+                          std::size_t n, const double* w, const double* y,
+                          std::size_t samples, std::size_t a0, std::size_t a1,
+                          std::size_t b0, std::size_t b1) {
+  for (std::size_t s = 0; s < samples; ++s, x += n)
+    for (std::size_t a = a0; a < a1; ++a) {
+      const double d = w[s] * x[a];
+      double* ga = g + a * n;
+      for (std::size_t b = b0; b < b1; ++b) ga[b] += d * x[b];
+      gy[a] += d * y[s];
+    }
 }
 
 void combine_rows_scalar(double* out, const double* w, std::size_t n,
@@ -269,6 +286,19 @@ void outer_accumulate(double* g, const double* d, std::size_t rows,
   }
 #endif
   outer_accumulate_scalar(g, d, rows, x, cols, samples);
+}
+
+void weighted_gram(double* g, double* gy, const double* x, std::size_t n,
+                   const double* w, const double* y, std::size_t samples,
+                   std::size_t a0, std::size_t a1, std::size_t b0,
+                   std::size_t b1) {
+#ifdef SCS_SIMD_AVX2
+  if (use_avx2()) {
+    detail::weighted_gram_avx2(g, gy, x, n, w, y, samples, a0, a1, b0, b1);
+    return;
+  }
+#endif
+  weighted_gram_scalar(g, gy, x, n, w, y, samples, a0, a1, b0, b1);
 }
 
 void combine_rows(double* out, const double* w, std::size_t n,

@@ -4,7 +4,8 @@
 // the small kernel set below: elementwise updates (axpy / add / sub /
 // scale), a four-lane dot product, the same dot blocked over the columns of
 // a matrix or over the rows of one, the two gradient products of a batched
-// MLP pass (outer_accumulate, combine_rows), its bias/activation loops
+// MLP pass (outer_accumulate, combine_rows), the weighted normal equations
+// of the minimax fit (weighted_gram), the MLP's bias/activation loops
 // (bias_activate, relu_grad) and the Adam update. The AVX2 implementations
 // (simd_avx2.cpp, compiled with -mavx2 when the SCS_SIMD CMake option is
 // ON) are written so that they are *bitwise identical* to the portable
@@ -12,9 +13,9 @@
 //
 //  - Elementwise kernels use separate multiply and add instructions (never
 //    FMA), so each y[i] sees exactly the scalar sequence `y[i] + s * x[i]`.
-//  - outer_accumulate and combine_rows keep a tile of their output in
-//    registers, but every element still receives its terms one at a time,
-//    in the documented order, multiply then add.
+//  - outer_accumulate, combine_rows and weighted_gram keep a tile of their
+//    output in registers, but every element still receives its terms one
+//    at a time, in the documented order, multiply then add.
 //  - `dot` accumulates in four independent lanes -- lane j sums the terms
 //    at indices congruent to j mod 4 -- and combines them in the fixed
 //    order (l0 + l1) + (l2 + l3). The scalar fallback implements the same
@@ -95,6 +96,19 @@ void dot_rows(double* out, const double* a, std::size_t lda,
 /// samples.
 void outer_accumulate(double* g, const double* d, std::size_t rows,
                       const double* x, std::size_t cols, std::size_t samples);
+
+/// One block of the weighted normal equations XᵀWX c = XᵀWy of the
+/// row-major `samples` x `n` matrix x. For a in [a0, a1) and b in [b0, b1),
+/// with d = w[s] * x[s * n + a],
+///   g[a * n + b] += d * x[s * n + b]   and   gy[a] += d * y[s]
+/// for s = 0, 1, ..., samples - 1 in that order, multiply then add: each
+/// element gets the bits of the plain triple loop. g is row-major n x n.
+/// The AVX2 path keeps four consecutive a of one b in a register and
+/// broadcasts x[s * n + b], so it needs no shuffles and no packed copy of x.
+void weighted_gram(double* g, double* gy, const double* x, std::size_t n,
+                   const double* w, const double* y, std::size_t samples,
+                   std::size_t a0, std::size_t a1, std::size_t b0,
+                   std::size_t b1);
 
 /// out[j] += coef[t] * w[rows[t] * n + j] for t = 0, 1, ..., count - 1 and
 /// j in [0, n): the listed rows of the row-major matrix w added to `out` in

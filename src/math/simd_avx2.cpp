@@ -9,14 +9,17 @@
 // combines them with scalar adds in the fixed order (l0 + l1) + (l2 + l3),
 // matching the scalar fallback's lane structure bit for bit. `dot_columns`
 // keeps those lanes per column and vectorises across columns instead. The
-// MLP kernels vectorise across independent outputs only, so each output
-// element sees the scalar fallback's operations in its order.
+// MLP kernels and weighted_gram vectorise across independent outputs only,
+// so each output element sees the scalar fallback's operations in its
+// order.
 #ifdef SCS_SIMD_AVX2
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 
 #include "math/simd.hpp"
 
@@ -312,6 +315,86 @@ void outer_accumulate_avx2(double* g, const double* d, std::size_t rows,
       break;
     default:
       break;
+  }
+}
+
+namespace {
+
+// Columns [b, b + C) of weighted_gram for the `rows` (1..4) consecutive a
+// from `a`, one per lane of `rm`: lane l of acc[c] holds g[(a + l) * n + b
+// + c] while every sample adds d_l * x[s * n + b + c] to it, with
+// d = w[s] * x[s * n + a + l]. kRhs adds d_l * y[s] to gy[a + l] too.
+template <int C, bool kRhs>
+inline void gram_tile(double* g, double* gy, const double* x, std::size_t n,
+                      const double* w, const double* y, std::size_t samples,
+                      std::size_t a, std::size_t rows, std::size_t b,
+                      __m256i rm) {
+  alignas(32) double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  __m256d acc[C > 0 ? C : 1];
+#pragma GCC unroll 11
+  for (int c = 0; c < C; ++c) {
+    for (std::size_t l = 0; l < rows; ++l) lanes[l] = g[(a + l) * n + b + c];
+    acc[c] = _mm256_load_pd(lanes);
+  }
+  __m256d accy = _mm256_setzero_pd();
+  if constexpr (kRhs) accy = _mm256_maskload_pd(gy + a, rm);
+  // One pointer per operand keeps every column at a fixed displacement.
+  const double* xa = x + a;
+  const double* xb = x + b;
+  for (std::size_t s = 0; s < samples; ++s, xa += n, xb += n) {
+    const __m256d d = _mm256_mul_pd(_mm256_broadcast_sd(w + s),
+                                    _mm256_maskload_pd(xa, rm));
+#pragma GCC unroll 11
+    for (int c = 0; c < C; ++c)
+      acc[c] = _mm256_add_pd(acc[c],
+                             _mm256_mul_pd(d, _mm256_broadcast_sd(xb + c)));
+    if constexpr (kRhs)
+      accy = _mm256_add_pd(accy,
+                           _mm256_mul_pd(d, _mm256_broadcast_sd(y + s)));
+  }
+#pragma GCC unroll 11
+  for (int c = 0; c < C; ++c) {
+    _mm256_store_pd(lanes, acc[c]);
+    for (std::size_t l = 0; l < rows; ++l) g[(a + l) * n + b + c] = lanes[l];
+  }
+  if constexpr (kRhs) _mm256_maskstore_pd(gy + a, rm, accy);
+}
+
+template <bool kRhs, int... C>
+void gram_columns(std::integer_sequence<int, C...>, double* g, double* gy,
+                  const double* x, std::size_t n, const double* w,
+                  const double* y, std::size_t samples, std::size_t a,
+                  std::size_t rows, std::size_t b, std::size_t cols,
+                  __m256i rm) {
+  // One instantiation per column count; `cols` picks it.
+  (void)((cols == C &&
+          (gram_tile<C, kRhs>(g, gy, x, n, w, y, samples, a, rows, b, rm),
+           true)) ||
+         ...);
+}
+
+}  // namespace
+
+void weighted_gram_avx2(double* g, double* gy, const double* x,
+                        std::size_t n, const double* w, const double* y,
+                        std::size_t samples, std::size_t a0, std::size_t a1,
+                        std::size_t b0, std::size_t b1) {
+  // Four a per register and up to eleven b at a time: eleven accumulators,
+  // the rhs, d, one broadcast and the lane mask fill the sixteen registers,
+  // and each sample adds to every accumulator once, so the more of them
+  // the better the adds' latency is hidden. The rhs rides with the first
+  // eleven b.
+  constexpr std::size_t kCols = 11;
+  const auto counts = std::make_integer_sequence<int, kCols + 1>();
+  for (std::size_t a = a0; a < a1; a += 4) {
+    const std::size_t rows = std::min<std::size_t>(4, a1 - a);
+    const __m256i rm = rows == 4 ? _mm256_set1_epi64x(-1) : tail_mask(rows);
+    const std::size_t first = std::min(kCols, b1 - b0);
+    gram_columns<true>(counts, g, gy, x, n, w, y, samples, a, rows, b0,
+                       first, rm);
+    for (std::size_t b = b0 + first; b < b1; b += kCols)
+      gram_columns<false>(counts, g, gy, x, n, w, y, samples, a, rows, b,
+                          std::min(kCols, b1 - b), rm);
   }
 }
 

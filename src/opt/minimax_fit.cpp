@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <set>
 
 #include "math/cholesky.hpp"
 #include "math/robust_solve.hpp"
+#include "math/simd.hpp"
 #include "obs/trace.hpp"
 #include "opt/simplex.hpp"
 #include "util/check.hpp"
@@ -25,36 +27,55 @@ constexpr int kExchangeAddPerRound = 8;
 constexpr double kExchangeTol = 1e-7;  // |e_full - e_support| acceptance
 constexpr double kRidge = 1e-10;  // Tikhonov jitter for the weighted LS solves
 
-/// Residuals r = targets - design * c.
-Vec residuals(const Mat& design, const Vec& targets, const Vec& c) {
-  Vec r = targets;
-  r -= matvec(design, c);
-  return r;
+// Samples per block of the normal-equation sweep: a block's design rows
+// stay in L1 while every row group of the matrix passes over them.
+constexpr std::size_t kGramBlock = 256;
+
+// The two K-row sweeps keep the bits of the loops they replaced: a
+// residual row is one `dot` (matvec's bits), and each normal-equation
+// entry sums its K terms in ascending sample order from +0 (the plain
+// triple loop's). Neither copies the design or a weighted design.
+
+/// r = targets - design * c into the K-vector r; returns max |r|.
+double residuals(const Mat& design, const Vec& targets, const Vec& c, Vec& r) {
+  const std::size_t v = design.cols();
+  simd::dot_rows(r.begin(), design.row_ptr(0), v, design.rows(), c.begin(),
+                 v);
+  double e = 0.0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i] = targets[i] - r[i];
+    e = std::max(e, std::fabs(r[i]));
+  }
+  return e;
 }
 
-/// Weighted least squares via normal equations, solved through the robust
-/// layer: a severely ill-conditioned basis gets diagonal-regularization
-/// retries plus one round of iterative refinement instead of an exception.
-/// `ok()` is false only when even the regularized factorization failed.
+/// Least squares with weights w (unit weights when w is null) via the
+/// normal equations, solved through the robust layer: a severely
+/// ill-conditioned basis gets diagonal-regularization retries plus one
+/// round of iterative refinement instead of an exception. `ok()` is false
+/// only when even the regularized factorization failed.
 LinearSolveReport weighted_ls(const Mat& design, const Vec& targets,
-                              const Vec& w, double ridge) {
+                              const Vec* w) {
+  const std::size_t k = design.rows();
   const std::size_t v = design.cols();
   Mat g(v, v);
   Vec rhs(v, 0.0);
-  for (std::size_t i = 0; i < design.rows(); ++i) {
-    const double wi = w[i];
-    if (wi == 0.0) continue;
-    const double* row = design.row_ptr(i);
-    for (std::size_t a = 0; a < v; ++a) {
-      const double wa = wi * row[a];
-      rhs[a] += wa * targets[i];
-      double* grow = g.row_ptr(a);
-      for (std::size_t bcol = a; bcol < v; ++bcol) grow[bcol] += wa * row[bcol];
-    }
+  double ones[kGramBlock];
+  std::fill(std::begin(ones), std::end(ones), 1.0);
+  // Rows four at a time, each over columns [a0, v) of the upper triangle.
+  // A zero weight adds +-0 products, which leave every sum as it was, so
+  // no sample is skipped.
+  for (std::size_t s0 = 0; s0 < k; s0 += kGramBlock) {
+    const std::size_t len = std::min(kGramBlock, k - s0);
+    const double* ws = w != nullptr ? w->begin() + s0 : ones;
+    for (std::size_t a0 = 0; a0 < v; a0 += 4)
+      simd::weighted_gram(g.row_ptr(0), rhs.begin(), design.row_ptr(s0), v,
+                          ws, targets.begin() + s0, len, a0,
+                          std::min(a0 + 4, v), a0, v);
   }
   // Mirror the upper triangle and add the ridge.
   for (std::size_t a = 0; a < v; ++a) {
-    g(a, a) += ridge;
+    g(a, a) += kRidge;
     for (std::size_t bcol = a + 1; bcol < v; ++bcol) g(bcol, a) = g(a, bcol);
   }
   return robust_solve_spd(g, rhs);
@@ -146,7 +167,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
   // ---- Stage 1: Lawson IRLS toward the Chebyshev solution.
   TraceSpan lawson_span("minimax.lawson");
   Vec w(k_samples, 1.0 / static_cast<double>(k_samples));
-  LinearSolveReport ls = weighted_ls(design, targets, w, kRidge);
+  LinearSolveReport ls = weighted_ls(design, targets, &w);
   if (!ls.ok()) {
     result.ok = false;
     result.note = "weighted least-squares core failed even with "
@@ -156,14 +177,14 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
     return result;
   }
   Vec c = std::move(ls.x);
+  Vec r(k_samples);
   double prev_e = std::numeric_limits<double>::infinity();
   for (int it = 0; it < kLawsonIterations; ++it) {
     if (stop_requested(control)) {
       result.note = "preempted during Lawson refinement; kept last iterate";
       break;
     }
-    const Vec r = residuals(design, targets, c);
-    const double e = r.max_abs();
+    const double e = residuals(design, targets, c, r);
     result.lawson_iterations = it + 1;
     if (e < 1e-14) break;  // exact interpolation
     if (std::fabs(prev_e - e) < 1e-12 * std::max(1.0, e)) break;
@@ -176,7 +197,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
     }
     if (sum <= 0.0) break;
     for (auto& wi : w) wi /= sum;
-    LinearSolveReport step = weighted_ls(design, targets, w, kRidge);
+    LinearSolveReport step = weighted_ls(design, targets, &w);
     if (!step.ok()) {
       // Keep the last good iterate; the exchange stage can still refine it.
       result.note = "Lawson step " + std::to_string(it) +
@@ -191,12 +212,11 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
   // ---- Stage 2: exchange refinement with exact support LPs (one lp.solve
   // span per round).
   TraceSpan exchange_span("minimax.exchange");
-  Vec r = residuals(design, targets, c);
-  double e_full = r.max_abs();
+  double e_full = residuals(design, targets, c, r);
+  std::vector<std::size_t> idx(k_samples);
   std::set<std::size_t> support;
   {
     // Seed with the samples of largest residual.
-    std::vector<std::size_t> idx(k_samples);
     std::iota(idx.begin(), idx.end(), std::size_t{0});
     const std::size_t seed =
         std::min<std::size_t>(k_samples, 3 * (v + 1));
@@ -208,6 +228,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
   }
 
   double e_support = 0.0;
+  Vec r2(k_samples);
   for (int round = 0; round < kExchangeRounds; ++round) {
     if (stop_requested(control)) {
       result.note = "preempted during exchange refinement; kept best iterate";
@@ -218,8 +239,7 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
     const SupportSolution ss =
         solve_support_lp(design, targets, sup, control);
     if (!ss.ok) break;  // fall back to the best iterate found so far
-    const Vec r2 = residuals(design, targets, ss.c);
-    const double e2 = r2.max_abs();
+    const double e2 = residuals(design, targets, ss.c, r2);
     if (e2 < e_full) {
       c = ss.c;
       r = r2;
@@ -236,7 +256,6 @@ MinimaxFitResult minimax_fit(const Mat& design, const Vec& targets,
       break;
     }
     // Add the worst violators to the support.
-    std::vector<std::size_t> idx(k_samples);
     std::iota(idx.begin(), idx.end(), std::size_t{0});
     const std::size_t add = std::min<std::size_t>(
         k_samples, static_cast<std::size_t>(kExchangeAddPerRound));
@@ -269,32 +288,17 @@ MinimaxFitResult least_squares_fit(const Mat& design, const Vec& targets) {
               "least_squares_fit: target size mismatch");
   MinimaxFitResult out;
   out.ok = false;
-  const std::size_t v = design.cols();
-  Mat g(v, v);
-  Vec rhs(v, 0.0);
-  for (std::size_t i = 0; i < design.rows(); ++i) {
-    const double* row = design.row_ptr(i);
-    for (std::size_t a = 0; a < v; ++a) {
-      rhs[a] += row[a] * targets[i];
-      for (std::size_t b = a; b < v; ++b) g(a, b) += row[a] * row[b];
-    }
-  }
-  for (std::size_t a = 0; a < v; ++a) {
-    g(a, a) += 1e-10;
-    for (std::size_t b = a + 1; b < v; ++b) g(b, a) = g(a, b);
-  }
-  const LinearSolveReport report = robust_solve_spd(g, rhs);
+  const LinearSolveReport report = weighted_ls(design, targets, nullptr);
   if (!report.ok()) {
-    out.coefficients = Vec(v, 0.0);
+    out.coefficients = Vec(design.cols(), 0.0);
     out.error = std::numeric_limits<double>::infinity();
     out.note = "least-squares solve failed";
     return out;
   }
   out.ok = true;
   out.coefficients = report.x;
-  Vec r = targets;
-  r -= matvec(design, out.coefficients);
-  out.error = r.max_abs();
+  Vec r(design.rows());
+  out.error = residuals(design, targets, out.coefficients, r);
   out.note = "least squares (no PAC guarantee)";
   return out;
 }

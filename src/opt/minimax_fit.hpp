@@ -9,6 +9,8 @@
 // simplex of simplex.hpp, then adds up to eight of the worst violators.
 // The last rounds' LPs are the largest: 540 rows by 561 columns on the C1
 // benchmark, where the exchange, not Lawson, takes most of the fit's time.
+// Lawson's normal equations go through simd::weighted_gram and the
+// residual sweeps through simd::dot_rows, with the bits of the plain loops.
 //
 // The returned error is always the exact achieved max |residual| over all K
 // samples, i.e. a feasible objective value of (8); when `exact` is true it

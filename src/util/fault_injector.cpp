@@ -1,9 +1,10 @@
 #include "util/fault_injector.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
+#include <string_view>
 
 #include "util/log.hpp"
 
@@ -25,6 +26,69 @@ const char* to_string(FaultSite site) {
   return "?";
 }
 
+namespace {
+
+/// The whole of `text` as a decimal integer that fits 64 bits.
+bool parse_whole_u64(const char* text, std::uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
+FaultConfig parse_fault_config(const char* seed, const char* rate,
+                               const char* max_fires, const char* sites) {
+  FaultConfig config;
+  const auto reject = [&](const char* name, const char* value,
+                          const char* want) {
+    config.ignored.push_back(std::string("ignoring ") + name + "='" + value +
+                             "' (" + want + ")");
+  };
+  if (seed != nullptr && *seed != '\0') {
+    if (parse_whole_u64(seed, &config.seed))
+      config.armed = true;
+    else
+      reject("SCS_FAULT_SEED", seed,
+             "not a whole number; the injector stays disarmed");
+  }
+  if (rate != nullptr) {
+    char* end = nullptr;
+    const double v = std::strtod(rate, &end);
+    // The negated test also rejects NaN.
+    if (end == rate || *end != '\0' || !(v >= 0.0 && v <= 1.0))
+      reject("SCS_FAULT_RATE", rate, "not a number in [0, 1]");
+    else
+      config.rate = v;
+  }
+  if (max_fires != nullptr && !parse_whole_u64(max_fires, &config.max_fires))
+    reject("SCS_FAULT_MAX_FIRES", max_fires, "not a whole number");
+  if (sites != nullptr) {
+    std::array<bool, static_cast<int>(FaultSite::kCount)> on{};
+    std::string_view rest(sites);
+    bool known = true;
+    while (known) {
+      const std::size_t comma = rest.find(',');
+      const std::string_view name = rest.substr(0, comma);
+      known = false;
+      for (int i = 0; i < static_cast<int>(FaultSite::kCount); ++i)
+        if (name == to_string(static_cast<FaultSite>(i))) on[i] = known = true;
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
+    }
+    if (known)
+      config.sites = on;
+    else
+      reject("SCS_FAULT_SITES", sites,
+             "want a comma list of cholesky,sdp,nan,store_corrupt");
+  }
+  return config;
+}
+
 FaultInjector& FaultInjector::instance() {
   static FaultInjector injector;
   return injector;
@@ -33,31 +97,16 @@ FaultInjector& FaultInjector::instance() {
 FaultInjector::FaultInjector() { configure_from_env(); }
 
 void FaultInjector::configure_from_env() {
-  const char* seed_env = std::getenv("SCS_FAULT_SEED");
-  if (seed_env == nullptr || *seed_env == '\0') return;
-  const std::uint64_t seed = std::strtoull(seed_env, nullptr, 10);
-
-  double rate = 0.05;
-  if (const char* rate_env = std::getenv("SCS_FAULT_RATE"))
-    rate = std::strtod(rate_env, nullptr);
-  std::uint64_t max_fires = 8;
-  if (const char* fires_env = std::getenv("SCS_FAULT_MAX_FIRES"))
-    max_fires = std::strtoull(fires_env, nullptr, 10);
-
-  arm(seed, rate, max_fires);
-
-  if (const char* sites_env = std::getenv("SCS_FAULT_SITES")) {
-    for (int i = 0; i < kNumSites; ++i)
-      site_on_[i].store(false, std::memory_order_relaxed);
-    std::stringstream ss(sites_env);
-    std::string name;
-    while (std::getline(ss, name, ',')) {
-      for (int i = 0; i < kNumSites; ++i)
-        if (name == to_string(static_cast<FaultSite>(i)))
-          site_on_[i].store(true, std::memory_order_relaxed);
-    }
-  }
-  log_info("fault-injector: armed from SCS_FAULT_SEED=", seed,
+  const FaultConfig config = parse_fault_config(
+      std::getenv("SCS_FAULT_SEED"), std::getenv("SCS_FAULT_RATE"),
+      std::getenv("SCS_FAULT_MAX_FIRES"), std::getenv("SCS_FAULT_SITES"));
+  for (const std::string& message : config.ignored)
+    log_info("fault-injector: ", message);
+  if (!config.armed) return;
+  arm(config.seed, config.rate, config.max_fires);
+  for (int i = 0; i < kNumSites; ++i)
+    site_on_[i].store(config.sites[i], std::memory_order_relaxed);
+  log_info("fault-injector: armed from SCS_FAULT_SEED=", config.seed,
            " rate=", rate_, " max_fires=", max_fires_);
 }
 

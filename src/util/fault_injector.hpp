@@ -9,9 +9,11 @@
 //
 // Activation:
 //   - env var SCS_FAULT_SEED=<uint64> arms the injector at process start;
-//     SCS_FAULT_RATE (default 0.05), SCS_FAULT_MAX_FIRES (default 8 per
-//     site), and SCS_FAULT_SITES (comma list of
-//     "cholesky,sdp,nan,store_corrupt"; default all) tune it;
+//     SCS_FAULT_RATE (in [0, 1], default 0.05), SCS_FAULT_MAX_FIRES (a
+//     whole number, default 8 per site), and SCS_FAULT_SITES (comma list of
+//     "cholesky,sdp,nan,store_corrupt"; default all) tune it. Each value is
+//     parsed whole (parse_fault_config); a malformed one is logged and
+//     ignored, and a malformed seed leaves the injector disarmed;
 //   - tests arm it programmatically with arm() / disarm().
 //
 // Cost when disarmed: one relaxed atomic load per interrogation site, no
@@ -28,6 +30,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <vector>
 
 namespace scs {
 
@@ -41,6 +44,25 @@ enum class FaultSite : int {
 
 /// Short site name used by SCS_FAULT_SITES and log lines.
 const char* to_string(FaultSite site);
+
+/// The injector settings that the SCS_FAULT_* variables ask for.
+struct FaultConfig {
+  bool armed = false;  // a valid seed was given
+  std::uint64_t seed = 0;
+  double rate = 0.05;
+  std::uint64_t max_fires = 8;
+  std::array<bool, static_cast<int>(FaultSite::kCount)> sites{};  // all on
+  std::vector<std::string> ignored;  // one message per rejected value
+  FaultConfig() { sites.fill(true); }
+};
+
+/// Parses the SCS_FAULT_SEED, _RATE, _MAX_FIRES and _SITES values (null
+/// when unset). Each value must be whole: the seed and max fires a decimal
+/// integer that fits 64 bits, the rate a number in [0, 1], the sites a
+/// comma list of known site names. A rejected value keeps its default and
+/// adds a message to `ignored`; without a valid seed nothing is armed.
+FaultConfig parse_fault_config(const char* seed, const char* rate,
+                               const char* max_fires, const char* sites);
 
 class FaultInjector {
  public:

@@ -213,5 +213,87 @@ TEST_F(FaultInjection, DeterministicReplay) {
   EXPECT_EQ(fi.fires(FaultSite::kNanBoundary), fires1);
 }
 
+// ---- SCS_FAULT_* parsing: every value is parsed whole, and a bad one is
+// reported and ignored instead of arming something else.
+
+constexpr int kSites = static_cast<int>(FaultSite::kCount);
+
+TEST(FaultConfigParse, UnsetVariablesKeepTheDefaultsAndStayDisarmed) {
+  const FaultConfig config =
+      parse_fault_config(nullptr, nullptr, nullptr, nullptr);
+  EXPECT_FALSE(config.armed);
+  EXPECT_EQ(config.rate, 0.05);
+  EXPECT_EQ(config.max_fires, 8u);
+  for (int i = 0; i < kSites; ++i) EXPECT_TRUE(config.sites[i]);
+  EXPECT_TRUE(config.ignored.empty());
+  EXPECT_FALSE(parse_fault_config("", nullptr, nullptr, nullptr).armed);
+}
+
+TEST(FaultConfigParse, WellFormedValuesAreTaken) {
+  const FaultConfig config =
+      parse_fault_config("12345", "0.25", "3", "cholesky,nan");
+  EXPECT_TRUE(config.armed);
+  EXPECT_EQ(config.seed, 12345u);
+  EXPECT_EQ(config.rate, 0.25);
+  EXPECT_EQ(config.max_fires, 3u);
+  EXPECT_TRUE(config.sites[static_cast<int>(FaultSite::kCholeskyPivot)]);
+  EXPECT_FALSE(config.sites[static_cast<int>(FaultSite::kSdpStall)]);
+  EXPECT_TRUE(config.sites[static_cast<int>(FaultSite::kNanBoundary)]);
+  EXPECT_FALSE(config.sites[static_cast<int>(FaultSite::kStoreCorrupt)]);
+  EXPECT_TRUE(config.ignored.empty());
+  EXPECT_EQ(parse_fault_config("1", "0", nullptr, nullptr).rate, 0.0);
+  EXPECT_EQ(parse_fault_config("1", "1", nullptr, nullptr).rate, 1.0);
+  EXPECT_EQ(parse_fault_config("18446744073709551615", nullptr, nullptr,
+                               nullptr)
+                .seed,
+            18446744073709551615ull);
+}
+
+TEST(FaultConfigParse, BadSeedLeavesTheInjectorDisarmed) {
+  for (const char* seed : {"abc", "12x", " 7", "7 ", "-1", "+3",
+                           "18446744073709551616"}) {
+    const FaultConfig config =
+        parse_fault_config(seed, nullptr, nullptr, nullptr);
+    EXPECT_FALSE(config.armed) << seed;
+    ASSERT_EQ(config.ignored.size(), 1u) << seed;
+    EXPECT_NE(config.ignored[0].find("SCS_FAULT_SEED"), std::string::npos);
+  }
+}
+
+TEST(FaultConfigParse, BadRateKeepsTheDefault) {
+  for (const char* rate : {"nan", "NaN", "1.5", "-0.1", "inf", "", "0.1x",
+                           "abc"}) {
+    const FaultConfig config = parse_fault_config("1", rate, nullptr, nullptr);
+    EXPECT_TRUE(config.armed) << rate;
+    EXPECT_EQ(config.rate, 0.05) << rate;
+    ASSERT_EQ(config.ignored.size(), 1u) << rate;
+    EXPECT_NE(config.ignored[0].find("SCS_FAULT_RATE"), std::string::npos);
+  }
+}
+
+TEST(FaultConfigParse, BadMaxFiresKeepsTheDefault) {
+  for (const char* fires : {"-1", "", "8.5", "1e3", "99999999999999999999"}) {
+    const FaultConfig config =
+        parse_fault_config("1", nullptr, fires, nullptr);
+    EXPECT_EQ(config.max_fires, 8u) << fires;
+    ASSERT_EQ(config.ignored.size(), 1u) << fires;
+    EXPECT_NE(config.ignored[0].find("SCS_FAULT_MAX_FIRES"),
+              std::string::npos);
+  }
+}
+
+TEST(FaultConfigParse, UnknownSiteKeepsEverySiteArmed) {
+  // "lu" names a site that no longer exists; before whole-value parsing it
+  // switched every site off while the injector still reported itself armed.
+  for (const char* sites : {"lu", "cholesky,lu", "", "cholesky,", ",nan",
+                            "cholesky,,nan", "Cholesky"}) {
+    const FaultConfig config =
+        parse_fault_config("1", nullptr, nullptr, sites);
+    for (int i = 0; i < kSites; ++i) EXPECT_TRUE(config.sites[i]) << sites;
+    ASSERT_EQ(config.ignored.size(), 1u) << sites;
+    EXPECT_NE(config.ignored[0].find("SCS_FAULT_SITES"), std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace scs

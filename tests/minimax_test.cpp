@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "math/simd.hpp"
@@ -143,6 +145,49 @@ TEST(Minimax, LargeSampleCountRuns) {
   EXPECT_LT(fit.error, 0.2);  // tanh is nearly linear on this box
 }
 
+/// Digest of everything a fit reports that the pipeline reads.
+std::uint64_t fit_digest(const MinimaxFitResult& fit) {
+  Fnv1a h;
+  hash_append(h, fit.coefficients);
+  hash_append(h, fit.error);
+  hash_append(h, fit.support_error);
+  hash_append(h, fit.exchange_rounds);
+  hash_append(h, fit.support);
+  return h.digest();
+}
+
+/// K uniform samples on [-1, 1]^2 of the monomials up to `degree` and of
+/// `f`.
+template <typename F>
+void scenario_fit_problem(std::uint64_t seed, std::size_t k, int degree,
+                          F f, Mat& design, Vec& targets) {
+  Rng rng(seed);
+  const auto basis = monomials_up_to(2, degree);
+  design = Mat(k, basis.size());
+  targets = Vec(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Vec x(rng.uniform_vector(2, -1.0, 1.0));
+    design.set_row(i, evaluate_basis(basis, x));
+    targets[i] = f(x);
+  }
+}
+
+/// One fit per kernel: the portable loops, then AVX2 where the CPU has it.
+/// Each result is labelled with its kernel's name.
+std::vector<std::pair<std::string, MinimaxFitResult>> fit_on_each_kernel(
+    const Mat& design, const Vec& targets) {
+  std::vector<simd::Kernel> kernels{simd::Kernel::kScalar};
+  if (simd::avx2_available()) kernels.push_back(simd::Kernel::kAvx2);
+  std::vector<std::pair<std::string, MinimaxFitResult>> fits;
+  for (const simd::Kernel kernel : kernels) {
+    simd::set_kernel_override(kernel);
+    fits.emplace_back(simd::active_kernel_name(),
+                      minimax_fit(design, targets));
+    simd::set_kernel_override(simd::Kernel::kAuto);
+  }
+  return fits;
+}
+
 // Recorded from the dense-pricing simplex this case was written against.
 constexpr std::uint64_t kCubicFitDigest = 0xe3a7fe3fc81c3400ull;
 
@@ -150,32 +195,73 @@ TEST(Minimax, SeededCubicFitIsBitIdentical) {
   // A PAC-sized n = 2, d = 3 scenario program: K = 20,000 uniform samples
   // on [-1, 1]^2 of tanh(2 x1 - x2). Its exchange runs a few dozen support
   // LPs of up to a few hundred rows, and every bit of the answer is pinned.
-  Rng rng(2);
-  const auto basis = monomials_up_to(2, 3);
-  const std::size_t k = 20000;
-  Mat design(k, basis.size());
-  Vec targets(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    const Vec x(rng.uniform_vector(2, -1.0, 1.0));
-    design.set_row(i, evaluate_basis(basis, x));
-    targets[i] = std::tanh(2.0 * x[0] - x[1]);
-  }
-  std::vector<simd::Kernel> kernels{simd::Kernel::kScalar};
-  if (simd::avx2_available()) kernels.push_back(simd::Kernel::kAvx2);
-  for (const simd::Kernel kernel : kernels) {
-    simd::set_kernel_override(kernel);
-    const MinimaxFitResult fit = minimax_fit(design, targets);
-    Fnv1a h;
-    hash_append(h, fit.coefficients);
-    hash_append(h, fit.error);
-    hash_append(h, fit.support_error);
-    hash_append(h, fit.exchange_rounds);
-    hash_append(h, fit.support);
-    const char* name = simd::active_kernel_name();
-    simd::set_kernel_override(simd::Kernel::kAuto);
-    EXPECT_EQ(h.digest(), kCubicFitDigest)
-        << "kernel " << name << ": 0x" << std::hex << h.digest();
+  Mat design;
+  Vec targets;
+  scenario_fit_problem(
+      2, 20000, 3, [](const Vec& x) { return std::tanh(2.0 * x[0] - x[1]); },
+      design, targets);
+  for (const auto& [kernel, fit] : fit_on_each_kernel(design, targets)) {
+    const std::uint64_t digest = fit_digest(fit);
+    EXPECT_EQ(digest, kCubicFitDigest)
+        << "kernel " << kernel << ": 0x" << std::hex << digest;
     EXPECT_GT(fit.exchange_rounds, 10);
+  }
+}
+
+// Recorded at the fitter whose normal equations were a plain triple loop.
+constexpr std::uint64_t kC1ShapeFitDigest = 0x3cb3b81101494848ull;
+
+TEST(Minimax, C1SizedFitIsBitIdentical) {
+  // Fast C1's largest scenario program: n = 2, d = 3 (v = 10) and
+  // K = 49,632, where Lawson's sweeps outgrow the caches. The target is
+  // plain arithmetic, so its bits do not depend on libm.
+  Mat design;
+  Vec targets;
+  scenario_fit_problem(
+      2024, 49632, 3,
+      [](const Vec& x) {
+        return x[0] / (1.0 + x[1] * x[1]) - 0.5 * x[0] * x[0] * x[1];
+      },
+      design, targets);
+  for (const auto& [kernel, fit] : fit_on_each_kernel(design, targets)) {
+    EXPECT_EQ(fit.lawson_iterations, 40);
+    const std::uint64_t digest = fit_digest(fit);
+    EXPECT_EQ(digest, kC1ShapeFitDigest)
+        << "kernel " << kernel << ": 0x" << std::hex << digest;
+  }
+}
+
+// Recorded at the fitter that skipped zero-weight samples.
+constexpr std::uint64_t kZeroWeightFitDigest = 0x3660cf59d8980000ull;
+
+TEST(Minimax, ZeroLawsonWeightsKeepTheBits) {
+  // The cubic problem above plus a decoupled block: every fifth sample is
+  // a row whose only nonzero entry sits in an extra column, with target 0.
+  // Those rows alone set that column's coefficient, which comes out exactly
+  // 0, so their residuals and hence their Lawson weights are exactly 0
+  // from the first reweight on. The old sweep skipped such samples; the
+  // kernel adds their +-0 products, which leave every sum as it was.
+  Mat cubic;
+  Vec targets;
+  scenario_fit_problem(
+      3, 20000, 3, [](const Vec& x) { return std::tanh(2.0 * x[0] - x[1]); },
+      cubic, targets);
+  const std::size_t v = cubic.cols() + 1;
+  Mat design(cubic.rows(), v);
+  for (std::size_t i = 0; i < cubic.rows(); ++i) {
+    if (i % 5 == 4) {
+      design(i, v - 1) = 0.25 + 0.001 * static_cast<double>(i % 7);
+      targets[i] = 0.0;
+    } else {
+      for (std::size_t j = 0; j + 1 < v; ++j) design(i, j) = cubic(i, j);
+    }
+  }
+  for (const auto& [kernel, fit] : fit_on_each_kernel(design, targets)) {
+    EXPECT_EQ(fit.coefficients[v - 1], 0.0);
+    EXPECT_GT(fit.lawson_iterations, 1);
+    const std::uint64_t digest = fit_digest(fit);
+    EXPECT_EQ(digest, kZeroWeightFitDigest)
+        << "kernel " << kernel << ": 0x" << std::hex << digest;
   }
 }
 

@@ -1,7 +1,9 @@
-// Tests for the Table 1 / Table 2 plain-text formatting.
+// Tests for the Table 1 / Table 2 plain-text formatting and the trace
+// profile behind `report_cli profile`.
 #include <gtest/gtest.h>
 
 #include "core/report.hpp"
+#include "obs/json_reader.hpp"
 
 namespace scs {
 namespace {
@@ -95,6 +97,47 @@ TEST(Report, MissingBaselineShowsDash) {
   result.barrier.success = false;
   const std::string row = table2_row(bench, result, nullptr);
   EXPECT_NE(row.find('-'), std::string::npos);
+}
+
+TEST(Report, TraceProfileSubtractsSameThreadChildrenOnly) {
+  // Thread 0: stage.pac [0, 100) holds pac.attempt [10, 60), which holds
+  // minimax.lawson [15, 35) and an instant; barrier.arm:deg2 [70, 90) is
+  // stage.pac's second child and barrier.arm:deg4 [200, 210) stands alone.
+  // Thread 1: pac.draw [5, 65) overlaps stage.pac in time but is not its
+  // child. Times in the trace are microseconds.
+  const JsonValue trace = json_parse(R"({"traceEvents":[
+    {"name":"minimax.lawson","ph":"X","ts":15,"dur":20,"pid":0,"tid":0},
+    {"name":"sdp.iteration","ph":"i","ts":20,"s":"t","pid":0,"tid":0},
+    {"name":"pac.attempt","ph":"X","ts":10,"dur":50,"pid":0,"tid":0},
+    {"name":"pac.draw","ph":"X","ts":5,"dur":60,"pid":0,"tid":1},
+    {"name":"barrier.arm:deg2","ph":"X","ts":70,"dur":20,"pid":0,"tid":0},
+    {"name":"stage.pac","ph":"X","ts":0,"dur":100,"pid":0,"tid":0},
+    {"name":"barrier.arm:deg4","ph":"X","ts":200,"dur":10,"pid":0,"tid":0}
+  ]})");
+  const std::vector<SpanProfileRow> rows = trace_profile(trace);
+  ASSERT_EQ(rows.size(), 5u);
+  // Largest self time first; equal self times in name order.
+  const char* names[] = {"pac.draw", "barrier.arm", "pac.attempt",
+                         "stage.pac", "minimax.lawson"};
+  const std::size_t counts[] = {1, 2, 1, 1, 1};
+  const double inclusive_us[] = {60, 30, 50, 100, 20};
+  const double self_us[] = {60, 30, 30, 30, 20};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].name, names[i]);
+    EXPECT_EQ(rows[i].count, counts[i]) << names[i];
+    EXPECT_NEAR(rows[i].inclusive_s, inclusive_us[i] * 1e-6, 1e-12)
+        << names[i];
+    EXPECT_NEAR(rows[i].self_s, self_us[i] * 1e-6, 1e-12) << names[i];
+  }
+  const std::string table = format_trace_profile(rows);
+  EXPECT_NE(table.find("self_s"), std::string::npos);
+  EXPECT_NE(table.find("barrier.arm "), std::string::npos);
+  EXPECT_EQ(table.find("deg2"), std::string::npos);
+}
+
+TEST(Report, TraceProfileRejectsANonTrace) {
+  EXPECT_THROW(trace_profile(json_parse(R"({"events":[]})")),
+               JsonParseError);
 }
 
 }  // namespace

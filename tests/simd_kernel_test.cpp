@@ -4,11 +4,11 @@
 // are bitwise identical: elementwise kernels never use FMA, and `dot` uses
 // the same four-lane accumulation in both implementations. These tests pin
 // that contract directly (kernel vs kernel over ragged lengths), for the
-// sample-blocked `dot_columns` against `dot` per column, for the MLP and
-// Adam kernels against the loops they replaced, and end-to-end (a dense
-// matmul forced through each path). The AVX2 halves skip themselves on
-// machines -- or SCS_SIMD=OFF builds -- without the vector kernels, so the
-// same test binary runs everywhere.
+// sample-blocked `dot_columns` against `dot` per column, for the MLP,
+// Adam and normal-equation kernels against the loops they replaced, and
+// end-to-end (a dense matmul forced through each path). The AVX2 halves
+// skip themselves on machines -- or SCS_SIMD=OFF builds -- without the
+// vector kernels, so the same test binary runs everywhere.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -270,6 +270,52 @@ TEST(SimdKernels, OuterAccumulateHasTheBitsOfPerSampleAxpys) {
               << simd::active_kernel_name() << ": rows " << rows << ", cols "
               << cols << ", samples " << samples;
         }
+  }
+}
+
+TEST(SimdKernels, WeightedGramHasTheBitsOfThePlainLoop) {
+  // Every row and column range shape: one to four rows and full groups of
+  // four, column ranges inside, across and past an eleven-column tile, an
+  // empty one (rhs only), and samples with zero weight.
+  Rng rng(13);
+  constexpr std::size_t kDims[] = {1, 2, 3, 4, 5, 6, 9, 10, 13, 16, 25};
+  for (const simd::Kernel kernel : kernels_to_check()) {
+    KernelGuard guard(kernel);
+    for (const std::size_t n : kDims)
+      for (const std::size_t samples : kBatches) {
+        const std::vector<double> x = random_doubles(samples * n, rng);
+        const std::vector<double> y = random_doubles(samples, rng);
+        std::vector<double> w = random_doubles(samples, rng);
+        for (std::size_t s = 0; s < samples; s += 3) w[s] = 0.0;
+        const std::size_t ranges[][4] = {{0, n, 0, n},
+                                         {0, std::min<std::size_t>(n, 4), 0, n},
+                                         {n / 2, n, n / 2, n},
+                                         {n - 1, n, 0, n},
+                                         {0, n, n, n},
+                                         {n / 3, n, 1 % n, n - n / 4}};
+        for (const auto& range : ranges) {
+          const std::size_t a0 = range[0], a1 = range[1];
+          const std::size_t b0 = range[2], b1 = range[3];
+          const std::vector<double> g0 = random_doubles(n * n, rng);
+          const std::vector<double> gy0 = random_doubles(n, rng);
+          std::vector<double> expected = g0, expected_gy = gy0;
+          for (std::size_t s = 0; s < samples; ++s)
+            for (std::size_t a = a0; a < a1; ++a) {
+              const double d = w[s] * x[s * n + a];
+              for (std::size_t b = b0; b < b1; ++b)
+                expected[a * n + b] += d * x[s * n + b];
+              expected_gy[a] += d * y[s];
+            }
+          std::vector<double> got = g0, got_gy = gy0;
+          simd::weighted_gram(got.data(), got_gy.data(), x.data(), n,
+                              w.data(), y.data(), samples, a0, a1, b0, b1);
+          EXPECT_TRUE(bits_equal(got, expected) &&
+                      bits_equal(got_gy, expected_gy))
+              << simd::active_kernel_name() << ": n " << n << ", samples "
+              << samples << ", rows [" << a0 << ", " << a1 << "), cols ["
+              << b0 << ", " << b1 << ")";
+        }
+      }
   }
 }
 
